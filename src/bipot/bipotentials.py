@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import batch_is_convex, is_convex, is_set_convex
-from .errors import InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .extreal import INF
-from .grids import Grid, SampledBivariate, SampledFunction, pairing
+from .grids import (_BLOCK_ROWS, Grid, SampledBivariate, SampledFunction,
+                    _read_rows, pairing)
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
 from .windows import chebyshev_dilate
@@ -107,41 +108,65 @@ class GraphSet:
             fh.write(gline("xgrid", self.xgrid))
             fh.write(gline("ygrid", self.ygrid))
             fh.write("x_index,y_index\n")
-            for f in flat:
-                fh.write(f"{f // ny},{f % ny}\n")
+            for j in range(0, len(flat), _BLOCK_ROWS):
+                part = flat[j:j + _BLOCK_ROWS]
+                fh.write("".join(map("{},{}\n".format, (part // ny).tolist(),
+                                     (part % ny).tolist())))
 
     @classmethod
     def read_csv(cls, path) -> "GraphSet":
-        from .errors import FormatError
-
         def parse_grid(line, lineno):
+            # `# tag lo=... hi=... n=...`: a value runs up to the next key,
+            # so a 2-D grid reads `lo=-2.0 -2.0 hi=2.0 2.0 n=5 5`
+            fields, key = {}, None
             try:
-                fields = dict(tok.split("=", 1) for tok in line.split()[2:])
+                for tok in line.split()[2:]:
+                    if "=" in tok:
+                        key, tok = tok.split("=", 1)
+                        fields[key] = tok
+                    else:
+                        fields[key] += " " + tok
                 lo = tuple(float(v) for v in fields["lo"].split())
                 hi = tuple(float(v) for v in fields["hi"].split())
                 n = tuple(int(v) for v in fields["n"].split())
-                return Grid(lo, hi, n)
-            except (KeyError, ValueError, IndexError):
+            except (KeyError, ValueError):
                 raise FormatError("malformed grid metadata", line=lineno) from None
+            return Grid(lo, hi, n)
+
+        def rows_by_line(fh, nx, ny):
+            rows = []
+            for lineno, raw in enumerate(fh, start=5):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    xs, ys = raw.split(",")
+                    xi, yi = int(xs), int(ys)
+                    ok = 0 <= xi < nx and 0 <= yi < ny
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise FormatError("expected two integer indices", line=lineno)
+                rows.append((xi, yi))
+            return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        if len(lines) < 4 or not lines[0].startswith("# bipot-graph"):
-            raise FormatError("missing '# bipot-graph' metadata header", line=1)
-        xgrid = parse_grid(lines[1], 2)
-        ygrid = parse_grid(lines[2], 3)
-        if lines[3].strip() != "x_index,y_index":
-            raise FormatError("expected header 'x_index,y_index'", line=4)
-        mask = np.zeros((xgrid.size, ygrid.size), dtype=bool)
-        for lineno, raw in enumerate(lines[4:], start=5):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                xs, ys = raw.split(",")
-                mask[int(xs), int(ys)] = True
-            except (ValueError, IndexError):
-                raise FormatError("expected two integer indices", line=lineno) from None
+            head = [fh.readline() for _ in range(4)]
+            if "" in head or not head[0].startswith("# bipot-graph"):
+                raise FormatError("missing '# bipot-graph' metadata header", line=1)
+            xgrid = parse_grid(head[1], 2)
+            ygrid = parse_grid(head[2], 3)
+            if head[3].strip() != "x_index,y_index":
+                raise FormatError("expected header 'x_index,y_index'", line=4)
+            nx, ny = xgrid.size, ygrid.size
+            idx = _read_rows(fh, 2, int, np.int64)
+            if idx is None or not ((idx >= 0) & (idx < (nx, ny))).all():
+                fh.seek(0)
+                for _ in range(4):
+                    fh.readline()
+                idx = rows_by_line(fh, nx, ny)
+        mask = np.zeros((nx, ny), dtype=bool)
+        mask[idx[:, 0], idx[:, 1]] = True
         return cls(xgrid, ygrid, mask.reshape(xgrid.shape + ygrid.shape))
 
 

@@ -249,21 +249,87 @@ class SampledBivariate:
 
 # --- CSV plumbing -----------------------------------------------------------
 
+# Both codecs work on blocks of rows, so their working memory is O(block)
+# plus the arrays they read or write. The reader's block is a readlines hint
+# in characters: about 24k rows of a 1-D bivariate file.
+_BLOCK_ROWS = 1 << 14
+_BLOCK_CHARS = 1 << 20
 
-def _fmt(v: float) -> str:
-    return ExtReal(v).token()
+
+def _tokens(a: np.ndarray) -> list[str]:
+    """CSV tokens of float64 values, the bytes of ``ExtReal(v).token()``
+    (``repr`` of +inf is already the token ``inf``)."""
+    return list(map(repr, a.tolist()))
 
 
 def _write_grid_csv(path, names, grids, vals) -> None:
-    axes = [ax for g in grids for ax in g.axes]
+    axes = [_tokens(ax) for g in grids for ax in g.axes]
     if len(names) != len(axes):
         raise InvalidInputError("column names do not match grid axes")
+    # a row is head + tail + value: the heads run over the leading axes,
+    # the tails over the last axis and are built once
+    *leading, last = axes
+    tails = [t + "," for t in last]
+    flat = vals.reshape(-1)
+    row = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names + ["value"]) + "\n")
-        flat = vals.ravel()
-        for row, idx in enumerate(itertools.product(*(range(len(a)) for a in axes))):
-            coords = [_fmt(axes[k][i]) for k, i in enumerate(idx)]
-            fh.write(",".join(coords + [_fmt(flat[row])]) + "\n")
+        for lead in itertools.product(*leading):
+            head = "".join(t + "," for t in lead)
+            for j in range(0, len(tails), _BLOCK_ROWS):
+                part = tails[j:j + _BLOCK_ROWS]
+                vt = _tokens(flat[row:row + len(part)])
+                fh.write("".join([f"{head}{t}{v}\n" for t, v in zip(part, vt)]))
+                row += len(part)
+
+
+def _read_rows(fh, nfields: int, parse, dtype):
+    """The remaining rows of FH as an (nrows, nfields) array, a block at a time.
+
+    Blank lines are skipped. Returns None if some row has the wrong number
+    of fields, a field ``parse`` rejects, or text that does not decode; the
+    caller then re-reads line by line to report the first bad line.
+    """
+    blocks = []
+    try:
+        while lines := fh.readlines(_BLOCK_CHARS):
+            lines = [ln for ln in lines if not ln.isspace()]
+            if not lines:
+                continue
+            if any(ln.count(",") != nfields - 1 for ln in lines):
+                return None
+            toks = ",".join(lines).split(",")
+            blocks.append(np.fromiter(map(parse, toks), dtype, len(toks)))
+    except (ValueError, OverflowError):   # UnicodeDecodeError is a ValueError
+        return None
+    if not blocks:
+        return np.empty((0, nfields), dtype)
+    return np.concatenate(blocks).reshape(-1, nfields)
+
+
+def _grid_rows_by_line(fh, ncoord: int) -> np.ndarray:
+    """Line-by-line parse of the data rows; raises at the first bad line."""
+    rows = []
+    for lineno, raw in enumerate(fh, start=2):
+        raw = raw.strip()
+        if not raw:
+            continue
+        toks = raw.split(",")
+        if len(toks) != ncoord + 1:
+            raise FormatError(
+                f"expected {ncoord + 1} fields, got {len(toks)}", line=lineno)
+        try:
+            row = []
+            for k in range(ncoord):
+                c = ExtReal.parse(toks[k])
+                if not c.is_finite:
+                    raise InvalidInputError("coordinates must be finite")
+                row.append(c.value)
+            row.append(ExtReal.parse(toks[-1]).value)
+        except InvalidInputError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, ncoord + 1)
 
 
 def _read_grid_csv(path, n_coord_groups: int):
@@ -279,30 +345,18 @@ def _read_grid_csv(path, n_coord_groups: int):
             raise FormatError("expected 1 or 2 coordinate columns", line=1)
         if n_coord_groups == 2 and ncoord not in (2, 4):
             raise FormatError("expected 2 or 4 coordinate columns", line=1)
-        coords = [[] for _ in range(ncoord)]
-        values = []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            toks = raw.split(",")
-            if len(toks) != ncoord + 1:
-                raise FormatError(
-                    f"expected {ncoord + 1} fields, got {len(toks)}", line=lineno)
-            try:
-                for k in range(ncoord):
-                    c = ExtReal.parse(toks[k])
-                    if not c.is_finite:
-                        raise InvalidInputError("coordinates must be finite")
-                    coords[k].append(c.value)
-                values.append(ExtReal.parse(toks[-1]).value)
-            except InvalidInputError as exc:
-                raise FormatError(str(exc), line=lineno) from None
+        data = _read_rows(fh, ncoord + 1, float, np.float64)
+        if (data is None or not np.isfinite(data[:, :-1]).all()
+                or np.isnan(data[:, -1]).any() or np.isneginf(data[:, -1]).any()):
+            fh.seek(0)
+            fh.readline()
+            data = _grid_rows_by_line(fh, ncoord)
 
-    values = np.asarray(values, dtype=np.float64)
+    coords = [data[:, k] for k in range(ncoord)]
+    values = data[:, -1]
     axes = []
     for k in range(ncoord):
-        uniq = np.unique(np.asarray(coords[k], dtype=np.float64))
+        uniq = np.unique(coords[k])
         if len(uniq) < 3:
             raise FormatError(f"column {k}: fewer than 3 distinct coordinates")
         steps = np.diff(uniq)
@@ -319,7 +373,7 @@ def _read_grid_csv(path, n_coord_groups: int):
     for k, ax in enumerate(axes):
         rep_right = int(np.prod(shape[k + 1:], dtype=np.int64))
         expected = np.tile(np.repeat(ax, rep_right), int(np.prod(shape[:k], dtype=np.int64)))
-        if not np.array_equal(np.asarray(coords[k]), expected):
+        if not np.array_equal(coords[k], expected):
             raise FormatError(f"column {k}: rows are not in row-major node order")
 
     def make_grid(axs):

@@ -22,9 +22,12 @@ _SLACK = 1e-9
 
 def radius_nodes(eps: float, h: float) -> int:
     """Largest k with k*h <= eps (up to relative slack)."""
-    if eps < 0:
-        raise InvalidInputError("radius must be >= 0")
-    return int(math.floor(eps / h * (1.0 + _SLACK) + _SLACK))
+    if math.isnan(eps) or eps < 0:
+        raise InvalidInputError(f"radius must be >= 0, got {eps}")
+    k = eps / h * (1.0 + _SLACK) + _SLACK
+    if math.isinf(k):
+        raise InvalidInputError(f"radius {eps} is too large for grid step {h}")
+    return int(math.floor(k))
 
 
 def disc_halfwidths(eps: float, h1: float, h2: float) -> list[tuple[int, int]]:

@@ -7,8 +7,8 @@ from bipot.bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable,
                                 sync_from_bipotential)
-from bipot.errors import InvalidInputError
-from bipot.grids import SampledBivariate, SampledFunction
+from bipot.errors import FormatError, InvalidInputError
+from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.legendre import conjugate_pair
 
 
@@ -235,6 +235,29 @@ class TestGraphSetCsv:
         back = GraphSet.read_csv(p)
         assert back.same_pairs(M)
         assert back.xgrid.n == M.xgrid.n
+
+    def test_round_trip_2d(self, tmp_path):
+        gx = Grid.box(-2.0, 2.0, 5)
+        gy = Grid.box((-1.0, 0.0), (1.0, 3.0), (4, 6))
+        M = GraphSet.from_pairs(gx, gy, [((0, 0), (0, 0)), ((1, 4), (3, 5)),
+                                         ((4, 4), (2, 1))])
+        p = tmp_path / "m2.csv"
+        M.to_csv(p)
+        assert p.read_text().splitlines()[1] == \
+            "# xgrid lo=-2.0 -2.0 hi=2.0 2.0 n=5 5"
+        back = GraphSet.read_csv(p)
+        assert back.xgrid == gx and back.ygrid == gy
+        assert back.same_pairs(M)
+
+    @pytest.mark.parametrize("row", ["-1,0", "0,-1", "-25,0", "25,0", "0,5"])
+    def test_out_of_range_indices_rejected(self, tmp_path, row):
+        g = Grid.line(-1.0, 1.0, 5)
+        p = tmp_path / "m.csv"
+        GraphSet.from_pairs(g, g, [(0, 0), (2, 3)]).to_csv(p)
+        p.write_text(p.read_text() + row + "\n1,1\n")
+        with pytest.raises(FormatError) as err:
+            GraphSet.read_csv(p)
+        assert str(err.value) == "line 7: expected two integer indices"
 
     def test_graphs_match_within(self, line_grid):
         a = GraphSet.from_pairs(line_grid, line_grid, [(10, 10)])

@@ -10,6 +10,7 @@ from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction
+from bipot.windows import radius_nodes
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +306,10 @@ class TestNewcBBGraphEquivalence:
         rep_bb = check_bbgraph(blurred_graph(law.phi, fix.spec, None,
                                              fix.ygrid))
         assert rep_newc.ok == rep_bb.ok == False  # noqa: E712
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])
+def test_unusable_radius_is_invalid_input(eps):
+    # 1e308 / h overflows to inf; none of these may reach math.floor
+    with pytest.raises(InvalidInputError, match="radius"):
+        radius_nodes(eps, 0.01)

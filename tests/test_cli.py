@@ -91,6 +91,28 @@ def test_blur_and_check_pipeline(run_cli, tmp_path, quad_csv):
     assert r3.returncode == 0, r3.stdout + r3.stderr
 
 
+def test_blur_and_check_pipeline_2d(run_cli, tmp_path):
+    g = Grid.box(-2.0, 2.0, 11)
+    SampledFunction.from_callable(
+        g, lambda a, b: 0.5 * (a * a + b * b)).to_csv(tmp_path / "phi2.csv")
+    r = run_cli(["blur", "--phi", "phi2.csv", "--eps", "0.8",
+                 "--out-ca", "ca.csv", "--out-ba", "ba.csv",
+                 "--out-graph", "mg.csv"], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    r2 = run_cli(["check", "bbgraph", "--graph", "mg.csv"], tmp_path)
+    assert r2.returncode in (0, 1), r2.stdout + r2.stderr
+    assert "axiom = bbgraph" in r2.stdout.splitlines(), r2.stdout + r2.stderr
+
+
+@pytest.mark.parametrize("eps", ["1e308", "inf", "nan"])
+def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
+    r = run_cli(["blur", "--phi", str(quad_csv), "--eps", eps,
+                 "--out-ca", "ca.csv"], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "bipot: error: radius" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_example_elasticity_report(run_cli, tmp_path):
     r = run_cli(["example", "elasticity", "--k", "1", "--eps", "0.5",
                  "--grid", "401", "--out-dir", "el",

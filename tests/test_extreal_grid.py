@@ -1,8 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bipot import grids
+from bipot.bipotentials import GraphSet
 from bipot.errors import FormatError, InvalidInputError
 from bipot.extreal import ExtReal, as_ext_array, ext_scale
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
@@ -116,6 +121,156 @@ class TestSampledCsv:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             SampledFunction.read_csv(p)
+
+
+def _token_csv(names, grid_list, vals) -> bytes:
+    """The CSV layout written value by value through ``ExtReal.token``."""
+    axes = [ax for g in grid_list for ax in g.axes]
+    lines = [",".join(names + ["value"])]
+    for idx, v in zip(itertools.product(*(range(len(a)) for a in axes)),
+                      vals.ravel()):
+        lines.append(",".join([ExtReal(axes[k][i]).token()
+                               for k, i in enumerate(idx)]
+                              + [ExtReal(v).token()]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture(params=["default", "small"])
+def blocks(request, monkeypatch):
+    """The codecs' own block sizes, then blocks of a few rows, so that
+    small files span many blocks."""
+    if request.param == "small":
+        monkeypatch.setattr(grids, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(grids, "_BLOCK_CHARS", 64)
+
+
+class TestCsvCodecs:
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, math.inf, -2.5, 1.0]
+
+    def test_writer_bytes_match_token_formatting(self, tmp_path, blocks):
+        g = Grid.line(-1.0, 1.0, len(self.SPECIAL))
+        f = SampledFunction(g, self.SPECIAL)
+        p = tmp_path / "f.csv"
+        f.to_csv(p)
+        assert p.read_bytes() == _token_csv(["x"], (g,), f.vals)
+        assert b"\n-1.0,-0.0\n" in p.read_bytes()
+        assert b",5e-324\n" in p.read_bytes() and b",inf\n" in p.read_bytes()
+
+        gx = Grid.box((-1.0, 0.0), (1.0, 0.3), (3, 4))
+        gy = Grid.box((0.1, -1.0), (0.7, 1.0), (5, 3))
+        rng = np.random.default_rng(0)
+        vals = rng.choice(self.SPECIAL, size=gx.shape + gy.shape)
+        b = SampledBivariate(gx, gy, vals)
+        p = tmp_path / "b.csv"
+        b.to_csv(p)
+        assert p.read_bytes() == _token_csv(
+            ["x1", "x2", "y1", "y2"], (gx, gy), b.vals)
+
+    def _bivariate_file(self, tmp_path, n=41):
+        g = Grid.line(-2.0, 2.0, n)
+        b = SampledBivariate.from_callable(g, g, lambda x, y: x * x + y / 3)
+        p = tmp_path / "b.csv"
+        b.to_csv(p)
+        return p, p.read_text().split("\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row[:2] + ["zardoz"], "not an extended real: 'zardoz'"),
+        (lambda row: row + ["1.0"], "expected 3 fields, got 4"),
+        (lambda row: row[:2] + ["nan"], "not an extended real: 'nan'"),
+        (lambda row: row[:2] + ["-inf"], "not an extended real: '-inf'"),
+        (lambda row: ["inf"] + row[1:], "coordinates must be finite"),
+    ])
+    def test_reader_reports_first_bad_line(self, tmp_path, blocks, edit,
+                                           message):
+        p, lines = self._bivariate_file(tmp_path)
+        # a blank line before the edits still counts towards line numbers
+        lines.insert(3, "")
+        for i in (len(lines) - 40, len(lines) - 3):
+            lines[i] = ",".join(edit(lines[i].split(",")))
+        p.write_text("\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            SampledBivariate.read_csv(p)
+        line = len(lines) - 40 + 1
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_reader_reports_bad_token_beyond_first_block(self, tmp_path):
+        p, lines = self._bivariate_file(tmp_path, n=301)
+        assert len(p.read_text()) > 2 * grids._BLOCK_CHARS
+        i = len(lines) - 5
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",zardoz"
+        p.write_text("\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            SampledBivariate.read_csv(p)
+        assert str(err.value) == f"line {i + 1}: not an extended real: 'zardoz'"
+
+    def test_blank_lines_and_crlf_accepted(self, tmp_path, blocks):
+        p, lines = self._bivariate_file(tmp_path, n=9)
+        expected = SampledBivariate.read_csv(p)
+        lines[5:5] = ["", "  \t", ""]
+        p.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        back = SampledBivariate.read_csv(p)
+        assert back.vals.tobytes() == expected.vals.tobytes()
+        assert back.xgrid == expected.xgrid and back.ygrid == expected.ygrid
+
+
+ext_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf))
+
+
+@st.composite
+def grids_of(draw, dim):
+    lo = [draw(st.floats(-100.0, 100.0)) for _ in range(dim)]
+    width = [draw(st.floats(0.01, 100.0)) for _ in range(dim)]
+    n = [draw(st.integers(3, 7 if dim == 2 else 12)) for _ in range(dim)]
+    return Grid(lo, [a + w for a, w in zip(lo, width)], n)
+
+
+def _values(draw, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(ext_reals, min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+
+
+class TestCsvRoundTripProperties:
+    # values and node counts come back bit for bit; grid bounds may drift by
+    # a few ulps (the reader rebuilds hi from the last node)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_sampled_function(self, tmp_path_factory, data, dim):
+        g = data.draw(grids_of(dim))
+        f = SampledFunction(g, _values(data.draw, g.shape))
+        p = tmp_path_factory.mktemp("rt") / "f.csv"
+        f.to_csv(p)
+        back = SampledFunction.read_csv(p)
+        assert back.grid.n == g.n
+        assert back.vals.tobytes() == f.vals.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_sampled_bivariate(self, tmp_path_factory, data, dim):
+        gx, gy = data.draw(grids_of(dim)), data.draw(grids_of(dim))
+        b = SampledBivariate(gx, gy, _values(data.draw, gx.shape + gy.shape))
+        p = tmp_path_factory.mktemp("rt") / "b.csv"
+        b.to_csv(p)
+        back = SampledBivariate.read_csv(p)
+        assert (back.xgrid.n, back.ygrid.n) == (gx.n, gy.n)
+        assert back.vals.tobytes() == b.vals.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_graph_set(self, tmp_path_factory, data, dim):
+        gx, gy = data.draw(grids_of(dim)), data.draw(grids_of(dim))
+        shape = gx.shape + gy.shape
+        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))
+        m = GraphSet(gx, gy, np.array(bits, dtype=bool).reshape(shape))
+        p = tmp_path_factory.mktemp("rt") / "m.csv"
+        m.to_csv(p)
+        back = GraphSet.read_csv(p)
+        assert back.xgrid == gx and back.ygrid == gy
+        assert back.same_pairs(m)
 
 
 def test_pairing_2d_matches_dot():
