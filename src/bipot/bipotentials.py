@@ -23,8 +23,7 @@ import numpy as np
 from .convexity import batch_is_convex, is_convex, is_set_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
-from .grids import (_BLOCK_ROWS, Grid, SampledBivariate, SampledFunction,
-                    _read_rows, pairing)
+from .grids import Grid, SampledBivariate, SampledFunction, pairing
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
 from .windows import chebyshev_dilate
@@ -108,10 +107,8 @@ class GraphSet:
             fh.write(gline("xgrid", self.xgrid))
             fh.write(gline("ygrid", self.ygrid))
             fh.write("x_index,y_index\n")
-            for j in range(0, len(flat), _BLOCK_ROWS):
-                part = flat[j:j + _BLOCK_ROWS]
-                fh.write("".join(map("{},{}\n".format, (part // ny).tolist(),
-                                     (part % ny).tolist())))
+            for f in flat:
+                fh.write(f"{f // ny},{f % ny}\n")
 
     @classmethod
     def read_csv(cls, path) -> "GraphSet":
@@ -133,23 +130,6 @@ class GraphSet:
                 raise FormatError("malformed grid metadata", line=lineno) from None
             return Grid(lo, hi, n)
 
-        def rows_by_line(fh, nx, ny):
-            rows = []
-            for lineno, raw in enumerate(fh, start=5):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    xs, ys = raw.split(",")
-                    xi, yi = int(xs), int(ys)
-                    ok = 0 <= xi < nx and 0 <= yi < ny
-                except ValueError:
-                    ok = False
-                if not ok:
-                    raise FormatError("expected two integer indices", line=lineno)
-                rows.append((xi, yi))
-            return np.array(rows, dtype=np.int64).reshape(-1, 2)
-
         with open(path, "r", encoding="utf-8") as fh:
             head = [fh.readline() for _ in range(4)]
             if "" in head or not head[0].startswith("# bipot-graph"):
@@ -159,14 +139,20 @@ class GraphSet:
             if head[3].strip() != "x_index,y_index":
                 raise FormatError("expected header 'x_index,y_index'", line=4)
             nx, ny = xgrid.size, ygrid.size
-            idx = _read_rows(fh, 2, int, np.int64)
-            if idx is None or not ((idx >= 0) & (idx < (nx, ny))).all():
-                fh.seek(0)
-                for _ in range(4):
-                    fh.readline()
-                idx = rows_by_line(fh, nx, ny)
-        mask = np.zeros((nx, ny), dtype=bool)
-        mask[idx[:, 0], idx[:, 1]] = True
+            mask = np.zeros((nx, ny), dtype=bool)
+            for lineno, raw in enumerate(fh, start=5):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    xs, ys = raw.split(",")
+                    xi, yi = int(xs), int(ys)
+                    if not (0 <= xi < nx and 0 <= yi < ny):
+                        raise ValueError
+                except ValueError:
+                    raise FormatError("expected two integer indices",
+                                      line=lineno) from None
+                mask[xi, yi] = True
         return cls(xgrid, ygrid, mask.reshape(xgrid.shape + ygrid.shape))
 
 

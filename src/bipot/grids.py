@@ -250,9 +250,9 @@ class SampledBivariate:
 # --- CSV plumbing -----------------------------------------------------------
 
 # Both codecs work on blocks of rows, so their working memory is O(block)
-# plus the arrays they read or write. The reader's block is a readlines hint
-# in characters: about 24k rows of a 1-D bivariate file.
-_BLOCK_ROWS = 1 << 14
+# plus the arrays they read or write. The writer's block is one run of the
+# last axis; the reader's is a readlines hint in characters, about 24k rows
+# of a 1-D bivariate file.
 _BLOCK_CHARS = 1 << 20
 
 
@@ -276,18 +276,17 @@ def _write_grid_csv(path, names, grids, vals) -> None:
         fh.write(",".join(names + ["value"]) + "\n")
         for lead in itertools.product(*leading):
             head = "".join(t + "," for t in lead)
-            for j in range(0, len(tails), _BLOCK_ROWS):
-                part = tails[j:j + _BLOCK_ROWS]
-                vt = _tokens(flat[row:row + len(part)])
-                fh.write("".join([f"{head}{t}{v}\n" for t, v in zip(part, vt)]))
-                row += len(part)
+            vt = _tokens(flat[row:row + len(tails)])
+            fh.write("".join([f"{head}{t}{v}\n" for t, v in zip(tails, vt)]))
+            row += len(tails)
 
 
-def _read_rows(fh, nfields: int, parse, dtype):
-    """The remaining rows of FH as an (nrows, nfields) array, a block at a time.
+def _read_rows(fh, nfields: int) -> np.ndarray | None:
+    """The remaining rows of FH as an (nrows, nfields) float array, a block
+    at a time.
 
     Blank lines are skipped. Returns None if some row has the wrong number
-    of fields, a field ``parse`` rejects, or text that does not decode; the
+    of fields, a field ``float`` rejects, or text that does not decode; the
     caller then re-reads line by line to report the first bad line.
     """
     blocks = []
@@ -299,11 +298,11 @@ def _read_rows(fh, nfields: int, parse, dtype):
             if any(ln.count(",") != nfields - 1 for ln in lines):
                 return None
             toks = ",".join(lines).split(",")
-            blocks.append(np.fromiter(map(parse, toks), dtype, len(toks)))
-    except (ValueError, OverflowError):   # UnicodeDecodeError is a ValueError
+            blocks.append(np.fromiter(map(float, toks), np.float64, len(toks)))
+    except ValueError:   # UnicodeDecodeError is a ValueError
         return None
     if not blocks:
-        return np.empty((0, nfields), dtype)
+        return np.empty((0, nfields))
     return np.concatenate(blocks).reshape(-1, nfields)
 
 
@@ -345,7 +344,7 @@ def _read_grid_csv(path, n_coord_groups: int):
             raise FormatError("expected 1 or 2 coordinate columns", line=1)
         if n_coord_groups == 2 and ncoord not in (2, 4):
             raise FormatError("expected 2 or 4 coordinate columns", line=1)
-        data = _read_rows(fh, ncoord + 1, float, np.float64)
+        data = _read_rows(fh, ncoord + 1)
         if (data is None or not np.isfinite(data[:, :-1]).all()
                 or np.isnan(data[:, -1]).any() or np.isneginf(data[:, -1]).any()):
             fh.seek(0)

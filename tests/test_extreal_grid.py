@@ -137,17 +137,16 @@ def _token_csv(names, grid_list, vals) -> bytes:
 
 @pytest.fixture(params=["default", "small"])
 def blocks(request, monkeypatch):
-    """The codecs' own block sizes, then blocks of a few rows, so that
+    """The reader's own block size, then blocks of a few rows, so that
     small files span many blocks."""
     if request.param == "small":
-        monkeypatch.setattr(grids, "_BLOCK_ROWS", 5)
         monkeypatch.setattr(grids, "_BLOCK_CHARS", 64)
 
 
 class TestCsvCodecs:
     SPECIAL = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, math.inf, -2.5, 1.0]
 
-    def test_writer_bytes_match_token_formatting(self, tmp_path, blocks):
+    def test_writer_bytes_match_token_formatting(self, tmp_path):
         g = Grid.line(-1.0, 1.0, len(self.SPECIAL))
         f = SampledFunction(g, self.SPECIAL)
         p = tmp_path / "f.csv"
