@@ -23,7 +23,8 @@ import numpy as np
 from .convexity import batch_is_convex, is_convex, is_set_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
-from .grids import Grid, SampledBivariate, SampledFunction, pairing
+from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
+                    pairing)
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
 from .windows import chebyshev_dilate
@@ -130,7 +131,7 @@ class GraphSet:
                 raise FormatError("malformed grid metadata", line=lineno) from None
             return Grid(lo, hi, n)
 
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_csv(path) as fh:
             head = [fh.readline() for _ in range(4)]
             if "" in head or not head[0].startswith("# bipot-graph"):
                 raise FormatError("missing '# bipot-graph' metadata header", line=1)
@@ -448,27 +449,18 @@ def check_bbgraph(M: GraphSet) -> CheckReport:
     """Bi-convexity of every nonempty section; closedness is vacuous.
 
     Sections are scanned y-first in ascending node order; the report names
-    the first failing section. BIPOT_THREADS caps the scan workers without
-    changing the verdict or the witness.
+    the first failing section.
     """
-    from ._threads import ordered_chunked_map
-
     if M.is_empty:
         raise InvalidInputError("check_bbgraph needs a nonempty graph")
-
-    def check_one(job):
-        tag, idx = job
-        sec = M.y_section(idx) if tag == "y" else M.x_section(idx)
-        if not sec.any():
-            return None
-        rep = is_set_convex(sec, M.xgrid if tag == "y" else M.ygrid)
-        return None if rep.ok else (tag, idx, rep)
-
     jobs = [("y", iy) for iy in M.ygrid.node_indices()] \
         + [("x", ix) for ix in M.xgrid.node_indices()]
-    for hit in ordered_chunked_map(check_one, jobs):
-        if hit is not None:
-            tag, idx, rep = hit
+    for tag, idx in jobs:
+        sec = M.y_section(idx) if tag == "y" else M.x_section(idx)
+        if not sec.any():
+            continue
+        rep = is_set_convex(sec, M.xgrid if tag == "y" else M.ygrid)
+        if not rep.ok:
             return failing(f"{tag}-section-convex", ((tag, idx), rep.witness),
                            rep.residual, *rep.notes)
     return passing("bbgraph", CLOSEDNESS_NOTE)

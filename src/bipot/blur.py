@@ -30,8 +30,8 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
 from .legendre import _flat_points, conjugate, default_subdiff_tol
 from .report import CheckReport, failing, passing
-from .windows import (ball_dilate, ball_min_filter, ball_offsets,
-                      radius_nodes, require_resolvable)
+from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
+                      ball_offsets, radius_nodes, require_resolvable)
 
 Y_BALL = "yball"
 PRODUCT_BALL = "product"
@@ -82,33 +82,12 @@ class BlurSpec:
         return out
 
 
-def _shift_min_nd(out: np.ndarray, src: np.ndarray, offsets) -> None:
-    """out[i] = min(out[i], src[i - off]) over the valid overlap."""
-    sl_out, sl_src = [], []
-    for n, d in zip(out.shape, offsets):
-        lo, hi = max(0, d), n + min(0, d)
-        if lo >= hi:
-            return
-        sl_out.append(slice(lo, hi))
-        sl_src.append(slice(lo - d, hi - d))
-    np.minimum(out[tuple(sl_out)], src[tuple(sl_src)], out=out[tuple(sl_out)])
-
-
-def _shift_or_nd(out: np.ndarray, src: np.ndarray, offsets) -> None:
-    sl_out, sl_src = [], []
-    for n, d in zip(out.shape, offsets):
-        lo, hi = max(0, d), n + min(0, d)
-        if lo >= hi:
-            return
-        sl_out.append(slice(lo, hi))
-        sl_src.append(slice(lo - d, hi - d))
-    out[tuple(sl_out)] |= src[tuple(sl_src)]
-
-
-def _flat_offsets(xoff, yoff):
-    x = (xoff,) if np.isscalar(xoff) else tuple(xoff)
-    y = (yoff,) if np.isscalar(yoff) else tuple(yoff)
-    return x + y
+def _product_shifts(spec: BlurSpec, xgrid: Grid, ygrid: Grid):
+    """The product ball's offsets as flat (x..., y...) index shifts."""
+    def flat(off):
+        return (off,) if np.isscalar(off) else tuple(off)
+    return [flat(xoff) + flat(yoff)
+            for xoff, yoff in spec.product_offsets(xgrid, ygrid)]
 
 
 def inf_convolve_blur(c: SampledBivariate, spec: BlurSpec) -> SampledBivariate:
@@ -125,18 +104,58 @@ def inf_convolve_blur(c: SampledBivariate, spec: BlurSpec) -> SampledBivariate:
         out = ball_min_filter(c.vals, c.ygrid, spec.eps)
         return SampledBivariate(c.xgrid, c.ygrid, out)
     out = np.full_like(c.vals, INF)
-    for xoff, yoff in spec.product_offsets(c.xgrid, c.ygrid):
-        _shift_min_nd(out, c.vals, _flat_offsets(xoff, yoff))
+    _shift_reduce(out, c.vals, _product_shifts(spec, c.xgrid, c.ygrid),
+                  np.minimum)
     return SampledBivariate(c.xgrid, c.ygrid, out)
 
 
-def _separable_sync_vals(phi: SampledFunction, star: SampledFunction) -> np.ndarray:
+def _yball_conjugate(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None,
+                     who: str) -> SampledFunction:
+    """phi* on the dual grid, once the y-ball blur is known to apply."""
+    if spec.kind != Y_BALL:
+        raise InvalidInputError(f"{who} is specific to y-ball blurs")
+    phi.require_domain(who)
+    if ygrid is None:
+        ygrid = phi.grid   # node-aligned dual box by default
+    star = conjugate(phi, ygrid)
+    spec.require_resolvable(phi.grid, star.grid)
+    return star
+
+
+def _separable_sync(phi: SampledFunction,
+                    star: SampledFunction) -> SampledBivariate:
     """c(x, y) = phi(x) + phi*(y) - <x, y> nodewise (the Fenchel residual)."""
     P = pairing(phi.grid, star.grid)
-    xshape = phi.grid.shape
-    b = phi.vals.reshape(xshape + (1,) * star.grid.dim) + star.vals
+    b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim) + star.vals
     with np.errstate(invalid="ignore"):
-        return np.where(np.isposinf(b), INF, b - P)
+        return SampledBivariate(phi.grid, star.grid,
+                                np.where(np.isposinf(b), INF, b - P))
+
+
+def _blurred_bipotential(phi: SampledFunction, star: SampledFunction,
+                         eps: float) -> SampledBivariate:
+    """b_A by the direct route: <x, y> + min-filter of phi*(a) - <x, a>
+    over the ball around y, plus phi(x)."""
+    P = pairing(phi.grid, star.grid)
+    w = star.vals - P          # W(x, a) = phi*(a) - <x, a>, +inf off dom
+    v = ball_min_filter(w, star.grid, eps)
+    phi_b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim)
+    with np.errstate(invalid="ignore"):
+        vals = np.where(np.isposinf(v) | np.isposinf(phi_b), INF,
+                        phi_b + (P + v))
+    return SampledBivariate(phi.grid, star.grid, vals)
+
+
+def _graph_within(cA: SampledBivariate, tol) -> GraphSet:
+    """{c_A <= tol}; tol is a scalar or an array over the x-grid."""
+    if tol is None:
+        tol = default_graph_tol(cA.xgrid, cA.ygrid)
+    tol_arr = np.asarray(tol, dtype=np.float64)
+    if tol_arr.ndim > 0:
+        if tol_arr.shape != cA.xgrid.shape:
+            raise InvalidInputError("array tol must match the x-grid shape")
+        tol_arr = tol_arr.reshape(cA.xgrid.shape + (1,) * cA.ygrid.dim)
+    return GraphSet(cA.xgrid, cA.ygrid, cA.vals <= tol_arr)
 
 
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
@@ -147,22 +166,8 @@ def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
     Evaluated as <x, y> + min-filter of phi*(a) - <x, a> over the ball
     around y, which is the same minimum after substituting a -> y - a.
     """
-    if spec.kind != Y_BALL:
-        raise InvalidInputError("blurred_bipotential is specific to y-ball blurs")
-    phi.require_domain("blurred_bipotential")
-    if ygrid is None:
-        ygrid = phi.grid   # node-aligned dual box by default
-    star = conjugate(phi, ygrid)
-    ygrid = star.grid
-    spec.require_resolvable(phi.grid, ygrid)
-    P = pairing(phi.grid, ygrid)
-    w = star.vals - P          # W(x, a) = phi*(a) - <x, a>, +inf off dom
-    v = ball_min_filter(w, ygrid, spec.eps)
-    phi_b = phi.vals.reshape(phi.grid.shape + (1,) * ygrid.dim)
-    with np.errstate(invalid="ignore"):
-        vals = np.where(np.isposinf(v) | np.isposinf(phi_b), INF,
-                        phi_b + (P + v))
-    return SampledBivariate(phi.grid, ygrid, vals)
+    star = _yball_conjugate(phi, spec, ygrid, "blurred_bipotential")
+    return _blurred_bipotential(phi, star, spec.eps)
 
 
 def blurred_graph(phi: SampledFunction, spec: BlurSpec, tol=None,
@@ -173,25 +178,9 @@ def blurred_graph(phi: SampledFunction, spec: BlurSpec, tol=None,
     tol may be a scalar or an array over the x-grid (per-candidate
     tolerances); default is the equality-set threshold h^2/2.
     """
-    if spec.kind != Y_BALL:
-        raise InvalidInputError("blurred_graph is specific to y-ball blurs")
-    phi.require_domain("blurred_graph")
-    if ygrid is None:
-        ygrid = phi.grid   # node-aligned dual box by default
-    star = conjugate(phi, ygrid)
-    ygrid = star.grid
-    spec.require_resolvable(phi.grid, ygrid)
-    if tol is None:
-        tol = default_graph_tol(phi.grid, ygrid)
-    resid = _separable_sync_vals(phi, star)
-    rmin = ball_min_filter(resid, ygrid, spec.eps)
-    tol_arr = np.asarray(tol, dtype=np.float64)
-    if tol_arr.ndim > 0:
-        if tol_arr.shape != phi.grid.shape:
-            raise InvalidInputError("array tol must match the x-grid shape")
-        tol_arr = tol_arr.reshape(phi.grid.shape + (1,) * ygrid.dim)
-    mask = rmin <= tol_arr
-    return GraphSet(phi.grid, ygrid, mask)
+    star = _yball_conjugate(phi, spec, ygrid, "blurred_graph")
+    return _graph_within(inf_convolve_blur(_separable_sync(phi, star), spec),
+                         tol)
 
 
 @dataclass(frozen=True)
@@ -223,16 +212,16 @@ def _finite_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
              tol=None) -> BlurredLaw:
-    """Assemble c_A, b_A and M + A for a y-ball blur of Graph(d phi)."""
-    if ygrid is None:
-        ygrid = phi.grid   # node-aligned dual box by default
-    star = conjugate(phi, ygrid)
-    csep = SampledBivariate(phi.grid, star.grid,
-                            _separable_sync_vals(phi, star))
-    cA = inf_convolve_blur(csep, spec)
-    bA = blurred_bipotential(phi, spec, star.grid)
-    M = blurred_graph(phi, spec, tol, star.grid)
-    return BlurredLaw(phi, spec, cA, bA, M)
+    """Assemble c_A, b_A and M + A for a y-ball blur of Graph(d phi).
+
+    One conjugate and one min-filter of the residual serve c_A and
+    M + A = {c_A <= tol}; b_A comes by the direct route, and BlurredLaw
+    checks that the two routes agree.
+    """
+    star = _yball_conjugate(phi, spec, ygrid, "blur_law")
+    cA = inf_convolve_blur(_separable_sync(phi, star), spec)
+    return BlurredLaw(phi, spec, cA, _blurred_bipotential(phi, star, spec.eps),
+                      _graph_within(cA, tol))
 
 
 # --- checkers ---------------------------------------------------------------
@@ -248,13 +237,8 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     identity is checked exactly; its failure reports axiom
     'blurred-section-identity'.
     """
-    phi.require_domain("check_newc")
-    if ygrid is None:
-        ygrid = phi.grid   # node-aligned dual box by default
-    star = conjugate(phi, ygrid)
+    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
-    spec = BlurSpec(eps, Y_BALL)
-    spec.require_resolvable(phi.grid, ygrid)
 
     center = np.atleast_1d(np.asarray(ygrid.coords(at_y)))
     at_t = (at_y,) if ygrid.dim == 1 else tuple(at_y)
@@ -319,8 +303,8 @@ def minkowski_blur(M: GraphSet, spec: BlurSpec):
         clipped = _any_near_boundary(M, spec.eps, y_only=True)
     else:
         out = np.zeros_like(M.mask)
-        for xoff, yoff in spec.product_offsets(M.xgrid, M.ygrid):
-            _shift_or_nd(out, M.mask, _flat_offsets(xoff, yoff))
+        _shift_reduce(out, M.mask, _product_shifts(spec, M.xgrid, M.ygrid),
+                      np.logical_or)
         clipped = _any_near_boundary(M, spec.eps, y_only=False)
     return GraphSet(M.xgrid, M.ygrid, out), clipped
 

@@ -27,11 +27,10 @@ from .convexity import is_convex
 from .covers import (build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential)
 from .errors import BipotError, InvalidInputError
-from .extreal import INF
 from .fixtures import (cone_fixture, cone_fixture_params, elasticity_closed_form_ca,
                        elasticity_fixture, elasticity_phi, elasticity_sync,
                        load_default_params, two_point_fixture)
-from .grids import Grid, SampledBivariate, SampledFunction
+from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
 from .legendre import conjugate, default_dual_grid
 from .report import CheckReport
 from .sampling import random_convex_1d
@@ -209,7 +208,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         ygrid = _ygrid_from_flags(a, phi) or phi.grid
         fam = build_cover(phi, a.eps, ygrid)
         y_idx = ygrid.snap(_parse_floats(a.y))
-        values = _family_values_at(fam, y_idx)
+        values = fam.values_at(y_idx)
         alphas = _parse_floats(a.alphas)
         cfg.add("phi", a.phi)
         cfg.add("eps", a.eps)
@@ -237,38 +236,12 @@ def _cmd_check(cfg: RunConfig) -> int:
     raise InvalidInputError(f"unknown checker {which!r}")
 
 
-def _family_values_at(fam, y_idx) -> np.ndarray:
-    """f(a, x) = b_a(x, y) at a fixed y-node, stacked over the offsets."""
-    rows = []
-    ygrid = fam.ygrid
-    for off in fam.offsets:
-        off_t = (off,) if ygrid.dim == 1 else off
-        at = (y_idx,) if ygrid.dim == 1 else tuple(y_idx)
-        src = tuple(at[k] - off_t[k] for k in range(ygrid.dim))
-        if any(i < 0 or i >= ygrid.n[k] for k, i in enumerate(src)):
-            rows.append(np.full(fam.xgrid.shape, INF))
-            continue
-        sval = fam.phistar.vals[src[0]] if ygrid.dim == 1 else \
-            fam.phistar.vals[src[0], src[1]]
-        if not np.isfinite(sval):
-            rows.append(np.full(fam.xgrid.shape, INF))
-            continue
-        acoord = fam.offset_coords(off)
-        if fam.xgrid.dim == 1:
-            xa = fam.xgrid.axis(0) * acoord[0]
-        else:
-            g1, g2 = fam.xgrid.meshgrid()
-            xa = g1 * acoord[0] + g2 * acoord[1]
-        rows.append(fam.phi.vals + xa + sval)
-    return np.stack(rows)
-
-
 def _read_points_csv(path):
     """(x, y) rows: columns x,y (1-D) or x1,x2,y1,y2 (2-D)."""
     from .errors import FormatError
 
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         header = fh.readline().strip().split(",")
         if header == ["x", "y"]:
             d = 1

@@ -32,7 +32,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import ball_offsets, radius_nodes
+from .windows import _overlap, ball_dilate, ball_offsets, radius_nodes
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -71,29 +71,38 @@ class CoverFamily:
         """phi*(y - a) on the y-grid, +inf where y - a leaves the box."""
         star = self.phistar.vals
         out = np.full_like(star, INF)
-        sl_out, sl_src = [], []
-        off_t = (off,) if self.ygrid.dim == 1 else off
-        for n, d in zip(star.shape, off_t):
-            lo, hi = max(0, d), n + min(0, d)
-            if lo >= hi:
-                return out
-            sl_out.append(slice(lo, hi))
-            sl_src.append(slice(lo - d, hi - d))
-        out[tuple(sl_out)] = star[tuple(sl_src)]
+        dst, src = _overlap(star.shape, np.atleast_1d(off))
+        out[dst] = star[src]
         return out
 
-    def member(self, off) -> SampledBivariate:
-        """b_a(x, y) = phi(x) + phi*(y - a) + <x, a> for one offset a."""
+    def _lead(self, off) -> np.ndarray:
+        """phi(x) + <x, a> on the x-grid."""
         a = self.offset_coords(off)
         if self.xgrid.dim == 1:
             xa = self.xgrid.axis(0) * a[0]
         else:
             g1, g2 = self.xgrid.meshgrid()
             xa = g1 * a[0] + g2 * a[1]
-        shifted = self._shifted_star(off)
-        lead = self.phi.vals + xa
-        vals = lead.reshape(self.xgrid.shape + (1,) * self.ygrid.dim) + shifted
-        return SampledBivariate(self.xgrid, self.ygrid, vals)
+        return self.phi.vals + xa
+
+    def member(self, off) -> SampledBivariate:
+        """b_a(x, y) = phi(x) + phi*(y - a) + <x, a> for one offset a."""
+        lead = self._lead(off).reshape(self.xgrid.shape + (1,) * self.ygrid.dim)
+        return SampledBivariate(self.xgrid, self.ygrid,
+                                lead + self._shifted_star(off))
+
+    def values_at(self, y_idx) -> np.ndarray:
+        """f(a, x) = b_a(x, y) at the y-node y_idx, stacked over the
+        offsets: each row is member(a).vals at that node, +inf where
+        y - a leaves the box."""
+        at = np.atleast_1d(y_idx)
+        rows = []
+        for off in self.offsets:
+            src = at - np.atleast_1d(off)
+            inside = bool(((src >= 0) & (src < self.ygrid.n)).all())
+            rows.append(self._lead(off)
+                        + (self.phistar.vals[tuple(src)] if inside else INF))
+        return np.stack(rows)
 
     def members(self):
         for off in self.offsets:
@@ -142,7 +151,8 @@ def member_graph_union(family: CoverFamily, tol: float | None = None,
     Explicit member-by-member thresholding up to ``explicit_budget``
     value evaluations; larger families use the exact shift identity
     b_a - <x, y> = c(x, y - a), i.e. the union is the y-ball dilation of
-    the unblurred equality set. Returns (GraphSet, mode string).
+    the unblurred equality set, which needs the offsets of a ball (as
+    ``build_cover`` makes them). Returns (GraphSet, mode string).
     """
     from .bipotentials import GraphSet
 
@@ -159,30 +169,16 @@ def member_graph_union(family: CoverFamily, tol: float | None = None,
                 m = (member.vals - P) <= tol
             union = m if union is None else (union | m)
         return GraphSet(family.xgrid, family.ygrid, union), "explicit"
-    return _union_by_shifts(family, tol), "shifted-masks"
-
-
-def _union_by_shifts(family: CoverFamily, tol: float):
-    """Union via the identity b_a - <x, y> = c(x, y - a): threshold the
-    unblurred equality set once, then OR its y-shifts over the offsets."""
-    from .bipotentials import GraphSet
-
     zero = 0 if family.ygrid.dim == 1 else (0, 0)
     base = family.member(zero)
     with np.errstate(invalid="ignore"):
         mask = (base.vals - base.pairing()) <= tol
-    xdim = family.xgrid.dim
-    out = np.zeros_like(mask)
-    for off in family.offsets:
-        off_t = (off,) if family.ygrid.dim == 1 else off
-        sl_out, sl_src = [], []
-        for n, d in zip(family.ygrid.shape, off_t):
-            lo, hi = max(0, d), n + min(0, d)
-            sl_out.append(slice(lo, hi))
-            sl_src.append(slice(lo - d, hi - d))
-        full = (slice(None),) * xdim
-        out[full + tuple(sl_out)] |= mask[full + tuple(sl_src)]
-    return GraphSet(family.xgrid, family.ygrid, out)
+    radius = max(float(np.linalg.norm(family.offset_coords(off)))
+                 for off in family.offsets)
+    if sorted(ball_offsets(family.ygrid, radius)) != sorted(family.offsets):
+        raise InvalidInputError("the shift identity needs a ball of offsets")
+    union = ball_dilate(mask, family.ygrid, radius)
+    return GraphSet(family.xgrid, family.ygrid, union), "shifted-masks"
 
 
 # --- implicit convexity -----------------------------------------------------
@@ -208,15 +204,6 @@ def _mandatory_pairs(zshape):
     return (np.concatenate(z1s), np.concatenate(z2s), np.concatenate(mids))
 
 
-def _aligned_mid(idx1, idx2, alpha):
-    """Exact-node midpoint of two index vectors, or None if misaligned."""
-    m = alpha * idx1 + (1.0 - alpha) * idx2
-    r = np.rint(m)
-    if np.all(np.abs(m - r) <= 1e-9):
-        return r.astype(np.int64)
-    return None
-
-
 def _pair_sample(zshape, alpha, cap, rng):
     """Aligned (z1, z2, mid) triples for one alpha: exhaustive when the
     pair count fits the cap, otherwise seeded stratified subsampling."""
@@ -225,7 +212,6 @@ def _pair_sample(zshape, alpha, cap, rng):
     beta = 1.0 - alpha
 
     if n * n <= max(cap, 4 * n):
-        grids = [np.arange(k) for k in zshape]
         flat = np.arange(n)
         mg = np.unravel_index(flat, zshape)
         i1 = np.repeat(flat, n)

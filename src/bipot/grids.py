@@ -16,6 +16,7 @@ otherwise, rows in row-major node order):
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -281,6 +282,17 @@ def _write_grid_csv(path, names, grids, vals) -> None:
             row += len(tails)
 
 
+@contextlib.contextmanager
+def _open_csv(path):
+    """Open a CSV file for reading; text that is not UTF-8 is a
+    FormatError naming the file, wherever the reader meets it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not valid UTF-8 text") from None
+
+
 def _read_rows(fh, nfields: int) -> np.ndarray | None:
     """The remaining rows of FH as an (nrows, nfields) float array, a block
     at a time.
@@ -332,7 +344,7 @@ def _grid_rows_by_line(fh, ncoord: int) -> np.ndarray:
 
 
 def _read_grid_csv(path, n_coord_groups: int):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty file", line=1)

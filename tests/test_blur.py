@@ -10,7 +10,8 @@ from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction
-from bipot.windows import radius_nodes
+from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
+                           radius_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,21 @@ class TestBlurredGraph:
         g2 = blurred_graph(phi, elast.spec, tol, elast.ygrid)
         assert graphs_match_within(g1, g2, 1)
 
+    @pytest.mark.parametrize("dim, n", [(1, 101), (2, 21)])
+    @pytest.mark.parametrize("array_tol", [False, True])
+    def test_blur_law_equals_public_routes(self, dim, n, array_tol):
+        fix = elasticity_fixture(k=1.0, eps=0.5, n=n, dim=dim)
+        phi = elasticity_phi(fix)
+        tol = default_graph_tol(fix.xgrid, fix.ygrid)
+        if array_tol:
+            tol = tol * np.linspace(0.5, 2.0, fix.xgrid.size).reshape(
+                fix.xgrid.shape)
+        law = blur_law(phi, fix.spec, fix.ygrid, tol)
+        M = blurred_graph(phi, fix.spec, tol, fix.ygrid)
+        bA = blurred_bipotential(phi, fix.spec, fix.ygrid)
+        assert np.array_equal(law.MplusA.mask, M.mask)
+        assert np.array_equal(law.bA.vals, bA.vals)
+
     def test_monotone_in_eps(self, elast):
         phi = elasticity_phi(elast)
         m1 = blurred_graph(phi, BlurSpec(0.25), None, elast.ygrid)
@@ -270,20 +286,6 @@ class TestBlurSpecRealization:
         assert (0, 0) in spec.product_offsets(line_grid, line_grid)
 
 
-class TestThreadCapDeterminism:
-    def test_bbgraph_witness_independent_of_workers(self, line_grid,
-                                                    monkeypatch):
-        mask = np.zeros((line_grid.n[0],) * 2, dtype=bool)
-        mask[10, 50] = mask[30, 50] = True
-        mask[40, 80] = mask[70, 80] = True
-        from bipot.bipotentials import GraphSet
-        M = GraphSet(line_grid, line_grid, mask)
-        seq = check_bbgraph(M)
-        monkeypatch.setenv("BIPOT_THREADS", "3")
-        par = check_bbgraph(M)
-        assert seq.witness == par.witness and seq.ok == par.ok
-
-
 class TestNewcBBGraphEquivalence:
     """Both directions of the blur-admissibility criterion: convexity of
     every subdifferential union iff the blurred graph is a BB-graph."""
@@ -306,6 +308,28 @@ class TestNewcBBGraphEquivalence:
         rep_bb = check_bbgraph(blurred_graph(law.phi, fix.spec, None,
                                              fix.ygrid))
         assert rep_newc.ok == rep_bb.ok == False  # noqa: E712
+
+
+@pytest.mark.parametrize("grid", [Grid.line(-1.0, 1.0, 5),
+                                  Grid((0.0, -1.0), (3.0, 1.0), (4, 5))])
+def test_huge_radius_equals_box_diameter(grid):
+    # the window is clipped at the box, so any radius past its diameter
+    # gives the whole-box result, without memory or loops that grow with it
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(3,) + grid.shape)
+    mask = rng.random((3,) + grid.shape) < 0.2
+    mask[:, 0] = True
+    diam = float(np.linalg.norm(np.subtract(grid.hi, grid.lo)))
+    axes = tuple(range(1, 1 + grid.dim))
+    whole_min = ball_min_filter(vals, grid, diam)
+    assert np.array_equal(
+        whole_min, np.broadcast_to(vals.min(axis=axes, keepdims=True), vals.shape))
+    for eps in (1e300, 0.25e6):
+        assert np.array_equal(ball_min_filter(vals, grid, eps), whole_min)
+        assert np.array_equal(ball_dilate(mask, grid, eps),
+                              ball_dilate(mask, grid, diam))
+    assert np.array_equal(chebyshev_dilate(mask, grid, 10**12),
+                          chebyshev_dilate(mask, grid, max(grid.n)))
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])

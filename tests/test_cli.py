@@ -113,6 +113,31 @@ def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     assert "Traceback" not in r.stderr
 
 
+def test_blur_huge_eps_equals_box_width(run_cli, tmp_path):
+    g = Grid.line(-1.0, 1.0, 3)
+    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "phi3.csv")
+    for eps, out in (("1e300", "huge.csv"), ("2.0", "box.csv")):
+        r = run_cli(["blur", "--phi", "phi3.csv", "--eps", eps,
+                     "--out-ca", out], tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+    assert (tmp_path / "huge.csv").read_bytes() == \
+        (tmp_path / "box.csv").read_bytes()
+
+
+@pytest.mark.parametrize("checker, flag, text", [
+    ("convex", "--input", b"x,value\n0.0,0.0\n0.1,\xff\n0.2,0.0\n"),
+    ("bbgraph", "--graph", b"# bipot-graph v1\n# xgrid lo=-1.0 hi=1.0 n=3\n"
+     b"# ygrid lo=-1.0 hi=1.0 n=3\nx_index,y_index\n0,0\n1,\xff\n")],
+    ids=["grid", "graph"])
+def test_invalid_utf8_csv_exits_2(run_cli, tmp_path, checker, flag, text):
+    (tmp_path / "bad.csv").write_bytes(text)
+    r = run_cli(["check", checker, flag, "bad.csv"], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "bad.csv: not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_example_elasticity_report(run_cli, tmp_path):
     r = run_cli(["example", "elasticity", "--k", "1", "--eps", "0.5",
                  "--grid", "401", "--out-dir", "el",

@@ -42,6 +42,18 @@ class TestBuildCover:
         ij = np.argwhere(g.mask)
         assert np.abs(ij[:, 1] - ij[:, 0] - off).max() <= 1
 
+    def test_values_at_equals_member_at_the_node(self):
+        fix = cone_fixture_params(n=9)
+        fam = build_cover(cone_fixture(fix).phi, fix.eps, fix.ygrid)
+        left_box = 0
+        for y in ((0, 0), (8, 8), (4, 1)):
+            values = fam.values_at(y)
+            for k, off in enumerate(fam.offsets):
+                row = fam.member(off).vals[(slice(None), slice(None)) + y]
+                assert np.array_equal(values[k], row), (y, off)
+                left_box += not np.isfinite(values[k]).any()
+        assert left_box > 0
+
     def test_sub_resolution_eps_rejected(self, line_grid):
         phi = SampledFunction.from_callable(line_grid, lambda x: 0.5 * x * x)
         with pytest.raises(ResolutionError):
@@ -95,6 +107,16 @@ class TestGraphUnion:
         shifted, mode = member_graph_union(fam, explicit_budget=0)
         assert mode == "shifted-masks"
         assert graphs_match_within(explicit, shifted, 1)
+
+    def test_shifted_mask_route_is_exact(self, quad_cover):
+        fix = cone_fixture_params(n=17)
+        cone = build_cover(cone_fixture(fix).phi, fix.eps, fix.ygrid)
+        for fam in (quad_cover[1], cone):
+            explicit, mode = member_graph_union(fam)
+            assert mode == "explicit"
+            shifted, mode = member_graph_union(fam, explicit_budget=0)
+            assert mode == "shifted-masks"
+            assert np.array_equal(explicit.mask, shifted.mask)
 
 
 class TestImplicitConvexity:
