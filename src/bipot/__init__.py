@@ -8,7 +8,6 @@ implicit convexity of covers).
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND
 from .bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
                            check_bbgraph, check_bipotential,
                            check_cyclically_monotone, check_sync, graph_of,
@@ -31,7 +30,7 @@ from .legendre import (ConjugatePair, biconjugate_residual, conjugate,
 from .report import CheckReport
 
 __all__ = [
-    "BACKEND", "BipotError", "BlurSpec", "BlurredLaw", "CheckReport",
+    "BipotError", "BlurSpec", "BlurredLaw", "CheckReport",
     "ConjugatePair", "CoverFamily", "ExtReal", "FormatError", "GraphSet",
     "Grid", "InvalidInputError", "ResolutionError", "SampledBivariate",
     "SampledFunction", "b_infinity", "biconjugate_residual",

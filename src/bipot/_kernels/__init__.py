@@ -1,36 +1,12 @@
-"""Kernel backend selection.
+"""The hot inner loops: the discrete Legendre transform and the sliding
+window min/max line filters, implemented in numpy in ``_fallback``.
 
-The hot inner loops live twice: a Cython extension (``_ext``) and a numpy
-fallback (``_fallback``) with identical semantics, selected here at import.
-Set ``BIPOT_BACKEND=ext`` or ``BIPOT_BACKEND=fallback`` to force one; by
-default the extension is used when importable. ``benchmarks/bench_kernels.py``
-compares the two.
+Callers reach them as ``_kernels.<name>`` so that a tracer can rebind them.
+``BACKEND`` names the implementation for benchmark records.
 """
 
-import os
+from ._fallback import lf_transform, sliding_max_u8, sliding_min
 
-from . import _fallback
-
-_choice = os.environ.get("BIPOT_BACKEND", "auto").strip().lower() or "auto"
-if _choice not in ("auto", "ext", "fallback"):
-    raise ImportError(f"BIPOT_BACKEND must be 'ext' or 'fallback', got {_choice!r}")
-
-_impl = None
-if _choice in ("auto", "ext"):
-    try:
-        from . import _ext as _impl
-    except ImportError:
-        if _choice == "ext":
-            raise ImportError(
-                "BIPOT_BACKEND=ext but the compiled extension is not built; "
-                "run `pip install -e .` or `python setup.py build_ext --inplace`")
-        _impl = None
-
-BACKEND = "fallback" if _impl is None else "ext"
-_mod = _fallback if _impl is None else _impl
-
-lf_transform = _mod.lf_transform
-sliding_min = _mod.sliding_min
-sliding_max_u8 = _mod.sliding_max_u8
+BACKEND = "fallback"
 
 __all__ = ["BACKEND", "lf_transform", "sliding_min", "sliding_max_u8"]

@@ -1,10 +1,10 @@
-"""Pure numpy/Python kernels, bit-compatible with the compiled extension.
+"""Numpy kernels: the row-wise discrete Legendre transform and the sliding
+window min/max line filters.
 
-Every function here mirrors one in ``_ext.pyx`` and must produce identical
-bytes for identical inputs, so the two backends stay interchangeable. The
-sliding filters are vectorized block decompositions; the Legendre transform
-is a per-row Python loop (hull + monotone pointer), fast enough at the grid
-sizes this package targets.
+The sliding filters widen their window by doubling with shifted in-place
+reductions, so they need one scratch copy of the rows and no padding. The
+Legendre transform is a per-row Python loop (hull + monotone pointer), fast
+enough at the grid sizes this package targets.
 """
 
 from __future__ import annotations
@@ -72,45 +72,38 @@ def lf_transform(xs, vals, ys, out=None):
     return out
 
 
-def _padded_blocks(a, w, fill):
-    B, n = a.shape
-    W = 2 * w + 1
-    L = n + 2 * w
-    nblocks = -(-L // W)
-    padded = np.full((B, nblocks * W), fill, dtype=a.dtype)
-    padded[:, w:w + n] = a
-    return padded.reshape(B, nblocks, W), L, W
+def _sliding(a, w, ufunc, out):
+    """out[b, i] = ufunc.reduce(a[b, max(0, i-w) : i+w+1]) for w >= 0.
+
+    The window grows by doubling: at half-width s, ``ufunc`` of ``out``
+    and its copies shifted by +-d (d <= s + 1, so the three windows
+    overlap) gives half-width s + d, clipped at the row ends just as the
+    definition is. w is clamped to n - 1, past which nothing changes.
+    ``out`` may be ``a`` itself.
+    """
+    if out is None:
+        out = np.empty_like(a)
+    if out is not a:
+        out[...] = a
+    w = min(int(w), a.shape[-1] - 1)
+    prev = np.empty_like(out) if w > 0 else None
+    s = 0
+    while s < w:
+        d = min(s + 1, w - s)
+        np.copyto(prev, out)
+        ufunc(out[:, d:], prev[:, :-d], out=out[:, d:])
+        ufunc(out[:, :-d], prev[:, d:], out=out[:, :-d])
+        s += d
+    return out
 
 
 def sliding_min(a, w, out=None):
     """out[b, i] = min(a[b, max(0, i-w) : i+w+1]) for half-width w >= 0."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    w = int(w)
-    if out is None:
-        out = np.empty_like(a)
-    if w <= 0:
-        out[...] = a
-        return out
-    blocks, L, W = _padded_blocks(a, w, _INF)
-    pre = np.minimum.accumulate(blocks, axis=2).reshape(a.shape[0], -1)
-    suf = np.minimum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
-    suf = suf.reshape(a.shape[0], -1)
-    np.minimum(suf[:, :L - W + 1], pre[:, W - 1:L], out=out)
-    return out
+    return _sliding(np.ascontiguousarray(a, dtype=np.float64), w,
+                    np.minimum, out)
 
 
 def sliding_max_u8(a, w, out=None):
     """Same window as sliding_min, max over uint8 (mask dilation)."""
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    w = int(w)
-    if out is None:
-        out = np.empty_like(a)
-    if w <= 0:
-        out[...] = a
-        return out
-    blocks, L, W = _padded_blocks(a, w, 0)
-    pre = np.maximum.accumulate(blocks, axis=2).reshape(a.shape[0], -1)
-    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
-    suf = suf.reshape(a.shape[0], -1)
-    np.maximum(suf[:, :L - W + 1], pre[:, W - 1:L], out=out)
-    return out
+    return _sliding(np.ascontiguousarray(a, dtype=np.uint8), w,
+                    np.maximum, out)

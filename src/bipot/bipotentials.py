@@ -185,7 +185,8 @@ def bipotential_from_sync(c: SampledBivariate) -> SampledBivariate:
     """b = c + <x, y>; rejects negative sync values."""
     if (c.vals < 0).any():
         idx = np.unravel_index(int(np.argmax(c.vals < 0)), c.vals.shape)
-        raise InvalidInputError(f"sync values must be >= 0; c{tuple(idx)} < 0")
+        raise InvalidInputError(
+            f"sync values must be >= 0; c{tuple(int(i) for i in idx)} < 0")
     return SampledBivariate(c.xgrid, c.ygrid, c.vals + c.pairing())
 
 
@@ -436,7 +437,10 @@ def check_sync(c: SampledBivariate, tol: float | None = None,
                                f"slice minimum {mn!r} exceeds {mtol!r}")
 
     if cross_check:
-        rep_b = check_bipotential(bipotential_from_sync(c), tol)
+        # c + <x, y> directly: c may dip below 0 within neg_tol, which
+        # bipotential_from_sync would refuse
+        b = SampledBivariate(c.xgrid, c.ygrid, c.vals + P)
+        rep_b = check_bipotential(b, tol)
         if not rep_b.ok:
             return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
                            rep_b.residual,

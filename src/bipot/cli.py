@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .bipotentials import (GraphSet, check_bbgraph, check_bipotential,
                            check_cyclically_monotone, check_sync)
 from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "monotone laws on grids")
     p.add_argument("--version", action="version",
                    version=f"bipot {__version__} "
-                           f"(report schema {SCHEMA_VERSION}, backend {BACKEND})")
+                           f"(report schema {SCHEMA_VERSION})")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add_report(sp):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipotentials import default_graph_tol, graph_of, graphs_match_within
-from .blur import BlurSpec, Y_BALL, blurred_bipotential, blurred_graph
+from .blur import (BlurSpec, Y_BALL, _blurred_bipotential, _graph_within,
+                   _separable_sync, _yball_conjugate, inf_convolve_blur)
 from .convexity import batch_is_convex
 from .errors import InvalidInputError, ResolutionError
 from .extreal import INF
@@ -363,7 +364,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     verdicts disagree.
     """
     spec = BlurSpec(eps, Y_BALL)
-    bA = blurred_bipotential(phi, spec, ygrid)
+    star = _yball_conjugate(phi, spec, ygrid, "check_maithm_equivalence")
+    bA = _blurred_bipotential(phi, star, spec.eps)
     ygrid = bA.ygrid
     xgrid = bA.xgrid
     scale = 1.0 + abs(bA.finite_max)
@@ -375,8 +377,10 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     v1 = batch_is_convex(ystack, xgrid, slice_tol)
 
     gtol = default_graph_tol(xgrid, ygrid)
-    graph_eq = graphs_match_within(graph_of(bA, gtol),
-                                   blurred_graph(phi, spec, gtol, ygrid), 1)
+    graph_eq = graphs_match_within(
+        graph_of(bA, gtol),
+        _graph_within(inf_convolve_blur(_separable_sync(phi, star), spec), gtol),
+        1)
 
     rng = np.random.default_rng(seed)
     mand = _mandatory_pairs(xgrid.shape)

@@ -3,8 +3,9 @@
 A radius-eps ball around a node is realized as the set of node offsets d
 with ||d * h|| <= eps (Euclidean norm; a relative slack of 1e-9 keeps
 exact-rim offsets in despite float rounding). In 2-D the disc decomposes
-into one sliding 1-D window per row offset, so every sweep reduces to the
-batched line kernels in ``bipot._kernels``. Windows are clipped at the box.
+into chords, one sliding 1-D window per row offset (Urbach & Wilkinson,
+IEEE TIP 17(1), 2008), so every sweep reduces to the batched line kernels
+in ``bipot._kernels``. Windows are clipped at the box.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
     ``ufunc``. Leading axes are batched. Half-widths are clamped to n - 1
     on each axis: the window is clipped at the box anyway, so the result
     is the same, and neither memory nor the row loop grows with the radius.
+
+    In 2-D one line buffer is grown in place from each distinct chord
+    half-width to the next: a window of half-width d over windows of
+    half-width w clipped at the box is the window of half-width w + d,
+    clipped the same way. Each chord is then shifted by its row offsets
+    and reduced into the result.
     """
     shape = a.shape
     if shape[-grid.dim:] != grid.shape:
@@ -117,9 +124,12 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
         if c >= 0:
             by_w.setdefault(math.floor(min(c, n2 - 1)), []).append(d1)
     out = np.full_like(a, fill)
-    buf = np.empty_like(a)
+    buf = a.copy()
+    lines = buf.reshape(-1, n2)
+    w_prev = 0
     for w, d1s in sorted(by_w.items()):
-        kernel(a.reshape(-1, n2), w, out=buf.reshape(-1, n2))
+        kernel(lines, w - w_prev, out=lines)
+        w_prev = w
         _shift_reduce(out, buf, [(0, -d1, 0) for d1 in d1s], ufunc)
     return out.reshape(shape)
 

@@ -48,7 +48,7 @@ class TestSyncBipotentialRoundTrip:
     def test_negative_sync_rejected(self, line_grid):
         vals = np.zeros((line_grid.n[0], line_grid.n[0]))
         vals[3, 4] = -0.5
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"c\(3, 4\) < 0"):
             bipotential_from_sync(SampledBivariate(line_grid, line_grid, vals))
 
 

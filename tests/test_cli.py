@@ -104,6 +104,21 @@ def test_blur_and_check_pipeline_2d(run_cli, tmp_path):
     assert "axiom = bbgraph" in r2.stdout.splitlines(), r2.stdout + r2.stderr
 
 
+def test_check_sync_gives_verdict_on_rounding_below_zero(run_cli, tmp_path):
+    """The blurred 2-D elasticity sync has entries a few ulps below 0,
+    inside check_sync's tolerance; the cross-check must not refuse them."""
+    r = run_cli(["example", "elasticity", "--dim", "2", "--grid", "21",
+                 "--out-dir", "."], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    r = run_cli(["blur", "--phi", "phi.csv", "--eps", "0.5"], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    ca = SampledBivariate.read_csv(tmp_path / "ca.csv")
+    assert (ca.vals < 0).any() and (ca.vals > -1e-12).all()
+    r = run_cli(["check", "sync", "--input", "ca.csv"], tmp_path)
+    assert r.returncode in (0, 1), r.stdout + r.stderr
+    assert "axiom = " in r.stdout, r.stdout + r.stderr
+
+
 @pytest.mark.parametrize("eps", ["1e308", "inf", "nan"])
 def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     r = run_cli(["blur", "--phi", str(quad_csv), "--eps", eps,

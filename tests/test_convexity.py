@@ -7,6 +7,7 @@ from bipot.convexity import is_convex, is_set_convex, min_filter, monotone_chain
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
 from bipot.sampling import random_piecewise_linear_1d
+from bipot.windows import ball_dilate
 
 from oracles import brute_midpoint_convex, brute_min_filter, convex_1d_oracle
 
@@ -179,20 +180,30 @@ class TestMinFilter:
         assert np.all(np.isinf(got.vals[~inside]))
 
     def test_2d_disc_window_matches_bruteforce(self):
+        # h = (0.125, 1/9). 0.37 lies off the node lattice; 0.5 = 4 * h[0]
+        # is node-aligned; 0.77 has chord half-widths 1, 4, 5, 6, so the
+        # line buffer grows by more than twice its width in one step; 3.0
+        # is beyond the box's diameter.
         g = Grid.box(-1.0, 1.0, (17, 19))
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(17, 19))
         vals[rng.random((17, 19)) < 0.15] = np.inf
+        mask = rng.random((17, 19)) < 0.04
         f = SampledFunction(g, vals)
-        got = min_filter(f, 0.37)
         a0, a1 = g.meshgrid()
         pts = np.stack([a0.ravel(), a1.ravel()], axis=1)
         flat = f.vals.ravel()
-        want = np.empty(len(pts))
-        for i, p in enumerate(pts):
-            win = np.linalg.norm(pts - p, axis=1) <= 0.37 * (1 + 1e-9)
-            want[i] = flat[win].min()
-        assert np.array_equal(got.vals.ravel(), want)
+        for eps in (0.37, 0.5, 0.77, 3.0):
+            got = min_filter(f, eps)
+            dilated = ball_dilate(mask, g, eps)
+            want = np.empty(len(pts))
+            want_dilated = np.empty(len(pts), dtype=bool)
+            for i, p in enumerate(pts):
+                win = np.linalg.norm(pts - p, axis=1) <= eps * (1 + 1e-9)
+                want[i] = flat[win].min()
+                want_dilated[i] = mask.ravel()[win].any()
+            assert np.array_equal(got.vals.ravel(), want), eps
+            assert np.array_equal(dilated.ravel(), want_dilated), eps
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
