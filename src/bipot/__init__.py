@@ -22,7 +22,6 @@ from .covers import (CoverFamily, build_cover, check_implicitly_convex,
                      member_graph_union, reparameterize)
 from .errors import (BipotError, FormatError, InvalidInputError,
                      ResolutionError)
-from .extreal import ExtReal
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
 from .legendre import (ConjugatePair, biconjugate_residual, conjugate,
                        conjugate_bruteforce, conjugate_pair,
@@ -31,8 +30,8 @@ from .report import CheckReport
 
 __all__ = [
     "BipotError", "BlurSpec", "BlurredLaw", "CheckReport",
-    "ConjugatePair", "CoverFamily", "ExtReal", "FormatError", "GraphSet",
-    "Grid", "InvalidInputError", "ResolutionError", "SampledBivariate",
+    "ConjugatePair", "CoverFamily", "FormatError", "GraphSet", "Grid",
+    "InvalidInputError", "ResolutionError", "SampledBivariate",
     "SampledFunction", "b_infinity", "biconjugate_residual",
     "bipotential_from_sync", "blur_law", "blurred_bipotential",
     "blurred_graph", "build_cover", "check_admits_blurring", "check_bbgraph",

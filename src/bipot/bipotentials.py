@@ -474,7 +474,7 @@ def check_cyclically_monotone(points, n_max: int,
                               tol: float | None = None) -> CheckReport:
     """Exhaustive cycle inequality over tuples drawn from `points`.
 
-    points: (x, y) pairs, scalars or 2-vectors. Every tuple
+    points: (x, y) pairs of finite scalars or 2-vectors. Every tuple
     (p_0, ..., p_n) with n + 1 <= n_max points (repetition allowed) must
     satisfy <x_n - x_0, y_n> + sum <x_{k-1} - x_k, y_{k-1}> >= -tol.
     Exhaustive by design; meant for point sets of desk scale (<= 8).
@@ -491,6 +491,8 @@ def check_cyclically_monotone(points, n_max: int,
         n_max = k
     X = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pts])
     Y = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in pts])
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInputError("points must be finite")
     D = X @ Y.T                    # D[i, j] = <x_i, y_j>
     if tol is None:
         tol = 1e-12 * (1.0 + float(np.abs(D).max()))

@@ -28,7 +28,7 @@ from .convexity import is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
-from .legendre import _flat_points, conjugate, default_subdiff_tol
+from .legendre import conjugate, default_subdiff_tol, subdiff_mask
 from .report import CheckReport, failing, passing
 from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
                       ball_offsets, radius_nodes, require_resolvable)
@@ -230,26 +230,20 @@ def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
 def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
                ygrid: Grid | None = None) -> CheckReport:
     """Convexity of U(y) = union of subdifferentials of phi* over the
-    eps-ball of y-nodes around at_y, plus the section identity
-    U(y) = {x : (x, y) in M + A}.
+    eps-ball of y-nodes around at_y.
 
-    Both sides use the same per-candidate Fenchel-Young tolerance, so the
-    identity is checked exactly; its failure reports axiom
-    'blurred-section-identity'.
+    Each subdifferential uses the per-candidate Fenchel-Young tolerance
+    (default ``default_subdiff_tol``), so U(y) is also the (x, at_y)
+    section of M + A at that tolerance.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
 
     center = np.atleast_1d(np.asarray(ygrid.coords(at_y)))
     at_t = (at_y,) if ygrid.dim == 1 else tuple(at_y)
-    tol_flat = default_subdiff_tol(phi.grid) if tol is None else tol
-    xpts = _flat_points(phi.grid)
-    pv = phi.vals.reshape(-1)
-    sv = star.vals.reshape(-1)
-    fin_x = np.isfinite(pv)
-
-    union = np.zeros(phi.grid.size, dtype=bool)
-    min_resid = np.full(phi.grid.size, INF)
+    if tol is None:
+        tol = default_subdiff_tol(phi.grid)
+    union = np.zeros(phi.grid.shape, dtype=bool)
     clipped = False
     for off in ball_offsets(ygrid, eps):
         off_t = (off,) if ygrid.dim == 1 else off
@@ -257,39 +251,16 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
         if any(i < 0 or i >= ygrid.n[k] for k, i in enumerate(idx)):
             clipped = True
             continue
-        flat = idx[0] if ygrid.dim == 1 else idx[0] * ygrid.n[1] + idx[1]
-        if not np.isfinite(sv[flat]):
-            continue
-        ypt = np.atleast_1d(np.asarray(
-            ygrid.coords(idx[0] if ygrid.dim == 1 else idx)))
-        resid = pv + sv[flat] - xpts @ ypt
-        union |= fin_x & (resid <= tol_flat)
-        np.minimum(min_resid, np.where(fin_x, resid, INF), out=min_resid)
-    union = union.reshape(phi.grid.shape)
+        union |= subdiff_mask(phi, star, idx[0] if ygrid.dim == 1 else idx, tol)
     notes = [f"y = {tuple(center)}", f"eps = {eps}"]
     if clipped:
         notes.append("ball clipped at the y-box boundary")
-
-    # the (x, at_y) section of M + A: x's whose ball-min Fenchel-Young
-    # residual clears the same tolerance
-    section = (min_resid <= tol_flat).reshape(phi.grid.shape)
-    if not _masks_within_one(union, section, phi.grid):
-        return failing("blurred-section-identity", (("y", at_y),), None,
-                       "union of subdifferentials and the M+A section "
-                       "disagree beyond one node", *notes)
     if not union.any():
         return passing("newc", "U(y) is empty", *notes)
     rep = is_set_convex(union, phi.grid)
     if rep.ok:
         return passing("newc", *notes, *rep.notes)
     return failing("newc", rep.witness, rep.residual, *notes, *rep.notes)
-
-
-def _masks_within_one(a: np.ndarray, b: np.ndarray, grid: Grid) -> bool:
-    from .windows import chebyshev_dilate
-    da = chebyshev_dilate(a, grid, 1)
-    db = chebyshev_dilate(b, grid, 1)
-    return bool(not (a & ~db).any() and not (b & ~da).any())
 
 
 def minkowski_blur(M: GraphSet, spec: BlurSpec):
@@ -310,18 +281,15 @@ def minkowski_blur(M: GraphSet, spec: BlurSpec):
 
 
 def _any_near_boundary(M: GraphSet, eps: float, y_only: bool) -> bool:
-    xd = M.xgrid.dim
-    for idx in np.argwhere(M.mask):
-        yi = idx[xd:]
-        for k, i in enumerate(yi):
-            c = M.ygrid.lo[k] + i * M.ygrid.h[k]
-            if c - M.ygrid.lo[k] < eps or M.ygrid.hi[k] - c < eps:
-                return True
-        if not y_only:
-            for k, i in enumerate(idx[:xd]):
-                c = M.xgrid.lo[k] + i * M.xgrid.h[k]
-                if c - M.xgrid.lo[k] < eps or M.xgrid.hi[k] - c < eps:
-                    return True
+    """Does a member node lie within eps of the box on a y-axis (or, unless
+    y_only, on an x-axis)? Decided per axis on the mask's projection."""
+    axes = [(g, k) for g in (M.xgrid, M.ygrid) for k in range(g.dim)]
+    for ax in range(M.xgrid.dim if y_only else 0, len(axes)):
+        g, k = axes[ax]
+        others = tuple(a for a in range(len(axes)) if a != ax)
+        c = g.lo[k] + np.flatnonzero(M.mask.any(axis=others)) * g.h[k]
+        if ((c - g.lo[k] < eps) | (g.hi[k] - c < eps)).any():
+            return True
     return False
 
 

@@ -4,7 +4,8 @@ Every subcommand writes a flat key = value report whose first line carries
 the report schema version; identical configuration and seed produce
 byte-identical report files (wall time goes to stderr, never into the
 report). Exit codes: 0 success / check passed, 1 a mathematical check
-failed (the report carries the witness), 2 usage or input error.
+failed (the report carries the witness), 2 usage or input error, 3 an
+internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +27,12 @@ from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
 from .convexity import is_convex
 from .covers import (build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential)
-from .errors import BipotError, InvalidInputError
+from .errors import BipotError, FormatError, InvalidInputError
 from .fixtures import (cone_fixture, cone_fixture_params, elasticity_closed_form_ca,
                        elasticity_fixture, elasticity_phi, elasticity_sync,
                        load_default_params, two_point_fixture)
-from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
+from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
+                    _read_rows)
 from .legendre import conjugate, default_dual_grid
 from .report import CheckReport
 from .sampling import random_convex_1d
@@ -236,10 +239,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 
 def _read_points_csv(path):
-    """(x, y) rows: columns x,y (1-D) or x1,x2,y1,y2 (2-D)."""
-    from .errors import FormatError
-
-    pts = []
+    """(x, y) rows: columns x,y (1-D) or x1,x2,y1,y2 (2-D), all finite."""
     with _open_csv(path) as fh:
         header = fh.readline().strip().split(",")
         if header == ["x", "y"]:
@@ -248,22 +248,8 @@ def _read_points_csv(path):
             d = 2
         else:
             raise FormatError("expected header 'x,y' or 'x1,x2,y1,y2'", line=1)
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            toks = raw.split(",")
-            if len(toks) != 2 * d:
-                raise FormatError(f"expected {2 * d} fields", line=lineno)
-            try:
-                vals = [float(t) for t in toks]
-            except ValueError:
-                raise FormatError("non-numeric field", line=lineno) from None
-            if d == 1:
-                pts.append((vals[0], vals[1]))
-            else:
-                pts.append(((vals[0], vals[1]), (vals[2], vals[3])))
-    return pts
+        rows = _read_rows(fh, 2 * d, value_col=False)
+    return [(r[:d], r[d:]) for r in rows]
 
 
 def _cmd_cover(cfg: RunConfig) -> int:
@@ -527,12 +513,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = run(cfg)
-    except BipotError as exc:
+    except (BipotError, OSError) as exc:
         print(f"bipot: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"bipot: error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     finally:
         print(f"bipot: elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code

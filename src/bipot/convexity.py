@@ -212,21 +212,20 @@ def is_set_convex(points, grid: Grid) -> CheckReport:
         return failing("set-convex", (hit[1],),
                        None, "missing interior node")
 
-    ii, jj = np.nonzero(mask)
     ax0, ax1 = grid.axes
     # hull of a union of horizontal runs = hull of the runs' endpoints
-    ends = []
-    for i in np.unique(ii):
-        cols = jj[ii == i]
-        ends.append((ax0[i], ax1[cols.min()]))
-        ends.append((ax0[i], ax1[cols.max()]))
-    hull = monotone_chain(np.asarray(ends))
+    rows = np.flatnonzero(mask.any(axis=1))
+    first = mask[rows].argmax(axis=1)
+    last = grid.n[1] - 1 - mask[rows, ::-1].argmax(axis=1)
+    x = ax0[rows]
+    hull = monotone_chain(np.concatenate([np.column_stack([x, ax1[first]]),
+                                          np.column_stack([x, ax1[last]])]))
     if len(hull) < 3:
         return passing("set-convex", "degenerate hull: no interior nodes")
 
     margin = max(grid.h) / 2.0
-    i0, i1 = int(ii.min()), int(ii.max())
-    j0, j1 = int(jj.min()), int(jj.max())
+    i0, i1 = int(rows[0]), int(rows[-1])
+    j0, j1 = int(first.min()), int(last.max())
     gx, gy = np.meshgrid(ax0[i0:i1 + 1], ax1[j0:j1 + 1], indexing="ij")
     depth = np.full(gx.shape, np.inf)
     for k in range(len(hull)):

@@ -1,16 +1,10 @@
 """Extended-real values: R extended by +inf, under Moreau's conventions.
 
-Scalars use the :class:`ExtReal` wrapper; bulk data stays in plain float64
-arrays where ``np.inf`` encodes +inf. The conventions that differ from IEEE
-arithmetic are
-
-    a + (+inf) = +inf        for every a,
-    lam * (+inf) = +inf      for every lam >= 0, including lam = 0,
-
-so any array operation that could hit ``0 * inf`` (an IEEE NaN) must go
-through :func:`ext_scale`. Plain ``+`` and ``-`` on arrays are safe because
--inf and NaN are rejected at every construction site (:func:`as_ext_array`),
-which makes ``inf - finite`` and ``inf + inf`` already behave correctly.
+Sampled functions are plain float64 arrays where ``np.inf`` encodes +inf.
+-inf and NaN are rejected at every construction site (:func:`as_ext_array`)
+and by the CSV reader, which makes plain ``+`` and ``-`` on these arrays
+safe: ``inf - finite`` and ``inf + inf`` already behave as the conventions
+``a + (+inf) = +inf`` require.
 """
 
 from __future__ import annotations
@@ -22,84 +16,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 INF = math.inf
-
-# token used for +inf in all CSV formats
-INF_TOKEN = "inf"
-
-
-class ExtReal:
-    """A real number or +inf. NaN and -inf are unrepresentable."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value):
-        v = float(value)
-        if math.isnan(v):
-            raise InvalidInputError("NaN is not an extended real")
-        if v == -INF:
-            raise InvalidInputError("-inf is not representable; only +inf is")
-        self._v = v
-
-    @property
-    def value(self) -> float:
-        return self._v
-
-    @property
-    def is_finite(self) -> bool:
-        return self._v != INF
-
-    def __float__(self) -> float:
-        return self._v
-
-    def __add__(self, other):
-        o = other._v if isinstance(other, ExtReal) else ExtReal(other)._v
-        return ExtReal(self._v + o)
-
-    __radd__ = __add__
-
-    def scale(self, lam: float) -> "ExtReal":
-        """lam * self for lam >= 0, with 0 * inf = inf."""
-        lam = float(lam)
-        if math.isnan(lam) or lam < 0:
-            raise InvalidInputError("scale factor must be a real >= 0")
-        if self._v == INF:
-            return ExtReal(INF)
-        return ExtReal(lam * self._v)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtReal):
-            return self._v == other._v
-        if isinstance(other, (int, float)):
-            return self._v == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        o = other._v if isinstance(other, ExtReal) else float(other)
-        return self._v < o
-
-    def __le__(self, other):
-        o = other._v if isinstance(other, ExtReal) else float(other)
-        return self._v <= o
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __repr__(self):
-        return f"ExtReal({self.token()})"
-
-    def token(self) -> str:
-        """CSV token: 'inf' for +inf, shortest round-trip decimal otherwise."""
-        return INF_TOKEN if self._v == INF else repr(self._v)
-
-    @classmethod
-    def parse(cls, token: str) -> "ExtReal":
-        tok = token.strip()
-        if tok == INF_TOKEN:
-            return cls(INF)
-        try:
-            return cls(float(tok))
-        except (ValueError, InvalidInputError):
-            raise InvalidInputError(f"not an extended real: {token!r}") from None
 
 
 def as_ext_array(values, shape=None) -> np.ndarray:
@@ -119,16 +35,6 @@ def as_ext_array(values, shape=None) -> np.ndarray:
         a = a.copy()
         a.flags.writeable = False
     return a
-
-
-def ext_scale(lam: float, a: np.ndarray) -> np.ndarray:
-    """lam * a elementwise for lam >= 0, with 0 * inf = inf (never NaN)."""
-    if lam < 0 or math.isnan(lam):
-        raise InvalidInputError("scale factor must be a real >= 0")
-    with np.errstate(invalid="ignore"):
-        out = lam * a
-    np.copyto(out, INF, where=np.isposinf(a))
-    return out
 
 
 def finite_mask(a: np.ndarray) -> np.ndarray:

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .extreal import ExtReal, as_ext_array, finite_mask
+from .extreal import as_ext_array, finite_mask
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class Grid:
         as_pair = lambda v: (v, v) if np.isscalar(v) else tuple(v)
         return cls(as_pair(lo), as_pair(hi), as_pair(n))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.n)
 
@@ -74,7 +76,7 @@ class Grid:
     def size(self) -> int:
         return int(np.prod(self.n))
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / (k - 1) for a, b, k in zip(self.lo, self.hi, self.n))
 
@@ -258,8 +260,8 @@ _BLOCK_CHARS = 1 << 20
 
 
 def _tokens(a: np.ndarray) -> list[str]:
-    """CSV tokens of float64 values, the bytes of ``ExtReal(v).token()``
-    (``repr`` of +inf is already the token ``inf``)."""
+    """CSV tokens of float64 values: shortest round-trip decimals, and
+    ``repr`` of +inf is already the token ``inf``."""
     return list(map(repr, a.tolist()))
 
 
@@ -293,54 +295,77 @@ def _open_csv(path):
         raise FormatError(f"{path}: not valid UTF-8 text") from None
 
 
-def _read_rows(fh, nfields: int) -> np.ndarray | None:
-    """The remaining rows of FH as an (nrows, nfields) float array, a block
-    at a time.
+def _read_rows(fh, ncoord: int, value_col: bool = True) -> np.ndarray:
+    """The rows after FH's one-line header as an (nrows, ncoord + value_col)
+    float array, a block of lines at a time.
 
-    Blank lines are skipped. Returns None if some row has the wrong number
-    of fields, a field ``float`` rejects, or text that does not decode; the
-    caller then re-reads line by line to report the first bad line.
+    Blank lines are skipped. Every field is a real or +inf (token ``inf``);
+    the first ``ncoord`` fields of a row are coordinates and must be
+    finite. The first bad line raises a FormatError with its number.
     """
+    nfields = ncoord + value_col
     blocks = []
-    try:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            lines = [ln for ln in lines if not ln.isspace()]
-            if not lines:
-                continue
-            if any(ln.count(",") != nfields - 1 for ln in lines):
-                return None
-            toks = ",".join(lines).split(",")
-            blocks.append(np.fromiter(map(float, toks), np.float64, len(toks)))
-    except ValueError:   # UnicodeDecodeError is a ValueError
-        return None
+    lineno = 2
+    while lines := fh.readlines(_BLOCK_CHARS):
+        rows = [ln for ln in lines if not ln.isspace()]
+        if rows:
+            block = _parse_block(rows, nfields, ncoord)
+            if block is None:
+                block = _parse_lines(lines, lineno, nfields, ncoord)
+            blocks.append(block)
+        lineno += len(lines)
     if not blocks:
         return np.empty((0, nfields))
-    return np.concatenate(blocks).reshape(-1, nfields)
+    return np.concatenate(blocks)
 
 
-def _grid_rows_by_line(fh, ncoord: int) -> np.ndarray:
-    """Line-by-line parse of the data rows; raises at the first bad line."""
+def _parse_block(rows, nfields: int, ncoord: int) -> np.ndarray | None:
+    """ROWS as an (nrows, nfields) array, or None if some row is bad."""
+    if any(ln.count(",") != nfields - 1 for ln in rows):
+        return None
+    toks = ",".join(rows).split(",")
+    try:
+        a = np.fromiter(map(float, toks), np.float64, len(toks))
+    except ValueError:
+        return None
+    a = a.reshape(-1, nfields)
+    vals = a[:, ncoord:]
+    if (not np.isfinite(a[:, :ncoord]).all() or np.isnan(vals).any()
+            or np.isneginf(vals).any()):
+        return None
+    return a
+
+
+def _parse_lines(lines, lineno: int, nfields: int, ncoord: int) -> np.ndarray:
+    """Line-by-line parse of a block that _parse_block refused, LINENO
+    being the number of its first line; raises at the first bad line.
+
+    Fields are stripped before ``float`` here, so the few whitespace
+    characters ``float`` itself rejects (U+001C..U+001F) are accepted
+    around a field.
+    """
     rows = []
-    for lineno, raw in enumerate(fh, start=2):
+    for lineno, raw in enumerate(lines, start=lineno):
         raw = raw.strip()
         if not raw:
             continue
         toks = raw.split(",")
-        if len(toks) != ncoord + 1:
+        if len(toks) != nfields:
             raise FormatError(
-                f"expected {ncoord + 1} fields, got {len(toks)}", line=lineno)
-        try:
-            row = []
-            for k in range(ncoord):
-                c = ExtReal.parse(toks[k])
-                if not c.is_finite:
-                    raise InvalidInputError("coordinates must be finite")
-                row.append(c.value)
-            row.append(ExtReal.parse(toks[-1]).value)
-        except InvalidInputError as exc:
-            raise FormatError(str(exc), line=lineno) from None
+                f"expected {nfields} fields, got {len(toks)}", line=lineno)
+        row = []
+        for k, tok in enumerate(toks):
+            try:
+                v = float(tok.strip())
+            except ValueError:
+                v = math.nan
+            if math.isnan(v) or v == -math.inf:
+                raise FormatError(f"not an extended real: {tok!r}", line=lineno)
+            if k < ncoord and v == math.inf:
+                raise FormatError("coordinates must be finite", line=lineno)
+            row.append(v)
         rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(-1, ncoord + 1)
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_grid_csv(path, n_coord_groups: int):
@@ -356,12 +381,7 @@ def _read_grid_csv(path, n_coord_groups: int):
             raise FormatError("expected 1 or 2 coordinate columns", line=1)
         if n_coord_groups == 2 and ncoord not in (2, 4):
             raise FormatError("expected 2 or 4 coordinate columns", line=1)
-        data = _read_rows(fh, ncoord + 1)
-        if (data is None or not np.isfinite(data[:, :-1]).all()
-                or np.isnan(data[:, -1]).any() or np.isneginf(data[:, -1]).any()):
-            fh.seek(0)
-            fh.readline()
-            data = _grid_rows_by_line(fh, ncoord)
+        data = _read_rows(fh, ncoord)
 
     coords = [data[:, k] for k in range(ncoord)]
     values = data[:, -1]

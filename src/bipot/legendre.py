@@ -189,17 +189,17 @@ def default_subdiff_tol(grid: Grid) -> np.ndarray:
     return max(grid.h) * (1.0 + np.linalg.norm(_flat_points(grid), axis=1))
 
 
-def subdiff_mask(pair: ConjugatePair, at_y, tol=None) -> np.ndarray:
+def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
+                 tol=None) -> np.ndarray:
     """Boolean x-grid mask of the discrete subdifferential of phistar at
     a y-node: { x : phi(x) + phistar(y) - <x, y> <= tol }."""
-    grid = pair.phi.grid
-    ps = pair.phistar.vals[at_y] if grid.dim == 1 else \
-        pair.phistar.vals[at_y[0], at_y[1]]
+    grid = phi.grid
+    ps = phistar.vals[at_y] if grid.dim == 1 else phistar.vals[at_y[0], at_y[1]]
     if not np.isfinite(ps):
         return np.zeros(grid.shape, dtype=bool)
-    ypt = np.atleast_1d(np.asarray(pair.phistar.grid.coords(at_y)))
+    ypt = np.atleast_1d(np.asarray(phistar.grid.coords(at_y)))
     xpts = _flat_points(grid)
-    pv = pair.phi.vals.reshape(-1)
+    pv = phi.vals.reshape(-1)
     with np.errstate(invalid="ignore"):
         resid = pv + ps - xpts @ ypt
     if tol is None:
@@ -215,7 +215,7 @@ def subdiff_points(pair: ConjugatePair, at_y, tol: float | None = None):
     per-candidate array of ``default_subdiff_tol``.
     """
     grid = pair.phi.grid
-    hit = np.argwhere(subdiff_mask(pair, at_y, tol))
+    hit = np.argwhere(subdiff_mask(pair.phi, pair.phistar, at_y, tol))
     if grid.dim == 1:
         return set(int(i) for (i,) in hit)
     return set((int(i), int(j)) for i, j in hit)

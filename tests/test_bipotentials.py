@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,13 @@ class TestCyclicMonotone:
         with pytest.warns(UserWarning):
             rep = check_cyclically_monotone([(0.0, 0.0), (1.0, 1.0)], 5)
         assert rep.ok
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            check_cyclically_monotone([(0.0, 1.0), (1.0, bad)], 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            check_cyclically_monotone([((0.0, bad), (0.0, 0.0))], 1)
 
     def test_2d_points(self):
         pts = [((0.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, 0.0)),

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from bipot.bipotentials import (check_bbgraph, check_sync, default_graph_tol,
-                                graph_of, graphs_match_within, separable)
+from bipot.bipotentials import (GraphSet, check_bbgraph, check_sync,
+                                default_graph_tol, graph_of,
+                                graphs_match_within, separable)
 from bipot.blur import (BlurSpec, blur_law, blurred_bipotential, blurred_graph,
                         check_admits_blurring, check_newc, inf_convolve_blur,
                         minkowski_blur)
+from bipot.convexity import is_set_convex
 from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction
+from bipot.legendre import conjugate, default_subdiff_tol
+from bipot.sampling import random_convex_1d, random_piecewise_linear_1d
 from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
                            radius_nodes)
 
@@ -203,11 +207,31 @@ class TestCheckNewc:
         rep = check_newc(phi, 1.0, g.snap([0.0]), ygrid=g)
         assert rep.ok
 
-    def test_union_matches_blurred_section(self, elast):
-        # the identity failing would be reported with its own axiom
-        phi = elasticity_phi(elast)
-        rep = check_newc(phi, 0.5, 200, ygrid=elast.ygrid)
-        assert rep.axiom != "blurred-section-identity"
+    def test_union_matches_blurred_section(self):
+        # U(y) is the y-column of {ball min-filter of the Fenchel-Young
+        # residual <= tol}, built here without check_newc's offset loop
+        g = Grid.line(-2.0, 2.0, 61)
+        eps = 0.5
+        failures = 0
+        for seed, truncated in [(0, False), (1, False), (7, True)]:
+            rng = np.random.default_rng(seed)
+            phi = (random_convex_1d(g, rng, truncate=True) if truncated
+                   else random_piecewise_linear_1d(g, rng, convex=False))
+            star = conjugate(phi, g)
+            resid = (phi.vals[:, None] + star.vals[None, :]
+                     - np.multiply.outer(g.axis(0), g.axis(0)))
+            section = (ball_min_filter(resid, g, eps)
+                       <= default_subdiff_tol(g)[:, None])
+            for iy in range(g.n[0]):
+                rep = check_newc(phi, eps, iy, ygrid=g)
+                if not section[:, iy].any():
+                    assert rep.ok and "U(y) is empty" in rep.notes
+                    continue
+                want = is_set_convex(section[:, iy], g)
+                assert (rep.ok, rep.witness) == (want.ok, want.witness), \
+                    (seed, iy)
+                failures += not rep.ok
+        assert failures > 0
 
 
 class TestAdmitsBlurring:
@@ -245,6 +269,28 @@ class TestAdmitsBlurring:
                                  line_grid, line_grid)
         MA, clipped = minkowski_blur(M, BlurSpec(0.4))
         assert clipped
+        # x = 1.9 lies within eps of the x-box: only the product ball,
+        # which also spreads in x, is clipped
+        M, _ = two_point_fixture(1.9, 0.0, 0.0, 0.5, 0.4, line_grid, line_grid)
+        assert not minkowski_blur(M, BlurSpec(0.4))[1]
+        assert minkowski_blur(M, BlurSpec(0.4, "product"))[1]
+        M, _ = two_point_fixture(0.0, 0.0, 1.0, 1.0, 0.4, line_grid, line_grid)
+        assert not minkowski_blur(M, BlurSpec(0.4))[1]
+        assert not minkowski_blur(M, BlurSpec(0.4, "product"))[1]
+
+    @pytest.mark.parametrize("xi, yi, yball, product", [
+        ((8, 8), (8, 8), False, False),
+        ((8, 8), (8, 15), True, True),      # y2 = 1.75 near the y-box
+        ((8, 15), (8, 8), False, True),     # x2 = 1.75 near the x-box
+        ((1, 8), (8, 8), False, True),      # x1 = -1.75
+    ])
+    def test_minkowski_clip_flag_2d(self, xi, yi, yball, product):
+        g = Grid.box(-2.0, 2.0, 17)
+        mask = np.zeros(g.shape + g.shape, dtype=bool)
+        mask[xi + yi] = True
+        M = GraphSet(g, g, mask)
+        assert minkowski_blur(M, BlurSpec(0.5))[1] == yball
+        assert minkowski_blur(M, BlurSpec(0.5, "product"))[1] == product
 
     def test_sync_form_zero_set(self, elast):
         c = elasticity_sync(elast)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bipot
+from bipot import cli
 from bipot.cli import main, report_schema_version
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 
@@ -190,6 +191,21 @@ def test_check_cyclic(run_cli, tmp_path):
     assert "residual = -1.0" in (tmp_path / "rep.txt").read_text()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,nan\n", "line 3: not an extended real: 'nan'"),
+    ("inf,1\n", "line 3: coordinates must be finite"),
+    ("1,-inf\n", "line 3: not an extended real: '-inf'"),
+    ("1,2,3\n", "line 3: expected 2 fields, got 3"),
+])
+def test_check_cyclic_refuses_bad_points(run_cli, tmp_path, rows, message):
+    # a NaN point made the cycle sums NaN, and the check passed
+    (tmp_path / "pts.csv").write_text("x,y\n0.0,1.0\n" + rows)
+    r = run_cli(["check", "cyclic", "--points", "pts.csv", "--n-max", "2"],
+                tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert f"bipot: error: {message}" in r.stderr
+
+
 def test_check_newc_cli(run_cli, tmp_path):
     g = Grid.line(-2.0, 2.0, 101)
     p = tmp_path / "phi.csv"
@@ -266,3 +282,14 @@ def test_main_callable_in_process(tmp_path, quad_csv, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict = pass" in out
+
+
+def test_crash_exits_3_with_traceback(tmp_path, quad_csv, capsys, monkeypatch):
+    # an internal error is neither a failed check (1) nor bad input (2)
+    def boom(cfg):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "run", boom)
+    code = main(["check", "convex", "--input", str(quad_csv)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
