@@ -283,9 +283,9 @@ def _interior_cut(shape, axes):
     return tuple(cut)
 
 
-def slice_conjugate_at_self(b: SampledBivariate):
+def _slice_conjugate_at_self(b: SampledBivariate, P: np.ndarray):
     """g*(y) for every y-slice g = b(., y), the x-slice analogue, and
-    escape flags.
+    escape flags; P is the pairing <x, y>.
 
     g*(y) = max_x (<x, y> - b(x, y)) is the slice conjugate evaluated at the
     slice's own dual point, the only value the Fenchel-Young membership test
@@ -294,7 +294,6 @@ def slice_conjugate_at_self(b: SampledBivariate):
     set and the membership it feeds is treated as borderline, mirroring the
     attained-minimum guard of the sync axioms.
     """
-    P = b.pairing()
     with np.errstate(invalid="ignore"):
         gap = np.where(np.isposinf(b.vals), -INF, P - b.vals)
     xdim = b.xgrid.dim
@@ -307,15 +306,14 @@ def slice_conjugate_at_self(b: SampledBivariate):
     inner_x = gap[_interior_cut(gap.shape, yaxes)].max(axis=yaxes)
     esc_y = np.isfinite(g_y) & (inner_y < g_y - ftol)
     esc_x = np.isfinite(g_x) & (inner_x < g_x - ftol)
-    return g_y, g_x, esc_y, esc_x, P
+    return g_y, g_x, esc_y, esc_x
 
 
-def check_bipotential(b: SampledBivariate, tol: float | None = None,
-                      slice_tol: float | None = None) -> CheckReport:
+def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckReport:
     """Decide the three bipotential axioms, reporting the first failure.
 
-    (a) separate convexity of every nonempty slice (line battery, slice_tol,
-        default 1e-9 * value scale);
+    (a) separate convexity of every nonempty slice (line battery, tolerance
+        1e-9 * value scale);
     (b) b >= <x, y> within tol;
     (c) at every node pair the two subdifferential memberships, decided by
         the Fenchel-Young residual of the corresponding slice, and the
@@ -324,9 +322,7 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None,
     tol defaults to 3h(1 + |<x, y>|) per node pair. Residuals between tol
     and 3*tol are borderline and never fail (c) on their own.
     """
-    if slice_tol is None:
-        slice_tol = 1e-9 * (1.0 + abs(b.finite_max))
-    rep = _slice_convexity(b, slice_tol)
+    rep = _slice_convexity(b, 1e-9 * (1.0 + abs(b.finite_max)))
     if not rep.ok:
         return rep
 
@@ -342,7 +338,7 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None,
         return failing("duality-lower-bound", tuple(int(i) for i in idx),
                        float(diff[idx]), "b(x, y) < <x, y> - tol")
 
-    g_y, g_x, esc_y, esc_x, _ = slice_conjugate_at_self(b)
+    g_y, g_x, esc_y, esc_x = _slice_conjugate_at_self(b, P)
     xdim = b.xgrid.dim
     gy = g_y.reshape((1,) * xdim + b.ygrid.shape)
     gx = g_x.reshape(b.xgrid.shape + (1,) * b.ygrid.dim)
@@ -368,40 +364,14 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None,
     return passing("bipotential", *notes)
 
 
-def _attained_slice_minimum(vals: np.ndarray, flat_tol: float):
-    """(attained, min) of one slice; the min at a box edge with a strictly
-    larger inward neighbor is treated as escaping the box, not attained."""
-    fin = np.isfinite(vals)
-    if not fin.any():
-        return False, INF
-    masked = np.where(fin, vals, INF)
-    flat = int(np.argmin(masked))
-    mn = float(masked.reshape(-1)[flat])
-    idx = np.unravel_index(flat, vals.shape)
-    for ax in range(vals.ndim):
-        n = vals.shape[ax]
-        if idx[ax] == 0 and n > 1:
-            inward = list(idx)
-            inward[ax] += 1
-        elif idx[ax] == n - 1 and n > 1:
-            inward = list(idx)
-            inward[ax] -= 1
-        else:
-            continue
-        v_in = vals[tuple(inward)]
-        if not np.isfinite(v_in) or v_in > mn + flat_tol:
-            return False, mn
-    return True, mn
-
-
-def check_sync(c: SampledBivariate, tol: float | None = None,
-               cross_check: bool = True) -> CheckReport:
+def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     """Decide the sync axioms: c >= 0, separate convexity, attained slice
     minima equal to 0 (within a resolution tolerance), then cross-check
     against ``check_bipotential(c + <x, y>)``.
 
-    Slice minima that sit on the box edge with a strictly increasing inward
-    neighbor are counted as not attained (the true minimum escapes the box).
+    Slice minima that sit on the box edge with a strictly larger (or +inf)
+    inward neighbor are counted as not attained (the true minimum escapes
+    the box).
     """
     scale = 1.0 + abs(c.finite_max)
     neg_tol = 1e-9 * scale if tol is None else tol
@@ -418,34 +388,41 @@ def check_sync(c: SampledBivariate, tol: float | None = None,
     P = c.pairing()
     h = max(max(c.xgrid.h), max(c.ygrid.h))
     flat_tol = 1e-12 * scale
-    xdim = c.xgrid.dim
-    for tag, stack, grid, pgather in (
-            ("y", _yslice_stack(c.vals, xdim), c.ygrid,
-             _yslice_stack(P, xdim)),
-            ("x", _xslice_stack(c.vals, xdim), c.xgrid,
-             _xslice_stack(P, xdim))):
-        for s in range(stack.shape[0]):
-            attained, mn = _attained_slice_minimum(stack[s], flat_tol)
-            if not attained:
-                continue
-            arg = int(np.argmin(np.where(np.isfinite(stack[s]), stack[s], INF)))
-            mtol = tol if tol is not None else \
-                h * (1.0 + abs(float(pgather[s].reshape(-1)[arg])))
-            if mn > mtol:
-                return failing("attained-min-zero",
-                               (tag, _unflatten(grid, s)), mn,
-                               f"slice minimum {mn!r} exceeds {mtol!r}")
+    # (x-node, y-node) views: y-slices are the columns, x-slices the rows
+    V = c.vals.reshape(c.xgrid.size, -1)
+    Q = P.reshape(V.shape)
+    for tag, grid, vals, pq, shape in (
+            ("y", c.ygrid, V.T, Q.T, c.xgrid.shape),
+            ("x", c.xgrid, V, Q, c.ygrid.shape)):
+        rows = np.arange(len(vals))
+        arg = vals.argmin(axis=1)   # +inf never wins over a finite value
+        mn = vals[rows, arg]
+        at = np.unravel_index(arg, shape)
+        attained = np.isfinite(mn)
+        for ax, n in enumerate(shape):
+            # the inward neighbor of a minimum on the box edge; off the edge
+            # the step is 0 and the minimum is compared with itself
+            step = (at[ax] == 0).astype(np.intp) - (at[ax] == n - 1)
+            inward = at[:ax] + (at[ax] + step,) + at[ax + 1:]
+            attained &= vals[rows, np.ravel_multi_index(inward, shape)] \
+                <= mn + flat_tol
+        mtol = (h * (1.0 + np.abs(pq[rows, arg])) if tol is None
+                else np.full(len(rows), float(tol)))
+        bad = np.flatnonzero(attained & (mn > mtol))
+        if bad.size:
+            s = int(bad[0])
+            m, t = float(mn[s]), float(mtol[s])
+            return failing("attained-min-zero", (tag, _unflatten(grid, s)), m,
+                           f"slice minimum {m!r} exceeds {t!r}")
 
-    if cross_check:
-        # c + <x, y> directly: c may dip below 0 within neg_tol, which
-        # bipotential_from_sync would refuse
-        b = SampledBivariate(c.xgrid, c.ygrid, c.vals + P)
-        rep_b = check_bipotential(b, tol)
-        if not rep_b.ok:
-            return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
-                           rep_b.residual,
-                           "c passed the sync axioms but c + <x,y> fails "
-                           "the bipotential axioms")
+    # c + <x, y> directly: c may dip below 0 within neg_tol, which
+    # bipotential_from_sync would refuse
+    rep_b = check_bipotential(SampledBivariate(c.xgrid, c.ygrid, c.vals + P), tol)
+    if not rep_b.ok:
+        return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
+                       rep_b.residual,
+                       "c passed the sync axioms but c + <x,y> fails "
+                       "the bipotential axioms")
     return passing("sync", CLOSEDNESS_NOTE)
 
 

@@ -239,7 +239,7 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
 
-    center = np.atleast_1d(np.asarray(ygrid.coords(at_y)))
+    center = ygrid.coords(at_y)
     at_t = (at_y,) if ygrid.dim == 1 else tuple(at_y)
     if tol is None:
         tol = default_subdiff_tol(phi.grid)
@@ -252,7 +252,7 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
             clipped = True
             continue
         union |= subdiff_mask(phi, star, idx[0] if ygrid.dim == 1 else idx, tol)
-    notes = [f"y = {tuple(center)}", f"eps = {eps}"]
+    notes = [f"y = {(center,) if ygrid.dim == 1 else center}", f"eps = {eps}"]
     if clipped:
         notes.append("ball clipped at the y-box boundary")
     if not union.any():

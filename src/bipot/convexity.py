@@ -5,7 +5,9 @@ grid row, column and both diagonal directions the finite domain must be
 contiguous and interior second differences must be >= -tol. This is a
 necessary set of conditions that is sufficient for the smooth and polyhedral
 functions this package works with; an exhaustive midpoint oracle cross-checks
-it in the test suite.
+it in the test suite. One vectorized scan (``_faults``) is the whole
+battery: ``is_convex`` reads the first faulting line, ``batch_is_convex``
+keeps verdicts only, and 1-D sets are decided by its gap test.
 
 Set convexity (``is_set_convex``) is decided per the hull-margin rule: every
 grid node lying deeper than h/2 inside the convex hull of the member nodes
@@ -27,50 +29,69 @@ from .windows import ball_min_filter
 # --- line battery -----------------------------------------------------------
 
 
-def _line_violation(vals: np.ndarray, tol: float):
-    """First violation on one grid line, or None.
+def _lines(vals: np.ndarray, dim: int):
+    """The grid lines of a (B, *shape) stack of functions, in scan order.
 
-    Returns (kind, position, residual): kind 'domain-contiguous' with the
-    first missing interior index, or 'second-difference' with the center
-    index of the first violating triple and its (negative) residual.
+    Yields (family, line indices, (B, L, m) view): all rows, all columns,
+    then each diagonal of the two directions on its own. A row or column
+    index is its node index along the other axis, a diagonal's is its
+    offset. Diagonals shorter than 3 nodes cannot fault and are skipped.
     """
-    fin = np.isfinite(vals)
-    cnt = int(fin.sum())
-    if cnt == 0:
-        return None
-    idx = np.flatnonzero(fin)
-    first, last = int(idx[0]), int(idx[-1])
-    if last - first + 1 != cnt:
-        interior = np.flatnonzero(~fin[first:last]) + first
-        return ("domain-contiguous", int(interior[0]), None)
-    if len(vals) >= 3:
-        a, b, c = vals[:-2], vals[1:-1], vals[2:]
-        tri = fin[:-2] & fin[1:-1] & fin[2:]
-        with np.errstate(invalid="ignore"):
-            second = np.where(tri, a - 2.0 * b + c, np.inf)
-        bad = np.flatnonzero(tri & (second < -tol))
-        if bad.size:
-            i = int(bad[0])
-            return ("second-difference", i + 1, float(second[i]))
+    if dim == 1:
+        yield "row", (0,), vals[:, None, :]
+        return
+    _, n1, n2 = vals.shape
+    yield "row", range(n1), vals
+    yield "col", range(n2), vals.transpose(0, 2, 1)
+    for family, flipped in (("diag-down", vals), ("diag-up", vals[:, :, ::-1])):
+        for off in range(3 - n1, n2 - 2):
+            yield family, (off,), np.diagonal(flipped, off, 1, 2)[:, None, :]
+
+
+def _faults(lines: np.ndarray, tol: float, locate: bool = False):
+    """Faulting lines of a (B, L, m) stack, m >= 3.
+
+    A line faults where its finite domain has a gap, or else where an
+    interior second difference is below -tol. Returns the (B, L) fault
+    flags; with locate, also the gap flags, the position of each line's
+    first fault (the first missing interior index of a gap, else the
+    center of the first low triple) and the (B, L, m - 2) second
+    differences, so that the one centered at position p is [..., p - 1].
+    Values are never NaN or -inf, so a triple holding +inf gives +inf or
+    NaN unless its center alone is missing, which is a gap anyway.
+    """
+    fin = np.isfinite(lines)
+    cnt = fin.sum(axis=2)
+    first = np.argmax(fin, axis=2)
+    last = lines.shape[2] - 1 - np.argmax(fin[:, :, ::-1], axis=2)
+    gap = (cnt > 0) & (last - first + 1 != cnt)
+    # rounds as a - 2b + c does, in one buffer
+    second = -2.0 * lines[:, :, 1:-1]
+    with np.errstate(invalid="ignore"):
+        second += lines[:, :, :-2]
+        second += lines[:, :, 2:]
+    low = second < -tol
+    bad = gap | low.any(axis=2)
+    if not locate:
+        return bad
+    # in a gap line the first finite node followed by a missing one ends
+    # the first run, so the missing one is the first interior hole
+    hole = np.argmax(fin[:, :, :-1] & ~fin[:, :, 1:], axis=2)
+    return bad, gap, 1 + np.where(gap, hole, np.argmax(low, axis=2)), second
+
+
+def _first_fault(vals: np.ndarray, dim: int, tol: float):
+    """(family, line index, axiom, position, residual) of the first
+    faulting line of one function, or None."""
+    for family, ids, lines in _lines(vals[None], dim):
+        bad, gap, pos, second = (a[0] for a in _faults(lines, tol, locate=True))
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            k, p = hit[0], int(pos[hit[0]])
+            if gap[k]:
+                return family, ids[k], "domain-contiguous", p, None
+            return family, ids[k], "second-difference", p, float(second[k, p - 1])
     return None
-
-
-def _iter_lines(vals: np.ndarray):
-    """All grid lines of a 2-D array with an addressing tag.
-
-    Yields (family, line_index, 1-D array). Families in scan order: rows
-    (fixed axis-0 index), columns, the two diagonal directions.
-    """
-    n1, n2 = vals.shape
-    for i in range(n1):
-        yield ("row", i, vals[i, :])
-    for j in range(n2):
-        yield ("col", j, vals[:, j])
-    for off in range(-(n1 - 1), n2):
-        yield ("diag-down", off, np.diagonal(vals, offset=off))
-    flipped = vals[:, ::-1]
-    for off in range(-(n1 - 1), n2):
-        yield ("diag-up", off, np.diagonal(flipped, offset=off))
 
 
 def _line_witness(family, line_index, pos, shape):
@@ -95,21 +116,14 @@ def is_convex(f: SampledFunction, tol: float) -> CheckReport:
     """
     if tol < 0:
         raise InvalidInputError("tol must be >= 0")
-    if any(k < 3 for k in f.grid.n):
-        raise InvalidInputError("need at least 3 nodes per axis")
+    hit = _first_fault(f.vals, f.grid.dim, tol)
+    if hit is None:
+        return passing("convex")
+    family, li, axiom, pos, residual = hit
     if f.grid.dim == 1:
-        hit = _line_violation(f.vals, tol)
-        if hit is None:
-            return passing("convex")
-        kind, pos, residual = hit
-        return failing(kind, (pos,), residual)
-    for family, li, line in _iter_lines(f.vals):
-        hit = _line_violation(np.ascontiguousarray(line), tol)
-        if hit is not None:
-            kind, pos, residual = hit
-            witness = _line_witness(family, li, pos, f.vals.shape)
-            return failing(kind, witness, residual, f"line = {family} {li}")
-    return passing("convex")
+        return failing(axiom, (pos,), residual)
+    return failing(axiom, _line_witness(family, li, pos, f.vals.shape),
+                   residual, f"line = {family} {li}")
 
 
 def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
@@ -117,41 +131,18 @@ def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
 
     vals has shape (B, *grid.shape); returns a (B,) boolean verdict array.
     Identically +inf slices pass (callers treat them as empty-domain).
+    Rows and columns are scanned over the whole stack; each diagonal only
+    over the slices that still pass.
     """
-    if grid.dim == 1:
-        vals3 = vals[:, None, :]
-    else:
-        vals3 = vals
-    B, n1, n2 = vals3.shape
-    ok = np.ones(B, dtype=bool)
-
-    def fold_lines(a):
-        # a: (B, L, m) stack of lines; checks contiguity + second differences
-        fin = np.isfinite(a)
-        cnt = fin.sum(axis=2)
-        first = np.argmax(fin, axis=2)
-        last = a.shape[2] - 1 - np.argmax(fin[:, :, ::-1], axis=2)
-        contig = (cnt == 0) | (last - first + 1 == cnt)
-        good = contig.all(axis=1)
-        if a.shape[2] >= 3:
-            tri = fin[:, :, :-2] & fin[:, :, 1:-1] & fin[:, :, 2:]
-            x, y, z = a[:, :, :-2], a[:, :, 1:-1], a[:, :, 2:]
-            with np.errstate(invalid="ignore"):
-                second = np.where(tri, x - 2.0 * y + z, np.inf)
-            good &= ~(second < -tol).any(axis=(1, 2))
-        return good
-
-    ok &= fold_lines(vals3)                       # rows
-    if grid.dim == 1:
-        return ok
-    ok &= fold_lines(vals3.transpose(0, 2, 1))    # columns
-    for flipped in (vals3, vals3[:, :, ::-1]):    # both diagonal directions
-        for off in range(-(n1 - 1), n2):
-            line = np.diagonal(flipped, offset=off, axis1=1, axis2=2)
-            sub = ok.nonzero()[0]
-            if sub.size == 0:
-                return ok
-            ok[sub] &= fold_lines(line[sub][:, None, :])
+    ok = np.ones(len(vals), dtype=bool)
+    for family, _, lines in _lines(vals, grid.dim):
+        if family in ("row", "col"):
+            ok &= ~_faults(lines, tol).any(axis=1)
+            continue
+        sub = np.flatnonzero(ok)
+        if sub.size == 0:
+            break
+        ok[sub] = ~_faults(lines[sub], tol)[:, 0]
     return ok
 
 
@@ -206,11 +197,10 @@ def is_set_convex(points, grid: Grid) -> CheckReport:
     if not mask.any():
         raise InvalidInputError("the empty set has no convexity verdict")
     if grid.dim == 1:
-        hit = _line_violation(np.where(mask, 0.0, np.inf), 0.0)
+        hit = _first_fault(np.where(mask, 0.0, np.inf), 1, 0.0)
         if hit is None:
             return passing("set-convex")
-        return failing("set-convex", (hit[1],),
-                       None, "missing interior node")
+        return failing("set-convex", (hit[3],), None, "missing interior node")
 
     ax0, ax1 = grid.axes
     # hull of a union of horizontal runs = hull of the runs' endpoints

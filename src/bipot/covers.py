@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipotentials import default_graph_tol, graph_of, graphs_match_within
+from .bipotentials import (_unflatten, _yslice_stack, default_graph_tol,
+                           graph_of, graphs_match_within)
 from .blur import (BlurSpec, Y_BALL, _blurred_bipotential, _graph_within,
                    _separable_sync, _yball_conjugate, inf_convolve_blur)
 from .convexity import batch_is_convex
@@ -337,13 +338,12 @@ def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
             hit = _scan_envelope(gflat, trip, alpha, tol)
             if hit is not None:
                 z1, z2, resid = hit
-                l1 = int(values[(slice(None),) + np.unravel_index(z1, zshape)].argmin())
-                l2 = int(values[(slice(None),) + np.unravel_index(z2, zshape)].argmin())
-                return failing(
-                    "implicitly-convex",
-                    ((l1, np.unravel_index(z1, zshape)),
-                     (l2, np.unravel_index(z2, zshape)), alpha),
-                    resid, *notes)
+                w1, w2 = (tuple(int(i) for i in np.unravel_index(z, zshape))
+                          for z in (z1, z2))
+                l1 = int(values[(slice(None),) + w1].argmin())
+                l2 = int(values[(slice(None),) + w2].argmin())
+                return failing("implicitly-convex", ((l1, w1), (l2, w2), alpha),
+                               resid, *notes)
     return passing("implicitly-convex", *notes)
 
 
@@ -368,13 +368,9 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     bA = _blurred_bipotential(phi, star, spec.eps)
     ygrid = bA.ygrid
     xgrid = bA.xgrid
-    scale = 1.0 + abs(bA.finite_max)
-    slice_tol = 1e-9 * scale if tol is None else tol
-
-    xdim = xgrid.dim
-    perm = tuple(range(xdim, bA.vals.ndim)) + tuple(range(xdim))
-    ystack = bA.vals.transpose(perm).reshape((-1,) + xgrid.shape)
-    v1 = batch_is_convex(ystack, xgrid, slice_tol)
+    stol = 1e-9 * (1.0 + abs(bA.finite_max)) if tol is None else tol
+    ystack = _yslice_stack(bA.vals, xgrid.dim)
+    v1 = batch_is_convex(ystack, xgrid, stol)
 
     gtol = default_graph_tol(xgrid, ygrid)
     graph_eq = graphs_match_within(
@@ -389,8 +385,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     v2 = np.empty(len(ystack), dtype=bool)
     for s in range(len(ystack)):
         gflat = ystack[s].reshape(-1)
-        bad = _scan_envelope(gflat, mand, 0.5, slice_tol) \
-            or _scan_envelope(gflat, sampled, 0.5, slice_tol)
+        bad = _scan_envelope(gflat, mand, 0.5, stol) \
+            or _scan_envelope(gflat, sampled, 0.5, stol)
         v2[s] = bad is None
 
     verdict1 = bool(v1.all() and graph_eq)
@@ -400,12 +396,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
              f"graph-equality = {'pass' if graph_eq else 'fail'}",
              f"implicit-convexity-verdict = {'pass' if verdict2 else 'fail'}",
              f"alpha = 0.5: {meta}", f"seed = {seed}")
-    disagree = np.flatnonzero(v1 != v2)
     if verdict1 == verdict2:
         return passing("maithm-equivalence", *notes)
-    witness = None
-    if disagree.size:
-        iy = int(disagree[0])
-        witness = (("y", iy if ygrid.dim == 1
-                    else (iy // ygrid.n[1], iy % ygrid.n[1])),)
+    disagree = np.flatnonzero(v1 != v2)
+    witness = (("y", _unflatten(ygrid, int(disagree[0]))),) if disagree.size else None
     return failing("maithm-equivalence", witness, None, *notes)

@@ -80,10 +80,6 @@ class Grid:
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / (k - 1) for a, b, k in zip(self.lo, self.hi, self.n))
 
-    @property
-    def hmax(self) -> float:
-        return max(self.h)
-
     def axis(self, k: int) -> np.ndarray:
         return self.lo[k] + np.arange(self.n[k]) * self.h[k]
 
@@ -101,6 +97,13 @@ class Grid:
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.axes, indexing="ij")
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Read-only (size, dim) array of node coordinates, row-major."""
+        pts = np.column_stack([g.ravel() for g in self.meshgrid()])
+        pts.flags.writeable = False
+        return pts
 
     def snap(self, point):
         """Nearest node index; the point must lie within h/2 of the box."""
@@ -212,14 +215,6 @@ class SampledBivariate:
         x1, x2 = (m[:, :, None, None] for m in xgrid.meshgrid())
         y1, y2 = (m[None, None, :, :] for m in ygrid.meshgrid())
         return cls(xgrid, ygrid, fn(x1, x2, y1, y2))
-
-    @property
-    def nx(self) -> int:
-        return self.xgrid.size
-
-    @property
-    def ny(self) -> int:
-        return self.ygrid.size
 
     def x_slice(self, ix) -> SampledFunction:
         """The function y -> b(x, y) at a fixed x-node."""

@@ -37,13 +37,14 @@ def _axis_slope_range(vals: np.ndarray, h: float, axis: int):
     return float(d.min()), float(d.max())
 
 
-def default_dual_grid(phi: SampledFunction, pad: float = 0.1) -> Grid:
+def default_dual_grid(phi: SampledFunction) -> Grid:
     """Dual box from the slope range of phi, padded 10%, same node counts.
 
     Conjugate values at slopes outside this range are boundary-dominated
     artifacts, so it is the default evaluation window for phi*. The pad is
-    a whole number of grid steps per side, which keeps the slope range
-    endpoints (in particular the exact slopes of flat pieces) on nodes.
+    a whole number of grid steps per side (5% of them, at least one),
+    which keeps the slope range endpoints (in particular the exact slopes
+    of flat pieces) on nodes.
     """
     phi.require_domain("default_dual_grid")
     lo, hi = [], []
@@ -56,7 +57,7 @@ def default_dual_grid(phi: SampledFunction, pad: float = 0.1) -> Grid:
             lo.append(smin - w)
             hi.append(smax + w)
             continue
-        m = max(1, round(0.5 * pad * (n - 1)))
+        m = max(1, round(0.05 * (n - 1)))
         h = span / (n - 1 - 2 * m)
         lo.append(smin - m * h)
         hi.append(smax + m * h)
@@ -151,8 +152,8 @@ class ConjugatePair:
         pv = self.phi.vals.reshape(-1)
         sv = self.phistar.vals.reshape(-1)
         worst = np.inf
-        xpts = _flat_points(self.phi.grid)
-        ypts = _flat_points(self.phistar.grid)
+        xpts = self.phi.grid.points
+        ypts = self.phistar.grid.points
         fin_x = np.isfinite(pv)
         fin_y = np.isfinite(sv)
         if not fin_x.any() or not fin_y.any():
@@ -168,14 +169,6 @@ class ConjugatePair:
         return worst
 
 
-def _flat_points(grid: Grid) -> np.ndarray:
-    """Node coordinates as an (N, dim) array in row-major order."""
-    if grid.dim == 1:
-        return grid.axis(0)[:, None]
-    g1, g2 = grid.meshgrid()
-    return np.column_stack([g1.ravel(), g2.ravel()])
-
-
 def conjugate_pair(phi: SampledFunction, ygrid: Grid | None = None) -> ConjugatePair:
     return ConjugatePair(phi, conjugate(phi, ygrid))
 
@@ -186,7 +179,7 @@ def default_subdiff_tol(grid: Grid) -> np.ndarray:
     Resolution-consistent: snapping the dual point by one node moves the
     residual by about h times the candidate's magnitude.
     """
-    return max(grid.h) * (1.0 + np.linalg.norm(_flat_points(grid), axis=1))
+    return max(grid.h) * (1.0 + np.linalg.norm(grid.points, axis=1))
 
 
 def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
@@ -198,10 +191,9 @@ def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
     if not np.isfinite(ps):
         return np.zeros(grid.shape, dtype=bool)
     ypt = np.atleast_1d(np.asarray(phistar.grid.coords(at_y)))
-    xpts = _flat_points(grid)
     pv = phi.vals.reshape(-1)
     with np.errstate(invalid="ignore"):
-        resid = pv + ps - xpts @ ypt
+        resid = pv + ps - grid.points @ ypt
     if tol is None:
         tol = default_subdiff_tol(grid)
     hit = np.isfinite(pv) & (resid <= tol)

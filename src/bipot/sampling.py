@@ -15,11 +15,11 @@ from .grids import Grid, SampledFunction
 
 
 def random_convex_1d(grid: Grid, rng: np.random.Generator,
-                     slope_span: float = 3.0, truncate: bool = False) -> SampledFunction:
+                     truncate: bool = False) -> SampledFunction:
     """Piecewise-linear convex sample; optionally with a proper subinterval
     domain (values +inf outside), staying in Gamma_0."""
     n = grid.n[0]
-    slopes = np.sort(rng.uniform(-slope_span, slope_span, n - 1))
+    slopes = np.sort(rng.uniform(-3.0, 3.0, n - 1))
     vals = np.concatenate([[0.0], np.cumsum(slopes * grid.h[0])])
     vals = vals - vals.min() + rng.uniform(-1.0, 1.0)
     if truncate:
@@ -31,13 +31,13 @@ def random_convex_1d(grid: Grid, rng: np.random.Generator,
     return SampledFunction(grid, vals)
 
 
-def random_convex_2d_separable(grid: Grid, rng: np.random.Generator,
-                               slope_span: float = 3.0) -> SampledFunction:
+def random_convex_2d_separable(grid: Grid,
+                               rng: np.random.Generator) -> SampledFunction:
     """phi(x1, x2) = f1(x1) + f2(x2) with random convex 1-D parts."""
     parts = []
     for k in range(2):
         line = Grid.line(grid.lo[k], grid.hi[k], grid.n[k])
-        parts.append(random_convex_1d(line, rng, slope_span).vals)
+        parts.append(random_convex_1d(line, rng).vals)
     return SampledFunction(grid, parts[0][:, None] + parts[1][None, :])
 
 

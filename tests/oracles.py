@@ -80,3 +80,33 @@ def brute_midpoint_convex(vals, tol):
             if m > 0.5 * (arr[i1, j1] + arr[i2, j2]) + tol:
                 return False
     return True
+
+
+def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
+    """Slice-by-slice reference for the attained-minimum sync axiom.
+
+    vals and pair hold c and <x, y> over (x-node, y-node). Scans the
+    y-slices c(., y), then the x-slices c(x, .), in row-major order. A
+    slice whose minimum sits on the box edge with an inward neighbor above
+    it by more than flat_tol (or +inf) escapes the box and is skipped.
+    Returns (tag, node index, minimum) of the first other slice whose
+    minimum exceeds h (1 + |<x, y>|) at its first argmin, or None.
+    """
+    xshape, yshape = vals.shape[:xdim], vals.shape[xdim:]
+    jobs = [("y", iy, vals[(Ellipsis,) + iy], pair[(Ellipsis,) + iy])
+            for iy in np.ndindex(yshape)]
+    jobs += [("x", ix, vals[ix], pair[ix]) for ix in np.ndindex(xshape)]
+    for tag, idx, sl, pv in jobs:
+        if not np.isfinite(sl).any():
+            continue
+        at = np.unravel_index(int(np.argmin(sl)), sl.shape)
+        mn = float(sl[at])
+        escapes = False
+        for ax, n in enumerate(sl.shape):
+            if at[ax] in (0, n - 1):
+                inward = list(at)
+                inward[ax] += 1 if at[ax] == 0 else -1
+                escapes |= not sl[tuple(inward)] <= mn + flat_tol
+        if not escapes and mn > h * (1.0 + abs(float(pv[at]))):
+            return tag, idx[0] if xdim == 1 else idx, mn
+    return None

@@ -13,6 +13,8 @@ from bipot.errors import FormatError, InvalidInputError
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.legendre import conjugate_pair
 
+from oracles import first_high_slice_minimum
+
 
 def fy_equality_graph(phi, grid, tol):
     """Definitional equality set of (phi, phi*), enumerated nodewise."""
@@ -167,6 +169,40 @@ class TestCheckSync:
         vals = np.full((line_grid.n[0],) * 2, -0.25)
         rep = check_sync(SampledBivariate(line_grid, line_grid, vals))
         assert not rep.ok and rep.axiom == "nonnegative"
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_slice_minima_match_loop_reference(self, dim):
+        # separately convex syncs on a band |x1 - y1 - t| <= w, raised by
+        # delta + kappa (x1 - s)^2: some slice minima escape the box at
+        # either end, some are +inf-bounded, and some exceed the tolerance
+        g = Grid.line(-2.0, 2.0, 21) if dim == 1 else Grid.box(-2.0, 2.0, 7)
+        rng = np.random.default_rng(dim)
+        failures = 0
+        for _ in range(40):
+            t, w, s = rng.uniform(-1.5, 1.5), rng.uniform(0.5, 3.0), rng.uniform(-2, 2)
+            delta, kappa = rng.uniform(0.0, 0.4) * dim, rng.uniform(0.0, 1.0)
+
+            def law(x1, y1, rest=0.0):
+                d = x1 - y1 - t
+                return np.where(np.abs(d) <= w, 0.5 * (d * d + rest) + delta
+                                + kappa * (x1 - s) ** 2, np.inf)
+
+            if dim == 1:
+                c = SampledBivariate.from_callable(g, g, law)
+            else:
+                c = SampledBivariate.from_callable(
+                    g, g, lambda x1, x2, y1, y2: law(x1, y1, (x2 - y2) ** 2))
+            want = first_high_slice_minimum(
+                c.vals, c.pairing(), dim, max(g.h),
+                1e-12 * (1.0 + abs(c.finite_max)))
+            rep = check_sync(c)
+            if want is None:
+                assert rep.axiom != "attained-min-zero"
+            else:
+                failures += 1
+                assert (rep.axiom, rep.witness, rep.residual) == \
+                    ("attained-min-zero", want[:2], want[2])
+        assert 0 < failures < 40
 
     def test_psync_equivalence_on_corpus(self, convex_corpus, line_grid):
         for name, phi in convex_corpus.items():

@@ -295,7 +295,7 @@ class TestAdmitsBlurring:
     def test_sync_form_zero_set(self, elast):
         c = elasticity_sync(elast)
         ca = inf_convolve_blur(c, elast.spec)
-        assert check_sync(ca, cross_check=False).ok
+        assert check_sync(ca).ok
         rep = check_admits_blurring(c, elast.spec)
         assert rep.ok
 

@@ -228,6 +228,30 @@ def test_check_implicit_cli(run_cli, tmp_path, quad_csv):
     assert r.returncode == 0, r.stdout + r.stderr
 
 
+def test_check_reports_print_plain_numbers(run_cli, tmp_path):
+    """Node coordinates and witness indices print as Python numbers, so
+    the report bytes do not depend on the numpy version's scalar repr."""
+    line = Grid.line(-2.0, 2.0, 9)
+    box = Grid.box(-2.0, 2.0, 9)
+    SampledFunction.from_callable(line, lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "quad.csv")
+    SampledFunction.from_callable(line, lambda x: -0.5 * x * x).to_csv(
+        tmp_path / "cave.csv")
+    SampledFunction.from_callable(box, lambda a, b: a * a + b * b).to_csv(
+        tmp_path / "bowl.csv")
+    runs = [(["newc", "--phi", "quad.csv", "--eps", "0.5", "--y", "1.0"], 0),
+            (["newc", "--phi", "bowl.csv", "--eps", "0.5", "--y", "1.0,0.5"], 0),
+            (["implicit", "--phi", "cave.csv", "--eps", "0.5", "--y", "-2.0"], 1)]
+    reports = []
+    for k, (args, code) in enumerate(runs):
+        r = run_cli(["check", *args, "--report", f"r{k}.txt"], tmp_path)
+        assert r.returncode == code, r.stdout + r.stderr
+        reports.append((tmp_path / f"r{k}.txt").read_text().splitlines())
+        assert [ln for ln in reports[-1] if "np." in ln] == [], args
+    assert "note.0 = y = (1.0, 0.5)" in reports[1]
+    assert "witness = ((0, (0,)), (0, (2,)), 0.5)" in reports[2]
+
+
 def test_cover_build(run_cli, tmp_path, quad_csv):
     r = run_cli(["cover", "build", "--phi", str(quad_csv), "--eps", "0.5",
                  "--out-dir", "cov"], tmp_path)

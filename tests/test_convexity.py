@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipot.convexity import is_convex, is_set_convex, min_filter, monotone_chain
+from bipot.convexity import (batch_is_convex, is_convex, is_set_convex,
+                             min_filter, monotone_chain)
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
 from bipot.sampling import random_piecewise_linear_1d
@@ -115,6 +116,49 @@ class TestIsConvex2D:
             got = is_convex(f, tol).ok
             want = brute_midpoint_convex(f.vals, tol)
             assert got == want, name
+
+
+class TestBatchIsConvex:
+    @staticmethod
+    def corpus(shape, rng, count=60):
+        """Bowls x^2 + y^2 + c xy (convex on every row and column; for
+        |c| = 4 not on a diagonal of any shape here), noise and +inf holes."""
+        if len(shape) == 1:
+            x = np.linspace(-1.0, 1.0, shape[0])
+            base = [x * x, np.abs(x), -x * x, 0.0 * x]
+        else:
+            a, b = np.meshgrid(np.linspace(-1.0, 1.0, shape[0]),
+                               np.linspace(-1.0, 1.0, shape[1]), indexing="ij")
+            base = [a * a + b * b + c * a * b for c in (-4.0, -1.0, 0.0, 4.0)]
+        out = []
+        for k in range(count):
+            v = base[k % len(base)] + rng.uniform(-1e-6, 1e-6, shape) * (k % 3)
+            if k % 5 == 1:
+                v[rng.random(shape) < 0.2] = np.inf
+            elif k % 5 == 2:
+                v[tuple(slice(1, -1) for _ in shape)] = np.inf
+            elif k % 5 == 3:
+                v[..., :1] = np.inf
+            out.append(v)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("shape", [(3,), (4,), (17,), (3, 3), (3, 7),
+                                       (7, 3), (5, 6), (8, 8)])
+    def test_verdicts_match_is_convex(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        g = Grid((-1.0,) * len(shape), (1.0,) * len(shape), shape)
+        vals = self.corpus(shape, rng)
+        diagonal_only = 0
+        for tol in (0.0, 1e-9):
+            got = batch_is_convex(vals, g, tol)
+            reps = [is_convex(SampledFunction(g, v), tol) for v in vals]
+            assert got.tolist() == [r.ok for r in reps]
+            # the failing slices alone: the scan runs out of open slices
+            assert not batch_is_convex(vals[~got], g, tol).any()
+            diagonal_only += sum("diag" in n for r in reps for n in r.notes)
+        assert 0 < got.sum() < len(vals)
+        if len(shape) == 2:
+            assert diagonal_only > 0
 
 
 class TestIsSetConvex:

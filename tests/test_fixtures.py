@@ -36,7 +36,7 @@ class TestElasticity:
         iy = fix.ygrid.snap([1.0])
         assert c.vals[ix, iy] == pytest.approx(0.0, abs=1e-15)
         assert c.vals[fix.xgrid.snap([0.0]), iy] == pytest.approx(0.5, abs=1e-15)
-        assert check_sync(c, cross_check=False).ok
+        assert check_sync(c).ok
 
     def test_graph_and_sync_admit_the_blurring(self):
         fix = elasticity_fixture(k=1.0, eps=0.5, n=201)
