@@ -15,7 +15,7 @@ from .bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
                            sync_from_bipotential)
 from .blur import (BlurSpec, BlurredLaw, blur_law, blurred_bipotential,
                    blurred_graph, check_admits_blurring, check_newc,
-                   inf_convolve_blur, minkowski_blur)
+                   check_newc_all, inf_convolve_blur, minkowski_blur)
 from .convexity import is_convex, is_set_convex, min_filter
 from .covers import (CoverFamily, build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential,
@@ -37,7 +37,7 @@ __all__ = [
     "blurred_graph", "build_cover", "check_admits_blurring", "check_bbgraph",
     "check_bipotential", "check_cyclically_monotone",
     "check_implicitly_convex", "check_maithm_equivalence", "check_newc",
-    "check_sync", "conjugate", "conjugate_bruteforce", "conjugate_pair",
+    "check_newc_all", "check_sync", "conjugate", "conjugate_bruteforce", "conjugate_pair",
     "default_dual_grid", "graph_of", "graphs_match_within",
     "inf_convolve_blur", "infimum_bipotential", "is_convex", "is_set_convex",
     "member_graph_union", "min_filter", "minkowski_blur", "pairing",

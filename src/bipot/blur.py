@@ -24,11 +24,11 @@ import numpy as np
 
 from .bipotentials import (GraphSet, check_bbgraph, check_sync,
                            default_graph_tol, graphs_match_within)
-from .convexity import is_set_convex
+from .convexity import _faults, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
-from .legendre import conjugate, default_subdiff_tol, subdiff_mask
+from .legendre import conjugate, default_subdiff_tol, fenchel_young_mask
 from .report import CheckReport, failing, passing
 from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
                       ball_offsets, radius_nodes, require_resolvable)
@@ -227,33 +227,50 @@ def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
 # --- checkers ---------------------------------------------------------------
 
 
+# float64 residuals per block of the Fenchel-Young mask, so the working set
+# stays small however many x-nodes and ball offsets there are. Temporaries
+# of 128 KiB stay under glibc malloc's default mmap threshold and reuse heap
+# memory; on a 2-core x86 VM, 4x larger blocks made check_newc on the 81x81
+# cone about 1.7x slower.
+_BLOCK_ELEMS = 1 << 14
+
+
+def _fy_blocks(phi: SampledFunction, star: SampledFunction, ycols, tol):
+    """(start, mask) blocks of ``fenchel_young_mask`` over the y-nodes ycols,
+    a few columns at a time."""
+    if tol is None:
+        tol = default_subdiff_tol(phi.grid)
+    step = max(1, _BLOCK_ELEMS // phi.grid.size)
+    for s in range(0, len(ycols), step):
+        yield s, fenchel_young_mask(phi, star, ycols[s:s + step], tol)
+
+
 def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
                ygrid: Grid | None = None) -> CheckReport:
     """Convexity of U(y) = union of subdifferentials of phi* over the
     eps-ball of y-nodes around at_y.
 
-    Each subdifferential uses the per-candidate Fenchel-Young tolerance
-    (default ``default_subdiff_tol``), so U(y) is also the (x, at_y)
-    section of M + A at that tolerance.
+    Each subdifferential is a column of ``fenchel_young_mask``, with the
+    per-candidate tolerance (default ``default_subdiff_tol``); only the
+    ball's in-box y-nodes are evaluated, so U(y) is the (x, at_y) section
+    of M + A at that tolerance, and one verdict of ``check_newc_all``.
+    The witness is ``is_set_convex``'s.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
 
     center = ygrid.coords(at_y)
     at_t = (at_y,) if ygrid.dim == 1 else tuple(at_y)
-    if tol is None:
-        tol = default_subdiff_tol(phi.grid)
-    union = np.zeros(phi.grid.shape, dtype=bool)
-    clipped = False
-    for off in ball_offsets(ygrid, eps):
-        off_t = (off,) if ygrid.dim == 1 else off
-        idx = tuple(at_t[k] + off_t[k] for k in range(ygrid.dim))
-        if any(i < 0 or i >= ygrid.n[k] for k, i in enumerate(idx)):
-            clipped = True
-            continue
-        union |= subdiff_mask(phi, star, idx[0] if ygrid.dim == 1 else idx, tol)
+    offs = np.array(ball_offsets(ygrid, eps)).reshape(-1, ygrid.dim)
+    idx = offs + np.array(at_t)
+    inbox = ((idx >= 0) & (idx < np.array(ygrid.n))).all(axis=1)
+    cols = np.ravel_multi_index(tuple(idx[inbox].T), ygrid.shape)
+    union = np.zeros(phi.grid.size, dtype=bool)
+    for _, block in _fy_blocks(phi, star, cols, tol):
+        union |= block.any(axis=1)
+    union = union.reshape(phi.grid.shape)
     notes = [f"y = {(center,) if ygrid.dim == 1 else center}", f"eps = {eps}"]
-    if clipped:
+    if not inbox.all():
         notes.append("ball clipped at the y-box boundary")
     if not union.any():
         return passing("newc", "U(y) is empty", *notes)
@@ -261,6 +278,33 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     if rep.ok:
         return passing("newc", *notes, *rep.notes)
     return failing("newc", rep.witness, rep.residual, *notes, *rep.notes)
+
+
+def check_newc_all(phi: SampledFunction, eps: float, tol=None,
+                   ygrid: Grid | None = None) -> np.ndarray:
+    """``check_newc``'s verdict at every y-node, as a boolean array over
+    ``ygrid.shape`` (True where U(y) is convex or empty).
+
+    One conjugate gives the Fenchel-Young mask E over the whole (x, y)
+    product, and one ball dilation of E in y gives every U(y) as a
+    column. 1-D columns are convex iff their members are contiguous,
+    which one batched line scan decides; 2-D columns go through
+    ``is_set_convex`` one by one.
+    """
+    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
+    ygrid = star.grid
+    E = np.empty((phi.grid.size, ygrid.size), dtype=bool)
+    for s, block in _fy_blocks(phi, star, np.arange(ygrid.size), tol):
+        E[:, s:s + block.shape[1]] = block
+    U = ball_dilate(E.reshape(phi.grid.shape + ygrid.shape), ygrid, eps)
+    U = U.reshape(phi.grid.size, ygrid.size).T
+    if phi.grid.dim == 1:
+        lines = np.where(U, 0.0, np.inf)[:, None, :]
+        return ~_faults(lines, 0.0)[:, 0]
+    ok = np.ones(ygrid.size, dtype=bool)
+    for j in np.flatnonzero(U.any(axis=1)):
+        ok[j] = is_set_convex(U[j].reshape(phi.grid.shape), phi.grid).ok
+    return ok.reshape(ygrid.shape)
 
 
 def minkowski_blur(M: GraphSet, spec: BlurSpec):

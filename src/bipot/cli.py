@@ -23,7 +23,7 @@ from . import __version__
 from .bipotentials import (GraphSet, check_bbgraph, check_bipotential,
                            check_cyclically_monotone, check_sync)
 from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
-                   inf_convolve_blur)
+                   check_newc_all, inf_convolve_blur)
 from .convexity import is_convex
 from .covers import (build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential)
@@ -365,10 +365,8 @@ def _cmd_explore(cfg: RunConfig) -> int:
     failures = []
     for s in range(a.samples):
         phi = random_convex_1d(g, rng, truncate=bool(s % 2))
-        for iy in range(g.n[0]):
-            rep = check_newc(phi, a.eps, iy, ygrid=g)
-            if not rep.ok:
-                failures.append((s, iy, rep.axiom))
+        ok = check_newc_all(phi, a.eps, ygrid=g)
+        failures.extend((s, int(iy), "newc") for iy in np.flatnonzero(~ok))
     cfg.add("samples", a.samples)
     cfg.add("grid", a.grid)
     cfg.add("eps", a.eps)

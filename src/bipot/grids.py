@@ -132,19 +132,30 @@ class Grid:
         return f"Grid({parts})"
 
 
-def pairing(xgrid: Grid, ygrid: Grid) -> np.ndarray:
+def pairing(xgrid: Grid, ygrid: Grid, ycols=None) -> np.ndarray:
     """Duality products <x, y> for all node pairs.
 
     Shape is ``xgrid.shape + ygrid.shape``. 1-D: x*y; 2-D: x1*y1 + x2*y2,
-    evaluated as ``fl(fl(x1*y1) + fl(x2*y2))``.
+    evaluated as ``fl(fl(x1*y1) + fl(x2*y2))``. With ``ycols``, an array
+    of flat y-node indices, only those y-nodes are paired and the shape is
+    ``(xgrid.size, len(ycols))``; the values are bit-identical.
     """
     if xgrid.dim != ygrid.dim:
         raise InvalidInputError("x-grid and y-grid must have the same dimension")
-    if xgrid.dim == 1:
-        return np.multiply.outer(xgrid.axis(0), ygrid.axis(0))
-    x1, x2 = xgrid.meshgrid()
-    y1, y2 = ygrid.meshgrid()
-    return (np.multiply.outer(x1, y1) + np.multiply.outer(x2, y2))
+    if ycols is None:
+        out = _pair_points(xgrid.points, ygrid.points)
+        return out.reshape(xgrid.shape + ygrid.shape)
+    # y-major, so the long x-axis is the inner loop; fl(y*x) == fl(x*y)
+    return _pair_points(ygrid.points[ycols], xgrid.points).T
+
+
+def _pair_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_j> for (size, dim) point arrays, summed over k in order."""
+    bt = np.ascontiguousarray(b.T)   # the inner loop runs over b
+    out = np.multiply.outer(a[:, 0], bt[0])
+    if a.shape[1] == 2:
+        out += np.multiply.outer(a[:, 1], bt[1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -404,7 +415,7 @@ def _read_grid_csv(path, n_coord_groups: int):
 
     def make_grid(axs):
         lo = tuple(a[0] for a in axs)
-        hi = tuple(a[-1] for a in axs)
+        hi = tuple(_node_hi(a) for a in axs)
         n = tuple(len(a) for a in axs)
         return Grid(lo, hi, n)
 
@@ -414,3 +425,24 @@ def _read_grid_csv(path, n_coord_groups: int):
         half = ncoord // 2
         grids = (make_grid(axes[:half]), make_grid(axes[half:]))
     return grids, values.reshape(shape)
+
+
+def _node_hi(nodes: np.ndarray) -> float:
+    """An upper bound whose ``Grid.axis`` gives back NODES bit for bit.
+
+    The last node is lo + (n-1)h rounded, which can differ from the hi the
+    nodes were made from, and then h and the inner nodes come out shifted
+    by an ulp. So the last node and the 8 floats on either side of it are
+    tried in order of distance; if none fits, the last node is kept.
+    """
+    last = nodes[-1]
+    up = down = last
+    tries = [last]
+    for _ in range(8):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        tries += [up, down]
+    for hi in tries:
+        if hi > nodes[0] and np.array_equal(
+                Grid.line(nodes[0], hi, len(nodes)).axis(0), nodes):
+            return float(hi)
+    return float(last)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError
-from .grids import Grid, SampledFunction
+from .grids import Grid, SampledFunction, pairing
 from .extreal import INF
 
 DEFAULT_CAP = 1e12
@@ -182,22 +182,39 @@ def default_subdiff_tol(grid: Grid) -> np.ndarray:
     return max(grid.h) * (1.0 + np.linalg.norm(grid.points, axis=1))
 
 
+def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
+                       tol=None) -> np.ndarray:
+    """Boolean mask of the discrete Fenchel-Young equality set
+    { (x, y) : phi(x) + phistar(y) - <x, y> <= tol(x), both finite } over
+    every x-node and the y-nodes with flat indices ``ycols``.
+
+    The shape is ``(phi.grid.size, len(ycols))``; column k is the discrete
+    subdifferential of phistar at y-node ``ycols[k]``. tol is a scalar or
+    a flat array over the x-nodes (default ``default_subdiff_tol``), and
+    <x, y> is ``grids.pairing``'s.
+    """
+    grid = phi.grid
+    ycols = np.asarray(ycols, dtype=np.intp)
+    pv = phi.vals.reshape(-1)
+    ps = phistar.vals.reshape(-1)[ycols, None]
+    if tol is None:
+        tol = default_subdiff_tol(grid)
+    # both values finite: a +inf residual never passes a tolerance capped
+    # at the largest float, and no residual passes -inf
+    tol = np.where(np.isfinite(pv),
+                   np.minimum(tol, np.finfo(np.float64).max), -np.inf)
+    # built y-major, so the long x-axis is the inner loop
+    resid = ps + pv
+    resid -= pairing(grid, phistar.grid, ycols).T
+    return (resid <= tol).T
+
+
 def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
                  tol=None) -> np.ndarray:
     """Boolean x-grid mask of the discrete subdifferential of phistar at
     a y-node: { x : phi(x) + phistar(y) - <x, y> <= tol }."""
-    grid = phi.grid
-    ps = phistar.vals[at_y] if grid.dim == 1 else phistar.vals[at_y[0], at_y[1]]
-    if not np.isfinite(ps):
-        return np.zeros(grid.shape, dtype=bool)
-    ypt = np.atleast_1d(np.asarray(phistar.grid.coords(at_y)))
-    pv = phi.vals.reshape(-1)
-    with np.errstate(invalid="ignore"):
-        resid = pv + ps - grid.points @ ypt
-    if tol is None:
-        tol = default_subdiff_tol(grid)
-    hit = np.isfinite(pv) & (resid <= tol)
-    return hit.reshape(grid.shape)
+    col = np.ravel_multi_index(tuple(np.atleast_1d(at_y)), phistar.grid.shape)
+    return fenchel_young_mask(phi, phistar, [col], tol).reshape(phi.grid.shape)
 
 
 def subdiff_points(pair: ConjugatePair, at_y, tol: float | None = None):

@@ -5,13 +5,13 @@ from bipot.bipotentials import (GraphSet, check_bbgraph, check_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable)
 from bipot.blur import (BlurSpec, blur_law, blurred_bipotential, blurred_graph,
-                        check_admits_blurring, check_newc, inf_convolve_blur,
-                        minkowski_blur)
+                        check_admits_blurring, check_newc, check_newc_all,
+                        inf_convolve_blur, minkowski_blur)
 from bipot.convexity import is_set_convex
 from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
-from bipot.grids import Grid, SampledBivariate, SampledFunction
+from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 from bipot.legendre import conjugate, default_subdiff_tol
 from bipot.sampling import random_convex_1d, random_piecewise_linear_1d
 from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
@@ -209,29 +209,69 @@ class TestCheckNewc:
 
     def test_union_matches_blurred_section(self):
         # U(y) is the y-column of {ball min-filter of the Fenchel-Young
-        # residual <= tol}, built here without check_newc's offset loop
-        g = Grid.line(-2.0, 2.0, 61)
-        eps = 0.5
+        # residual <= tol}: an oracle apart from check_newc's own route
+        for dim in (1, 2):
+            self._union_matches_blurred_section(dim)
+
+    def _union_matches_blurred_section(self, dim):
         failures = 0
-        for seed, truncated in [(0, False), (1, False), (7, True)]:
-            rng = np.random.default_rng(seed)
-            phi = (random_convex_1d(g, rng, truncate=True) if truncated
-                   else random_piecewise_linear_1d(g, rng, convex=False))
-            star = conjugate(phi, g)
-            resid = (phi.vals[:, None] + star.vals[None, :]
-                     - np.multiply.outer(g.axis(0), g.axis(0)))
-            section = (ball_min_filter(resid, g, eps)
-                       <= default_subdiff_tol(g)[:, None])
-            for iy in range(g.n[0]):
-                rep = check_newc(phi, eps, iy, ygrid=g)
-                if not section[:, iy].any():
+        for phi, eps, ygrid in _newc_corpus(dim):
+            star = conjugate(phi, ygrid)
+            g = phi.grid
+            resid = (phi.vals.reshape(g.shape + (1,) * g.dim) + star.vals
+                     - pairing(g, ygrid))
+            tol = default_subdiff_tol(g).reshape(g.shape + (1,) * g.dim)
+            section = ball_min_filter(resid, ygrid, eps) <= tol
+            for iy in ygrid.node_indices():
+                rep = check_newc(phi, eps, iy, ygrid=ygrid)
+                col = section[(Ellipsis,) + ((iy,) if g.dim == 1 else iy)]
+                if not col.any():
                     assert rep.ok and "U(y) is empty" in rep.notes
                     continue
-                want = is_set_convex(section[:, iy], g)
-                assert (rep.ok, rep.witness) == (want.ok, want.witness), \
-                    (seed, iy)
+                want = is_set_convex(col, g)
+                assert (rep.ok, rep.witness) == (want.ok, want.witness), iy
                 failures += not rep.ok
         assert failures > 0
+
+
+def _newc_corpus(dim):
+    """(phi, eps, ygrid) cases with newc failures: non-convex and truncated
+    1-D laws, one at an off-node eps; the cone law on a 17x17 grid."""
+    if dim == 2:
+        from bipot.fixtures import cone_fixture, cone_fixture_params
+        fix = cone_fixture_params(n=17)
+        return [(cone_fixture(fix).phi, fix.eps, fix.ygrid)]
+    g = Grid.line(-2.0, 2.0, 61)
+    cases = []
+    for seed, truncated, eps in [(0, False, 0.5), (1, False, 0.5),
+                                 (7, True, 0.5), (1, False, 0.25),
+                                 (3, True, 0.3)]:
+        rng = np.random.default_rng(seed)
+        phi = (random_convex_1d(g, rng, truncate=True) if truncated
+               else random_piecewise_linear_1d(g, rng, convex=False))
+        cases.append((phi, eps, g))
+    return cases
+
+
+class TestCheckNewcAll:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_check_newc_at_every_y(self, dim):
+        failures = 0
+        for phi, eps, ygrid in _newc_corpus(dim):
+            got = check_newc_all(phi, eps, ygrid=ygrid)
+            assert got.shape == ygrid.shape
+            want = [check_newc(phi, eps, iy, ygrid=ygrid).ok
+                    for iy in ygrid.node_indices()]
+            assert got.reshape(-1).tolist() == want
+            failures += want.count(False)
+        assert failures > 0
+
+    def test_default_ygrid_and_scalar_tol(self):
+        g = Grid.line(-2.0, 2.0, 41)
+        phi = random_piecewise_linear_1d(g, np.random.default_rng(4), False)
+        got = check_newc_all(phi, 0.3, tol=0.05)
+        want = [check_newc(phi, 0.3, iy, tol=0.05).ok for iy in range(41)]
+        assert got.tolist() == want and not all(want)
 
 
 class TestAdmitsBlurring:

@@ -6,8 +6,10 @@ import pytest
 
 import bipot
 from bipot import cli
+from bipot.blur import check_newc
 from bipot.cli import main, report_schema_version
 from bipot.grids import Grid, SampledBivariate, SampledFunction
+from bipot.sampling import random_piecewise_linear_1d
 
 
 @pytest.fixture()
@@ -265,6 +267,32 @@ def test_explore_darboux_runs(run_cli, tmp_path):
                  "--seed", "5", "--report", "d.txt"], tmp_path)
     assert r.returncode == 0, r.stderr
     assert "violations = 0" in (tmp_path / "d.txt").read_text()
+
+
+def test_explore_darboux_lists_failures(tmp_path, monkeypatch):
+    # random_convex_1d never fails newc, so a non-convex sampler stands in
+    def sampler(grid, rng, truncate=False):
+        return random_piecewise_linear_1d(grid, rng, convex=False)
+    monkeypatch.setattr(cli, "random_convex_1d", sampler)
+    report = tmp_path / "d.txt"
+    assert main(["explore", "darboux", "--samples", "4", "--grid", "41",
+                 "--seed", "5", "--eps", "0.3", "--report", str(report)]) == 0
+
+    # the reference: one check_newc call per (sample, y-node), in order
+    rng = np.random.default_rng(5)
+    g = Grid.line(-2.0, 2.0, 41)
+    want = []
+    for s in range(4):
+        phi = sampler(g, rng, truncate=bool(s % 2))
+        for iy in range(41):
+            rep = check_newc(phi, 0.3, iy, ygrid=g)
+            if not rep.ok:
+                want.append(f"violation = sample={s} y_node={iy} "
+                            f"axiom={rep.axiom}")
+    assert len(want) > 20
+    lines = report.read_text().splitlines()
+    assert f"violations = {len(want)}" in lines
+    assert [ln for ln in lines if ln.startswith("violation =")] == want[:20]
 
 
 def test_report_determinism(run_cli, tmp_path, quad_csv):
