@@ -7,6 +7,10 @@ b_A = c_A + <x, y>, and the blurred graph is M + A. Two shapes of A are
 supported: {0} x (ball of radius eps in Y), realized as a min-filter in y,
 and the product ball ||(x, y)||_p <= eps, realized by an offset sweep.
 
+For the y-ball, M + A is the eps-ball dilation in y of the Fenchel-Young
+set {phi(x) + phi*(y) - <x, y> <= tol}, ``_blurred_mask``, on every graph
+route but ``blur_law``'s, which thresholds its c_A: the same set.
+
 For the y-ball, b_A also has the direct form
 b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>], which this
 module evaluates through the same min-filter after the substitution
@@ -28,7 +32,8 @@ from .convexity import _faults, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
-from .legendre import conjugate, default_subdiff_tol, fenchel_young_mask
+from .legendre import (conjugate, default_subdiff_tol, fenchel_young_mask,
+                       x_tol)
 from .report import CheckReport, failing, passing
 from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
                       ball_offsets, radius_nodes, require_resolvable)
@@ -147,15 +152,14 @@ def _blurred_bipotential(phi: SampledFunction, star: SampledFunction,
 
 
 def _graph_within(cA: SampledBivariate, tol) -> GraphSet:
-    """{c_A <= tol}; tol is a scalar or an array over the x-grid."""
+    """{c_A <= tol}, tol as in ``legendre.x_tol``; a pair with c_A = +inf
+    is never in it."""
     if tol is None:
         tol = default_graph_tol(cA.xgrid, cA.ygrid)
-    tol_arr = np.asarray(tol, dtype=np.float64)
-    if tol_arr.ndim > 0:
-        if tol_arr.shape != cA.xgrid.shape:
-            raise InvalidInputError("array tol must match the x-grid shape")
-        tol_arr = tol_arr.reshape(cA.xgrid.shape + (1,) * cA.ygrid.dim)
-    return GraphSet(cA.xgrid, cA.ygrid, cA.vals <= tol_arr)
+    tol = x_tol(tol, cA.xgrid)
+    if tol.ndim > 0:
+        tol = tol.reshape(cA.xgrid.shape + (1,) * cA.ygrid.dim)
+    return GraphSet(cA.xgrid, cA.ygrid, cA.vals <= tol)
 
 
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
@@ -179,8 +183,10 @@ def blurred_graph(phi: SampledFunction, spec: BlurSpec, tol=None,
     tolerances); default is the equality-set threshold h^2/2.
     """
     star = _yball_conjugate(phi, spec, ygrid, "blurred_graph")
-    return _graph_within(inf_convolve_blur(_separable_sync(phi, star), spec),
-                         tol)
+    if tol is None:
+        tol = default_graph_tol(phi.grid, star.grid)
+    return GraphSet(phi.grid, star.grid,
+                    _blurred_mask(phi, star, spec.eps, tol))
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,17 @@ def _fy_blocks(phi: SampledFunction, star: SampledFunction, ycols, tol):
         yield s, fenchel_young_mask(phi, star, ycols[s:s + step], tol)
 
 
+def _blurred_mask(phi: SampledFunction, star: SampledFunction, eps: float,
+                  tol) -> np.ndarray:
+    """M + A over the (x, y) product: the eps-ball dilation in y of the
+    Fenchel-Young mask at tol (see ``_fy_blocks``)."""
+    E = np.empty((phi.grid.size, star.grid.size), dtype=bool)
+    for s, block in _fy_blocks(phi, star, np.arange(star.grid.size), tol):
+        E[:, s:s + block.shape[1]] = block
+    return ball_dilate(E.reshape(phi.grid.shape + star.grid.shape),
+                       star.grid, eps)
+
+
 def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
                ygrid: Grid | None = None) -> CheckReport:
     """Convexity of U(y) = union of subdifferentials of phi* over the
@@ -285,19 +302,14 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
     """``check_newc``'s verdict at every y-node, as a boolean array over
     ``ygrid.shape`` (True where U(y) is convex or empty).
 
-    One conjugate gives the Fenchel-Young mask E over the whole (x, y)
-    product, and one ball dilation of E in y gives every U(y) as a
-    column. 1-D columns are convex iff their members are contiguous,
-    which one batched line scan decides; 2-D columns go through
-    ``is_set_convex`` one by one.
+    One conjugate gives M + A at the subdifferential tolerance
+    (``_blurred_mask``), whose y-sections are every U(y). 1-D sections
+    are convex iff their members are contiguous, which one batched line
+    scan decides; 2-D sections go through ``is_set_convex`` one by one.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
     ygrid = star.grid
-    E = np.empty((phi.grid.size, ygrid.size), dtype=bool)
-    for s, block in _fy_blocks(phi, star, np.arange(ygrid.size), tol):
-        E[:, s:s + block.shape[1]] = block
-    U = ball_dilate(E.reshape(phi.grid.shape + ygrid.shape), ygrid, eps)
-    U = U.reshape(phi.grid.size, ygrid.size).T
+    U = _blurred_mask(phi, star, eps, tol).reshape(phi.grid.size, ygrid.size).T
     if phi.grid.dim == 1:
         lines = np.where(U, 0.0, np.inf)[:, None, :]
         return ~_faults(lines, 0.0)[:, 0]
@@ -309,9 +321,8 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
 
 def minkowski_blur(M: GraphSet, spec: BlurSpec):
     """(M + A, clipped): the nodewise Minkowski sum, and whether any
-    member's ball was truncated by the box boundary."""
-    if M.is_empty:
-        raise InvalidInputError("minkowski_blur needs a nonempty graph")
+    member's ball was truncated by the box boundary. The empty set is its
+    own sum, never clipped."""
     spec.require_resolvable(M.xgrid, M.ygrid)
     if spec.kind == Y_BALL:
         out = ball_dilate(M.mask, M.ygrid, spec.eps)

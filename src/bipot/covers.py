@@ -24,17 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipotentials import (_unflatten, _yslice_stack, default_graph_tol,
-                           graph_of, graphs_match_within)
-from .blur import (BlurSpec, Y_BALL, _blurred_bipotential, _graph_within,
-                   _separable_sync, _yball_conjugate, inf_convolve_blur)
+from .bipotentials import (GraphSet, _unflatten, _yslice_stack,
+                           default_graph_tol, graph_of, graphs_match_within)
+from .blur import (BlurSpec, Y_BALL, _blurred_bipotential, _blurred_mask,
+                   _yball_conjugate)
 from .convexity import batch_is_convex
 from .errors import InvalidInputError, ResolutionError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _overlap, ball_dilate, ball_offsets, radius_nodes
+from .windows import _overlap, ball_offsets, radius_nodes
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -95,20 +95,10 @@ class CoverFamily:
 
     def values_at(self, y_idx) -> np.ndarray:
         """f(a, x) = b_a(x, y) at the y-node y_idx, stacked over the
-        offsets: each row is member(a).vals at that node, +inf where
-        y - a leaves the box."""
-        at = np.atleast_1d(y_idx)
-        rows = []
-        for off in self.offsets:
-            src = at - np.atleast_1d(off)
-            inside = bool(((src >= 0) & (src < self.ygrid.n)).all())
-            rows.append(self._lead(off)
-                        + (self.phistar.vals[tuple(src)] if inside else INF))
-        return np.stack(rows)
-
-    def members(self):
-        for off in self.offsets:
-            yield off, self.member(off)
+        offsets: each row is member(a).vals at that node."""
+        y = tuple(np.atleast_1d(y_idx))
+        return np.stack([self._lead(off) + self._shifted_star(off)[y]
+                         for off in self.offsets])
 
 
 def build_cover(phi: SampledFunction, eps: float,
@@ -132,8 +122,9 @@ def infimum_bipotential(family: CoverFamily) -> SampledBivariate:
     fixtures. The blur module computes the same surface in one filter pass.
     """
     out = None
-    for _, member in family.members():
-        out = member.vals.copy() if out is None else np.minimum(out, member.vals)
+    for off in family.offsets:
+        vals = family.member(off).vals
+        out = vals.copy() if out is None else np.minimum(out, vals)
     return SampledBivariate(family.xgrid, family.ygrid, out)
 
 
@@ -146,40 +137,21 @@ def reparameterize(family: CoverFamily, perm) -> CoverFamily:
                        tuple(family.offsets[i] for i in order))
 
 
-def member_graph_union(family: CoverFamily, tol: float | None = None,
-                       explicit_budget: int = 300_000_000):
+def member_graph_union(family: CoverFamily, tol: float | None = None):
     """Union over members of their graphs {b_a = <x, y>} (within tol).
 
-    Explicit member-by-member thresholding up to ``explicit_budget``
-    value evaluations; larger families use the exact shift identity
-    b_a - <x, y> = c(x, y - a), i.e. the union is the y-ball dilation of
-    the unblurred equality set, which needs the offsets of a ball (as
-    ``build_cover`` makes them). Returns (GraphSet, mode string).
+    By the shift identity b_a(x, y) - <x, y> = c(x, y - a), the union is
+    the y-ball dilation of the unblurred Fenchel-Young set, i.e. M + A
+    (``blur._blurred_mask``); this needs the offsets of a ball, as
+    ``build_cover`` makes them. Returns (GraphSet, "shifted-masks").
     """
-    from .bipotentials import GraphSet
-
     if tol is None:
         tol = default_graph_tol(family.xgrid, family.ygrid)
-    cube = family.xgrid.size * family.ygrid.size
-    if len(family.offsets) * cube <= explicit_budget:
-        union = None
-        P = None
-        for _, member in family.members():
-            if P is None:
-                P = member.pairing()
-            with np.errstate(invalid="ignore"):
-                m = (member.vals - P) <= tol
-            union = m if union is None else (union | m)
-        return GraphSet(family.xgrid, family.ygrid, union), "explicit"
-    zero = 0 if family.ygrid.dim == 1 else (0, 0)
-    base = family.member(zero)
-    with np.errstate(invalid="ignore"):
-        mask = (base.vals - base.pairing()) <= tol
     radius = max(float(np.linalg.norm(family.offset_coords(off)))
                  for off in family.offsets)
     if sorted(ball_offsets(family.ygrid, radius)) != sorted(family.offsets):
         raise InvalidInputError("the shift identity needs a ball of offsets")
-    union = ball_dilate(mask, family.ygrid, radius)
+    union = _blurred_mask(family.phi, family.phistar, radius, tol)
     return GraphSet(family.xgrid, family.ygrid, union), "shifted-masks"
 
 
@@ -363,9 +335,9 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     verdicts coincide; witness is the first y-node where the per-slice
     verdicts disagree.
     """
-    spec = BlurSpec(eps, Y_BALL)
-    star = _yball_conjugate(phi, spec, ygrid, "check_maithm_equivalence")
-    bA = _blurred_bipotential(phi, star, spec.eps)
+    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
+                            "check_maithm_equivalence")
+    bA = _blurred_bipotential(phi, star, eps)
     ygrid = bA.ygrid
     xgrid = bA.xgrid
     stol = 1e-9 * (1.0 + abs(bA.finite_max)) if tol is None else tol
@@ -375,8 +347,7 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     gtol = default_graph_tol(xgrid, ygrid)
     graph_eq = graphs_match_within(
         graph_of(bA, gtol),
-        _graph_within(inf_convolve_blur(_separable_sync(phi, star), spec), gtol),
-        1)
+        GraphSet(xgrid, ygrid, _blurred_mask(phi, star, eps, gtol)), 1)
 
     rng = np.random.default_rng(seed)
     mand = _mandatory_pairs(xgrid.shape)

@@ -391,15 +391,16 @@ def _read_grid_csv(path, n_coord_groups: int):
 
     coords = [data[:, k] for k in range(ncoord)]
     values = data[:, -1]
-    axes = []
+    axes, his = [], []
     for k in range(ncoord):
         uniq = np.unique(coords[k])
         if len(uniq) < 3:
             raise FormatError(f"column {k}: fewer than 3 distinct coordinates")
-        steps = np.diff(uniq)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12 * abs(steps[0])):
+        hi = _node_hi(uniq)
+        if not _on_axis(uniq, hi):
             raise FormatError(f"column {k}: coordinates are not uniformly spaced")
         axes.append(uniq)
+        his.append(hi)
     shape = tuple(len(a) for a in axes)
     if int(np.prod(shape)) != len(values):
         raise FormatError(
@@ -413,18 +414,23 @@ def _read_grid_csv(path, n_coord_groups: int):
         if not np.array_equal(coords[k], expected):
             raise FormatError(f"column {k}: rows are not in row-major node order")
 
-    def make_grid(axs):
-        lo = tuple(a[0] for a in axs)
-        hi = tuple(_node_hi(a) for a in axs)
-        n = tuple(len(a) for a in axs)
-        return Grid(lo, hi, n)
+    def make_grid(ks):
+        return Grid(tuple(axes[k][0] for k in ks), tuple(his[k] for k in ks),
+                    tuple(len(axes[k]) for k in ks))
 
-    if n_coord_groups == 1:
-        grids = (make_grid(axes),)
-    else:
-        half = ncoord // 2
-        grids = (make_grid(axes[:half]), make_grid(axes[half:]))
+    half = ncoord // n_coord_groups
+    grids = tuple(make_grid(range(s, s + half)) for s in range(0, ncoord, half))
     return grids, values.reshape(shape)
+
+
+def _on_axis(nodes: np.ndarray, hi: float) -> bool:
+    """Do NODES lie on the ``Grid.axis`` from their first node to HI, within
+    2e-9 of the span (so every axis whose steps agree to 1e-9 relative)
+    plus 8 ulps of the largest node (the rounding of ``lo + i*h``)?"""
+    axis = Grid.line(nodes[0], hi, len(nodes)).axis(0)
+    tol = (2e-9 * (nodes[-1] - nodes[0])
+           + 8 * np.spacing(np.abs(nodes[[0, -1]]).max()))
+    return bool((np.abs(nodes - axis) <= tol).all())
 
 
 def _node_hi(nodes: np.ndarray) -> float:

@@ -182,6 +182,18 @@ def default_subdiff_tol(grid: Grid) -> np.ndarray:
     return max(grid.h) * (1.0 + np.linalg.norm(grid.points, axis=1))
 
 
+def x_tol(tol, grid: Grid) -> np.ndarray:
+    """tol as float64: a scalar, or an array over the x-grid (its shape or
+    flat) made flat; capped at the largest float, so a residual of +inf
+    never passes, not even tol = +inf."""
+    t = np.asarray(tol, dtype=np.float64)
+    if t.ndim > 0:
+        if t.shape not in (grid.shape, (grid.size,)):
+            raise InvalidInputError("array tol must match the x-grid shape")
+        t = t.reshape(-1)
+    return np.minimum(t, np.finfo(np.float64).max)
+
+
 def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
                        tol=None) -> np.ndarray:
     """Boolean mask of the discrete Fenchel-Young equality set
@@ -189,20 +201,16 @@ def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
     every x-node and the y-nodes with flat indices ``ycols``.
 
     The shape is ``(phi.grid.size, len(ycols))``; column k is the discrete
-    subdifferential of phistar at y-node ``ycols[k]``. tol is a scalar or
-    a flat array over the x-nodes (default ``default_subdiff_tol``), and
-    <x, y> is ``grids.pairing``'s.
+    subdifferential of phistar at y-node ``ycols[k]``. tol is as in
+    ``x_tol`` (default ``default_subdiff_tol``), and <x, y> is
+    ``grids.pairing``'s.
     """
     grid = phi.grid
     ycols = np.asarray(ycols, dtype=np.intp)
     pv = phi.vals.reshape(-1)
     ps = phistar.vals.reshape(-1)[ycols, None]
-    if tol is None:
-        tol = default_subdiff_tol(grid)
-    # both values finite: a +inf residual never passes a tolerance capped
-    # at the largest float, and no residual passes -inf
-    tol = np.where(np.isfinite(pv),
-                   np.minimum(tol, np.finfo(np.float64).max), -np.inf)
+    # an infinite value makes the residual +inf, which x_tol never admits
+    tol = x_tol(default_subdiff_tol(grid) if tol is None else tol, grid)
     # built y-major, so the long x-axis is the inner loop
     resid = ps + pv
     resid -= pairing(grid, phistar.grid, ycols).T

@@ -110,3 +110,35 @@ def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
         if not escapes and mn > h * (1.0 + abs(float(pv[at]))):
             return tag, idx[0] if xdim == 1 else idx, mn
     return None
+
+
+def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
+    """Member-by-member union of a cover's graphs {b_a - <x, y> <= tol}.
+
+    b_a(x, y) = phi(x) + phi*(y - a) + <x, a>, +inf where y - a leaves the
+    y-box, for each node offset a (offset * h per axis). Returns the union
+    as a boolean mask over (x-node, y-node).
+    """
+    dim = ygrid.dim
+    xs = [g.ravel() for g in np.meshgrid(*xgrid.axes, indexing="ij")]
+    ys = [g.ravel() for g in np.meshgrid(*ygrid.axes, indexing="ij")]
+    yidx = np.indices(ygrid.shape).reshape(dim, -1)
+    phi = phi_vals.reshape(-1)
+    star = phistar_vals.reshape(-1)
+    pair = np.multiply.outer(xs[0], ys[0])
+    if dim == 2:
+        pair += np.multiply.outer(xs[1], ys[1])
+    union = np.zeros(pair.shape, dtype=bool)
+    for off in offsets:
+        off = np.atleast_1d(off)
+        xa = xs[0] * (off[0] * ygrid.h[0])
+        if dim == 2:
+            xa = xa + xs[1] * (off[1] * ygrid.h[1])
+        src = yidx - off[:, None]
+        inside = ((src >= 0) & (src < np.array(ygrid.shape)[:, None])).all(axis=0)
+        shifted = np.full(star.shape, np.inf)
+        shifted[inside] = star[np.ravel_multi_index(tuple(src[:, inside]),
+                                                    ygrid.shape)]
+        b = (phi + xa)[:, None] + shifted[None, :]
+        union |= b - pair <= tol
+    return union.reshape(xgrid.shape + ygrid.shape)

@@ -149,17 +149,25 @@ class TestBlurredGraph:
         assert graphs_match_within(g1, g2, 1)
 
     @pytest.mark.parametrize("dim, n", [(1, 101), (2, 21)])
-    @pytest.mark.parametrize("array_tol", [False, True])
+    @pytest.mark.parametrize("array_tol", [False, True, "inf"])
     def test_blur_law_equals_public_routes(self, dim, n, array_tol):
         fix = elasticity_fixture(k=1.0, eps=0.5, n=n, dim=dim)
         phi = elasticity_phi(fix)
         tol = default_graph_tol(fix.xgrid, fix.ygrid)
-        if array_tol:
+        if array_tol == "inf":
+            # phi restricted to the unit ball, so c_A = +inf for |x| > 1;
+            # no route admits such a pair, not even at tol = +inf
+            unit = np.linalg.norm(fix.xgrid.points, axis=1) <= 1.0
+            phi = SampledFunction(fix.xgrid, np.where(
+                unit.reshape(fix.xgrid.shape), phi.vals, np.inf))
+            tol = np.inf
+        elif array_tol:
             tol = tol * np.linspace(0.5, 2.0, fix.xgrid.size).reshape(
                 fix.xgrid.shape)
         law = blur_law(phi, fix.spec, fix.ygrid, tol)
         M = blurred_graph(phi, fix.spec, tol, fix.ygrid)
         bA = blurred_bipotential(phi, fix.spec, fix.ygrid)
+        assert not (law.MplusA.mask & np.isposinf(law.cA.vals)).any()
         assert np.array_equal(law.MplusA.mask, M.mask)
         assert np.array_equal(law.bA.vals, bA.vals)
 

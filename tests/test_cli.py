@@ -8,6 +8,7 @@ import bipot
 from bipot import cli
 from bipot.blur import check_newc
 from bipot.cli import main, report_schema_version
+from bipot.fixtures import elasticity_fixture, elasticity_sync
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.sampling import random_piecewise_linear_1d
 
@@ -315,6 +316,18 @@ def test_check_blurring_sync_form_cli(run_cli, tmp_path, quad_csv):
     r2 = run_cli(["check", "blurring", "--sync", "sync.csv", "--eps", "0.5"],
                  tmp_path)
     assert r2.returncode == 0, r2.stdout + r2.stderr
+
+
+def test_check_blurring_sync_with_empty_zero_set(run_cli, tmp_path):
+    # c + 0.01 is a sync, but no pair reaches the zero-set tolerance
+    # 0.1 h^2: the empty zero set is its own Minkowski sum
+    fix = elasticity_fixture(k=1.0, eps=0.5, n=101)
+    c = elasticity_sync(fix)
+    SampledBivariate(c.xgrid, c.ygrid, c.vals + 0.01).to_csv(tmp_path / "c2.csv")
+    r = run_cli(["check", "blurring", "--sync", "c2.csv", "--eps", "0.5",
+                 "--report", "rep.txt"], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "verdict = pass" in (tmp_path / "rep.txt").read_text()
 
 
 def test_stale_golden_reports_detected(run_cli, tmp_path, quad_csv):

@@ -196,6 +196,13 @@ class TestIsSetConvex:
         rep = is_set_convex(mask, g)
         assert rep.ok and any("degenerate" in n for n in rep.notes)
 
+    def test_gap_on_hull_edge_passes(self):
+        # (0, 1) is missing but lies on the hull edge (0,0)-(0,2), at depth
+        # 0: the hull-margin rule keeps the set, a row scan would not
+        g = Grid.box(-1.0, 1.0, 5)
+        rep = is_set_convex({(0, 0), (0, 2), (1, 0), (1, 1), (2, 0)}, g)
+        assert rep.ok and rep.notes == ()
+
 
 class TestMinFilter:
     def test_zero_radius_identity(self):

@@ -12,6 +12,8 @@ from bipot.grids import Grid, SampledFunction
 from bipot.fixtures import cone_fixture, cone_fixture_params
 from bipot.sampling import random_convex_1d
 
+from oracles import explicit_graph_union
+
 
 @pytest.fixture(scope="module")
 def quad_cover(line_grid):
@@ -93,30 +95,36 @@ class TestInfimum:
             reparameterize(fam, [0] * len(fam.offsets))
 
 
+def oracle_union(fam, tol=None):
+    """The cover's graph union member by member (tests/oracles.py)."""
+    if tol is None:
+        tol = default_graph_tol(fam.xgrid, fam.ygrid)
+    return explicit_graph_union(fam.phi.vals, fam.phistar.vals, fam.offsets,
+                                fam.xgrid, fam.ygrid, tol)
+
+
 class TestGraphUnion:
     def test_union_matches_blurred_graph(self, quad_cover, line_grid):
         phi, fam = quad_cover
         union, mode = member_graph_union(fam)
-        assert mode == "explicit"
+        assert np.array_equal(union.mask, oracle_union(fam))
         M = blurred_graph(phi, BlurSpec(0.5), None, line_grid)
         assert graphs_match_within(union, M, 1)
 
-    def test_shifted_mask_route_agrees(self, quad_cover, line_grid):
-        phi, fam = quad_cover
-        explicit, _ = member_graph_union(fam)
-        shifted, mode = member_graph_union(fam, explicit_budget=0)
+    def test_shifted_mask_route_agrees(self, quad_cover):
+        fam = quad_cover[1]
+        tol = 0.01
+        shifted, mode = member_graph_union(fam, tol)
         assert mode == "shifted-masks"
-        assert graphs_match_within(explicit, shifted, 1)
+        assert np.array_equal(shifted.mask, oracle_union(fam, tol))
 
     def test_shifted_mask_route_is_exact(self, quad_cover):
         fix = cone_fixture_params(n=17)
         cone = build_cover(cone_fixture(fix).phi, fix.eps, fix.ygrid)
         for fam in (quad_cover[1], cone):
-            explicit, mode = member_graph_union(fam)
-            assert mode == "explicit"
-            shifted, mode = member_graph_union(fam, explicit_budget=0)
+            shifted, mode = member_graph_union(fam)
             assert mode == "shifted-masks"
-            assert np.array_equal(explicit.mask, shifted.mask)
+            assert np.array_equal(shifted.mask, oracle_union(fam))
 
 
 class TestImplicitConvexity:

@@ -219,8 +219,8 @@ ext_reals = st.one_of(
 
 @st.composite
 def grids_of(draw, dim):
-    lo = [draw(st.floats(-100.0, 100.0)) for _ in range(dim)]
-    width = [draw(st.floats(0.01, 100.0)) for _ in range(dim)]
+    lo = [draw(st.floats(-1e4, 1e4)) for _ in range(dim)]
+    width = [draw(st.floats(1e-4, 1e3)) for _ in range(dim)]
     n = [draw(st.integers(3, 7 if dim == 2 else 12)) for _ in range(dim)]
     return Grid(lo, [a + w for a, w in zip(lo, width)], n)
 
@@ -234,7 +234,7 @@ def _values(draw, shape):
 def _same_nodes(a: Grid, b: Grid) -> bool:
     """Equal node coordinates, bit for bit. A file holds only the nodes:
     hi may come back as another float, and h too where several steps give
-    the same nodes (about 2 axes in 1,000 drawn here)."""
+    the same nodes."""
     return (a.n == b.n and a.lo == b.lo
             and all(x.tobytes() == y.tobytes() for x, y in zip(a.axes, b.axes)))
 
@@ -263,6 +263,18 @@ class TestCsvRoundTripProperties:
         SampledFunction(g, np.zeros(n)).to_csv(tmp_path / "f.csv")
         back = SampledFunction.read_csv(tmp_path / "f.csv").grid
         assert _same_nodes(back, g) and back.h == g.h
+
+    def test_fine_grid_far_from_zero_reads_back(self, tmp_path):
+        # rounding alone makes the node differences of this grid differ by
+        # far more than 1e-9 relative
+        g = Grid.line(999.0, 999.001, 300)
+        SampledFunction(g, np.zeros(300)).to_csv(tmp_path / "f.csv")
+        assert _same_nodes(SampledFunction.read_csv(tmp_path / "f.csv").grid, g)
+        # hand-typed decimals 0.1, ..., 0.4 lie up to an ulp off the Grid
+        # the reader fits to them, and still read
+        (tmp_path / "d.csv").write_text(
+            "x,value\n" + "".join(f"0.{i},0\n" for i in range(1, 5)))
+        assert SampledFunction.read_csv(tmp_path / "d.csv").grid.n == (4,)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data(), st.sampled_from([1, 2]))
