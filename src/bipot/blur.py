@@ -7,15 +7,13 @@ b_A = c_A + <x, y>, and the blurred graph is M + A. Two shapes of A are
 supported: {0} x (ball of radius eps in Y), realized as a min-filter in y,
 and the product ball ||(x, y)||_p <= eps, realized by an offset sweep.
 
-For the y-ball, M + A is the eps-ball dilation in y of the Fenchel-Young
-set {phi(x) + phi*(y) - <x, y> <= tol}, ``_blurred_mask``, on every graph
-route but ``blur_law``'s, which thresholds its c_A: the same set.
-
-For the y-ball, b_A also has the direct form
-b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>], which this
-module evaluates through the same min-filter after the substitution
-a -> y - a; the two routes agree to float re-association (~1e-13), which
-tests pin at 1e-9.
+For the y-ball, c_A and b_A share one min-filter in y,
+v(x, y) = min over ||a - y|| <= eps of phi*(a) - <x, a>: c_A = phi(x) + v,
+and b_A = phi(x) + (<x, y> + v) is the direct form
+b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>] after the
+substitution a -> y - a. M + A is the eps-ball dilation in y of the
+Fenchel-Young set {phi(x) + phi*(y) - <x, y> <= tol}, ``_blurred_mask``,
+on every route.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from .convexity import _faults, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
-from .legendre import (conjugate, default_subdiff_tol, fenchel_young_mask,
-                       x_tol)
+from .legendre import conjugate, default_subdiff_tol, fenchel_young_mask
 from .report import CheckReport, failing, passing
 from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
                       ball_offsets, radius_nodes, require_resolvable)
@@ -127,39 +124,19 @@ def _yball_conjugate(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None,
     return star
 
 
-def _separable_sync(phi: SampledFunction,
-                    star: SampledFunction) -> SampledBivariate:
-    """c(x, y) = phi(x) + phi*(y) - <x, y> nodewise (the Fenchel residual)."""
+def _yball_blur(phi: SampledFunction, star: SampledFunction,
+                eps: float) -> tuple[SampledBivariate, SampledBivariate]:
+    """(c_A, b_A) of the y-ball blur from one min-filter
+    v(x, y) = min over ||a - y|| <= eps of phi*(a) - <x, a>:
+    c_A = phi(x) + v and b_A = phi(x) + (<x, y> + v)."""
     P = pairing(phi.grid, star.grid)
-    b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim) + star.vals
-    with np.errstate(invalid="ignore"):
-        return SampledBivariate(phi.grid, star.grid,
-                                np.where(np.isposinf(b), INF, b - P))
-
-
-def _blurred_bipotential(phi: SampledFunction, star: SampledFunction,
-                         eps: float) -> SampledBivariate:
-    """b_A by the direct route: <x, y> + min-filter of phi*(a) - <x, a>
-    over the ball around y, plus phi(x)."""
-    P = pairing(phi.grid, star.grid)
-    w = star.vals - P          # W(x, a) = phi*(a) - <x, a>, +inf off dom
-    v = ball_min_filter(w, star.grid, eps)
+    v = ball_min_filter(star.vals - P, star.grid, eps)
     phi_b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim)
-    with np.errstate(invalid="ignore"):
-        vals = np.where(np.isposinf(v) | np.isposinf(phi_b), INF,
-                        phi_b + (P + v))
-    return SampledBivariate(phi.grid, star.grid, vals)
-
-
-def _graph_within(cA: SampledBivariate, tol) -> GraphSet:
-    """{c_A <= tol}, tol as in ``legendre.x_tol``; a pair with c_A = +inf
-    is never in it."""
-    if tol is None:
-        tol = default_graph_tol(cA.xgrid, cA.ygrid)
-    tol = x_tol(tol, cA.xgrid)
-    if tol.ndim > 0:
-        tol = tol.reshape(cA.xgrid.shape + (1,) * cA.ygrid.dim)
-    return GraphSet(cA.xgrid, cA.ygrid, cA.vals <= tol)
+    P += v
+    P += phi_b
+    v += phi_b
+    return (SampledBivariate(phi.grid, star.grid, v),
+            SampledBivariate(phi.grid, star.grid, P))
 
 
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
@@ -171,7 +148,7 @@ def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
     around y, which is the same minimum after substituting a -> y - a.
     """
     star = _yball_conjugate(phi, spec, ygrid, "blurred_bipotential")
-    return _blurred_bipotential(phi, star, spec.eps)
+    return _yball_blur(phi, star, spec.eps)[1]
 
 
 def blurred_graph(phi: SampledFunction, spec: BlurSpec, tol=None,
@@ -220,14 +197,16 @@ def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
              tol=None) -> BlurredLaw:
     """Assemble c_A, b_A and M + A for a y-ball blur of Graph(d phi).
 
-    One conjugate and one min-filter of the residual serve c_A and
-    M + A = {c_A <= tol}; b_A comes by the direct route, and BlurredLaw
-    checks that the two routes agree.
+    One conjugate serves all three: one min-filter gives c_A and b_A, and
+    M + A is the Fenchel-Young mask dilated in y (``_blurred_mask``), tol
+    as in ``blurred_graph``. BlurredLaw checks b_A - <x, y> against c_A.
     """
     star = _yball_conjugate(phi, spec, ygrid, "blur_law")
-    cA = inf_convolve_blur(_separable_sync(phi, star), spec)
-    return BlurredLaw(phi, spec, cA, _blurred_bipotential(phi, star, spec.eps),
-                      _graph_within(cA, tol))
+    cA, bA = _yball_blur(phi, star, spec.eps)
+    if tol is None:
+        tol = default_graph_tol(phi.grid, star.grid)
+    return BlurredLaw(phi, spec, cA, bA, GraphSet(
+        phi.grid, star.grid, _blurred_mask(phi, star, spec.eps, tol)))
 
 
 # --- checkers ---------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .bipotentials import (GraphSet, check_bbgraph, check_bipotential,
-                           check_cyclically_monotone, check_sync)
+                           check_cyclically_monotone, check_sync, separable,
+                           sync_from_bipotential)
 from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
                    check_newc_all, inf_convolve_blur)
 from .convexity import is_convex
@@ -129,20 +130,19 @@ def _cmd_blur(cfg: RunConfig) -> int:
     cfg.add("kind", a.kind)
     if spec.kind == "yball":
         law = blur_law(phi, spec, ygrid, a.tol)
-        pieces = [(a.out_ca, law.cA), (a.out_ba, law.bA)]
-        for path, sb in pieces:
+        pieces = [(a.out_ca, law.cA),
+                  ("ba.csv" if a.out_ba is None else a.out_ba, law.bA),
+                  ("mg.csv" if a.out_graph is None else a.out_graph,
+                   law.MplusA)]
+        for path, piece in pieces:
             if path:
-                sb.to_csv(path)
+                piece.to_csv(path)
                 cfg.add("wrote", path)
-        if a.out_graph:
-            law.MplusA.to_csv(a.out_graph)
-            cfg.add("wrote", a.out_graph)
         cfg.add("graph_pairs", law.MplusA.count)
     else:
         if a.out_ba or a.out_graph:
             raise InvalidInputError(
                 "--out-ba/--out-graph are y-ball outputs; product blurs emit c_A only")
-        from .bipotentials import sync_from_bipotential, separable
         c = sync_from_bipotential(separable(phi, ygrid))
         ca = inf_convolve_blur(c, spec)
         if a.out_ca:
@@ -411,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ybox")
     sp.add_argument("--yn", type=int)
     sp.add_argument("--out-ca", dest="out_ca", default="ca.csv")
-    sp.add_argument("--out-ba", dest="out_ba", default="ba.csv")
-    sp.add_argument("--out-graph", dest="out_graph", default="mg.csv")
+    # y-ball outputs: ba.csv and mg.csv unless given; '' writes none
+    sp.add_argument("--out-ba", dest="out_ba")
+    sp.add_argument("--out-graph", dest="out_graph")
     add_report(sp)
 
     sp = sub.add_parser("check", help="run one predicate checker")

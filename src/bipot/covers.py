@@ -26,7 +26,7 @@ import numpy as np
 
 from .bipotentials import (GraphSet, _unflatten, _yslice_stack,
                            default_graph_tol, graph_of, graphs_match_within)
-from .blur import (BlurSpec, Y_BALL, _blurred_bipotential, _blurred_mask,
+from .blur import (BlurSpec, Y_BALL, _blurred_mask, _yball_blur,
                    _yball_conjugate)
 from .convexity import batch_is_convex
 from .errors import InvalidInputError, ResolutionError
@@ -178,6 +178,11 @@ def _mandatory_pairs(zshape):
     return (np.concatenate(z1s), np.concatenate(z2s), np.concatenate(mids))
 
 
+def _require_pair_cap(cap) -> None:
+    if not cap >= 1:
+        raise InvalidInputError(f"pair cap must be >= 1, got {cap}")
+
+
 def _pair_sample(zshape, alpha, cap, rng):
     """Aligned (z1, z2, mid) triples for one alpha: exhaustive when the
     pair count fits the cap, otherwise seeded stratified subsampling."""
@@ -289,8 +294,9 @@ def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
     alphas = tuple(float(a) for a in alphas)
     if not any(abs(a - 0.5) < 1e-12 for a in alphas):
         raise InvalidInputError("alphas must include 0.5")
-    if any(a < 0 or a > 1 for a in alphas):
+    if not all(0 <= a <= 1 for a in alphas):   # NaN fails too
         raise InvalidInputError("alphas must lie in [0, 1]")
+    _require_pair_cap(pair_cap)
     zshape = values.shape[1:]
     g = values.min(axis=0)
     gflat = g.reshape(-1)
@@ -335,9 +341,10 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     verdicts coincide; witness is the first y-node where the per-slice
     verdicts disagree.
     """
+    _require_pair_cap(pair_cap)
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
                             "check_maithm_equivalence")
-    bA = _blurred_bipotential(phi, star, eps)
+    bA = _yball_blur(phi, star, eps)[1]
     ygrid = bA.ygrid
     xgrid = bA.xgrid
     stol = 1e-9 * (1.0 + abs(bA.finite_max)) if tol is None else tol

@@ -202,6 +202,16 @@ def _blur_fixture_laws():
     return laws
 
 
+def _assert_cA_independent(law, phi, spec, ygrid, name):
+    """c_A against the min-filter of the separable sync, a route that
+    shares no filter with b_A: same +inf pattern, values within 1e-9."""
+    ref = inf_convolve_blur(sync_from_bipotential(separable(phi, ygrid)),
+                            spec).vals
+    assert np.array_equal(np.isposinf(law.cA.vals), np.isposinf(ref)), name
+    fin = np.isfinite(ref)
+    assert np.abs(law.cA.vals[fin] - ref[fin]).max() <= 1e-9, name
+
+
 def test_criterion_6_shift_identity(cone81):
     for name, phi, spec, ygrid in _blur_fixture_laws():
         law = blur_law(phi, spec, ygrid)   # validates b_A - <x,y> == c_A @1e-9
@@ -209,6 +219,7 @@ def test_criterion_6_shift_identity(cone81):
         fin = np.isfinite(law.bA.vals)
         gap = np.abs((law.bA.vals - P)[fin] - law.cA.vals[fin]).max()
         assert gap <= 1e-9, (name, gap)
+        _assert_cA_independent(law, phi, spec, ygrid, name)
         fam = build_cover(phi, spec.eps, ygrid)
         inf_b = infimum_bipotential(fam)
         bA = blurred_bipotential(phi, spec, ygrid)
@@ -222,6 +233,8 @@ def test_criterion_6_shift_identity(cone81):
     del blaw
     small = cone_fixture_params(alpha=0.5, y1=1.0, eps=1.0, n=21)
     small_law = cone_fixture(small)
+    _assert_cA_independent(blur_law(small_law.phi, small.spec, small.ygrid),
+                           small_law.phi, small.spec, small.ygrid, "cone21")
     fam = build_cover(small_law.phi, small.eps, small.ygrid)
     inf_b = infimum_bipotential(fam)
     bA = blurred_bipotential(small_law.phi, small.spec, small.ygrid)

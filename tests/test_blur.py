@@ -170,6 +170,14 @@ class TestBlurredGraph:
         assert not (law.MplusA.mask & np.isposinf(law.cA.vals)).any()
         assert np.array_equal(law.MplusA.mask, M.mask)
         assert np.array_equal(law.bA.vals, bA.vals)
+        # rounding is monotone, so c_A is the min-filter of the sync
+        # summed as phi(x) + (phi*(y) - <x, y>), bit for bit
+        star = conjugate(phi, fix.ygrid)
+        phi_b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim)
+        sync = SampledBivariate(phi.grid, star.grid, phi_b + (
+            star.vals - pairing(phi.grid, star.grid)))
+        assert np.array_equal(law.cA.vals,
+                              inf_convolve_blur(sync, fix.spec).vals)
 
     def test_monotone_in_eps(self, elast):
         phi = elasticity_phi(elast)

@@ -123,6 +123,19 @@ def test_check_sync_gives_verdict_on_rounding_below_zero(run_cli, tmp_path):
     assert "axiom = " in r.stdout, r.stdout + r.stderr
 
 
+def test_blur_product_writes_ca_only(run_cli, tmp_path, quad_csv):
+    args = ["blur", "--phi", str(quad_csv), "--eps", "0.5", "--kind",
+            "product"]
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.csv",
+                                                          "quad.csv"]
+    r = run_cli(args + ["--out-ba", "x.csv"], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "y-ball outputs" in r.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("eps", ["1e308", "inf", "nan"])
 def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     r = run_cli(["blur", "--phi", str(quad_csv), "--eps", eps,
@@ -229,6 +242,23 @@ def test_check_implicit_cli(run_cli, tmp_path, quad_csv):
     r = run_cli(["check", "implicit", "--phi", str(quad_csv), "--eps", "0.5",
                  "--y", "0.5"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+@pytest.mark.parametrize("n, args, message", [
+    (3, ["implicit", "--y", "0.0", "--cap", "0"], "pair cap must be >= 1"),
+    (3, ["maithm", "--cap", "0"], "pair cap must be >= 1"),
+    (3, ["implicit", "--y", "0.0", "--cap", "-5"], "pair cap must be >= 1"),
+    (401, ["implicit", "--y", "0.0", "--cap", "0"], "pair cap must be >= 1"),
+    (3, ["implicit", "--y", "0.0", "--alphas", "0.5,nan"],
+     "alphas must lie in [0, 1]")])
+def test_check_refuses_bad_pair_settings(run_cli, tmp_path, n, args, message):
+    SampledFunction.from_callable(Grid.line(-1.0, 1.0, n),
+                                  lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "phi.csv")
+    r = run_cli(["check", *args, "--phi", "phi.csv", "--eps", "1.0"],
+                tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert message in r.stderr, r.stderr
 
 
 def test_check_reports_print_plain_numbers(run_cli, tmp_path):
