@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import batch_is_convex, is_convex, is_set_convex
+from .convexity import _set_scan, batch_is_convex, is_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
 from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
@@ -430,20 +430,22 @@ def check_bbgraph(M: GraphSet) -> CheckReport:
     """Bi-convexity of every nonempty section; closedness is vacuous.
 
     Sections are scanned y-first in ascending node order; the report names
-    the first failing section.
+    the first failing section. The y-sections are a transposed view of the
+    mask and the x-sections a reshape of it, each decided as one stack by
+    the hull-margin scan of ``is_set_convex``.
     """
     if M.is_empty:
         raise InvalidInputError("check_bbgraph needs a nonempty graph")
-    jobs = [("y", iy) for iy in M.ygrid.node_indices()] \
-        + [("x", ix) for ix in M.xgrid.node_indices()]
-    for tag, idx in jobs:
-        sec = M.y_section(idx) if tag == "y" else M.x_section(idx)
-        if not sec.any():
-            continue
-        rep = is_set_convex(sec, M.xgrid if tag == "y" else M.ygrid)
-        if not rep.ok:
-            return failing(f"{tag}-section-convex", ((tag, idx), rep.witness),
-                           rep.residual, *rep.notes)
+    flat = M.mask.reshape(M.xgrid.size, M.ygrid.size)
+    for tag, stack, grid, shape in (
+            ("y", flat.T.reshape(-1, *M.xgrid.shape), M.xgrid, M.ygrid.shape),
+            ("x", flat.reshape(-1, *M.ygrid.shape), M.ygrid, M.xgrid.shape)):
+        for b, rep in _set_scan(stack, grid):
+            if not rep.ok:
+                idx = b if len(shape) == 1 else divmod(b, shape[1])
+                return failing(f"{tag}-section-convex",
+                               ((tag, idx), rep.witness), rep.residual,
+                               *rep.notes)
     return passing("bbgraph", CLOSEDNESS_NOTE)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bipotentials import (GraphSet, check_bbgraph, check_sync,
                            default_graph_tol, graphs_match_within)
-from .convexity import _faults, is_set_convex
+from .convexity import _faults, _set_scan, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, pairing
@@ -177,10 +177,17 @@ class BlurredLaw:
     MplusA: GraphSet
 
     def __post_init__(self):
+        # b_A - <x, y> and c_A are two roundings of sums of <x, y>, phi and
+        # the filtered phi* - <x, a>, so the bound grows with their size
+        corner = lambda g: np.maximum(np.abs(g.lo), np.abs(g.hi))
+        vals = self.phi.vals
+        scale = float(corner(self.cA.xgrid) @ corner(self.cA.ygrid)) + float(
+            np.max(np.abs(vals), where=np.isfinite(vals), initial=0.0))
+        bound = 1e-9 * max(1.0, scale)
         gap = _finite_gap(self.bA.vals - self.bA.pairing(), self.cA.vals)
-        if gap > 1e-9:
+        if gap > bound:
             raise InvalidInputError(
-                f"b_A - <x,y> differs from c_A by {gap:.3e} (> 1e-9)")
+                f"b_A - <x,y> differs from c_A by {gap:.3e} (> {bound:.3e})")
 
 
 def _finite_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -284,7 +291,8 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
     One conjugate gives M + A at the subdifferential tolerance
     (``_blurred_mask``), whose y-sections are every U(y). 1-D sections
     are convex iff their members are contiguous, which one batched line
-    scan decides; 2-D sections go through ``is_set_convex`` one by one.
+    scan decides; 2-D sections are one stack for the hull-margin scan of
+    ``is_set_convex``.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
     ygrid = star.grid
@@ -293,8 +301,8 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
         lines = np.where(U, 0.0, np.inf)[:, None, :]
         return ~_faults(lines, 0.0)[:, 0]
     ok = np.ones(ygrid.size, dtype=bool)
-    for j in np.flatnonzero(U.any(axis=1)):
-        ok[j] = is_set_convex(U[j].reshape(phi.grid.shape), phi.grid).ok
+    for j, rep in _set_scan(U.reshape(-1, *phi.grid.shape), phi.grid):
+        ok[j] = rep.ok
     return ok.reshape(ygrid.shape)
 
 

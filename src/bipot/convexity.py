@@ -10,9 +10,12 @@ battery: ``is_convex`` reads the first faulting line, ``batch_is_convex``
 keeps verdicts only, and 1-D sets are decided by its gap test.
 
 Set convexity (``is_set_convex``) is decided per the hull-margin rule: every
-grid node lying deeper than h/2 inside the convex hull of the member nodes
-must itself be a member. The margin keeps boundary rasterization from being
-flagged. On finite grids every set is closed, so the closedness half of
+grid node lying deeper than max(h)/2 inside the convex hull of the member
+nodes must itself be a member. The margin keeps boundary rasterization from
+being flagged. One scan (``_set_scan``) decides a whole stack of sets in
+order: ``is_set_convex`` is a stack of one, ``check_bbgraph`` scans its y-
+and then its x-sections as two stacks, and ``check_newc_all`` its 2-D U(y).
+On finite grids every set is closed, so the closedness half of
 bi-closedness is vacuously true wherever it is quoted.
 """
 
@@ -148,30 +151,10 @@ def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
 
 # --- set convexity ----------------------------------------------------------
 
-
-def monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Convex hull of 2-D points (Andrew's monotone chain), CCW, no collinears."""
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
-    if len(pts) <= 2:
-        return pts
-
-    def half(iterable):
-        chain = []
-        for p in iterable:
-            while len(chain) >= 2:
-                ax, ay = chain[-2]
-                bx, by = chain[-1]
-                if (bx - ax) * (p[1] - ay) - (p[0] - ax) * (by - ay) <= 0.0:
-                    chain.pop()
-                else:
-                    break
-            chain.append((p[0], p[1]))
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    return np.asarray(hull)
+# Sets per pass of ``_set_scan``'s row-end search. Stacks are often views
+# with the set index fastest in memory, so a pass reads whole cache lines,
+# and a scan that stops at its first failure reads little past it.
+_SCAN_CHUNK = 64
 
 
 def _as_mask(points, grid: Grid) -> np.ndarray:
@@ -185,6 +168,84 @@ def _as_mask(points, grid: Grid) -> np.ndarray:
     return mask
 
 
+def _hull(pts: list) -> list:
+    """Convex hull (Andrew's monotone chain, no collinear vertices) of
+    lexicographically sorted, distinct 2-D points given as tuples."""
+    lower: list = []
+    upper: list = []
+    for chain, seq in ((lower, pts), (upper, reversed(pts))):
+        for p in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (p[1] - ay) - (p[0] - ax) * (by - ay) > 0.0:
+                    break
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _set_scan(masks: np.ndarray, grid: Grid):
+    """Hull-margin verdicts of a (B, *grid.shape) stack of node sets.
+
+    Yields (b, report) for each nonempty set in ascending b, so a caller
+    that wants the first failure stops there. 1-D sets are decided by one
+    contiguity scan of the stack (``_faults``). In 2-D the hull of a union
+    of row runs is the hull of the runs' ends, which one pass finds for
+    ``_SCAN_CHUNK`` sets at a time; they arrive sorted by row, then column,
+    so the chain needs no sort. The depth of every bounding-box node below
+    every hull edge is then one broadcast.
+    """
+    if grid.dim == 1:
+        lines = np.where(masks, 0.0, np.inf)[:, None, :]
+        bad, _, pos, _ = (a[:, 0] for a in _faults(lines, 0.0, locate=True))
+        for b in np.flatnonzero(masks.any(axis=1)).tolist():
+            if bad[b]:
+                yield b, failing("set-convex", (int(pos[b]),), None,
+                                 "missing interior node")
+            else:
+                yield b, passing("set-convex")
+        return
+
+    ax0, ax1 = grid.axes
+    xs, ys = ax0.tolist(), ax1.tolist()
+    margin = max(grid.h) / 2.0
+    for c in range(0, len(masks), _SCAN_CHUNK):
+        chunk = masks[c:c + _SCAN_CHUNK]
+        rowany = chunk.any(axis=2)
+        first = chunk.argmax(axis=2)
+        last = grid.n[1] - 1 - chunk[:, :, ::-1].argmax(axis=2)
+        for b in np.flatnonzero(rowany.any(axis=1)).tolist():
+            rows = np.flatnonzero(rowany[b])
+            left, right = first[b, rows], last[b, rows]
+            pts = []
+            for i, j, k in zip(rows.tolist(), left.tolist(), right.tolist()):
+                pts.append((xs[i], ys[j]))
+                if k > j:
+                    pts.append((xs[i], ys[k]))
+            hull = _hull(pts)
+            if len(hull) < 3:
+                yield c + b, passing("set-convex",
+                                     "degenerate hull: no interior nodes")
+                continue
+            a = np.array(hull + hull[:1])
+            e = a[1:] - a[:-1]
+            norm = np.hypot(e[:, 0], e[:, 1])[:, None, None]
+            ex, ey = e[:, 0, None, None], e[:, 1, None, None]
+            i0, i1 = int(rows[0]), int(rows[-1])
+            j0, j1 = int(left.min()), int(right.max())
+            gx = ax0[None, i0:i1 + 1, None] - a[:-1, 0, None, None]
+            gy = ax1[None, None, j0:j1 + 1] - a[:-1, 1, None, None]
+            depth = ((ex * gy - ey * gx) / norm).min(axis=0)
+            missing = (depth > margin) & ~chunk[b, i0:i1 + 1, j0:j1 + 1]
+            if not missing.any():
+                yield c + b, passing("set-convex")
+                continue
+            wi, wj = divmod(int(np.argmax(missing)), j1 - j0 + 1)
+            yield c + b, failing("set-convex", (wi + i0, wj + j0),
+                                 float(depth[wi, wj] - margin),
+                                 "missing hull-interior node")
+
+
 def is_set_convex(points, grid: Grid) -> CheckReport:
     """Hull-margin convexity of a set of grid nodes.
 
@@ -196,44 +257,7 @@ def is_set_convex(points, grid: Grid) -> CheckReport:
     mask = _as_mask(points, grid)
     if not mask.any():
         raise InvalidInputError("the empty set has no convexity verdict")
-    if grid.dim == 1:
-        hit = _first_fault(np.where(mask, 0.0, np.inf), 1, 0.0)
-        if hit is None:
-            return passing("set-convex")
-        return failing("set-convex", (hit[3],), None, "missing interior node")
-
-    ax0, ax1 = grid.axes
-    # hull of a union of horizontal runs = hull of the runs' endpoints
-    rows = np.flatnonzero(mask.any(axis=1))
-    first = mask[rows].argmax(axis=1)
-    last = grid.n[1] - 1 - mask[rows, ::-1].argmax(axis=1)
-    x = ax0[rows]
-    hull = monotone_chain(np.concatenate([np.column_stack([x, ax1[first]]),
-                                          np.column_stack([x, ax1[last]])]))
-    if len(hull) < 3:
-        return passing("set-convex", "degenerate hull: no interior nodes")
-
-    margin = max(grid.h) / 2.0
-    i0, i1 = int(rows[0]), int(rows[-1])
-    j0, j1 = int(first.min()), int(last.max())
-    gx, gy = np.meshgrid(ax0[i0:i1 + 1], ax1[j0:j1 + 1], indexing="ij")
-    depth = np.full(gx.shape, np.inf)
-    for k in range(len(hull)):
-        a = hull[k]
-        b = hull[(k + 1) % len(hull)]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        norm = float(np.hypot(ex, ey))
-        signed = (ex * (gy - a[1]) - ey * (gx - a[0])) / norm
-        np.minimum(depth, signed, out=depth)
-    deep = depth > margin
-    missing = deep & ~mask[i0:i1 + 1, j0:j1 + 1]
-    if not missing.any():
-        return passing("set-convex")
-    flat = int(np.argmax(missing))
-    wi, wj = np.unravel_index(flat, missing.shape)
-    return failing("set-convex", (int(wi + i0), int(wj + j0)),
-                   float(depth[wi, wj] - margin),
-                   "missing hull-interior node")
+    return next(_set_scan(mask[None], grid))[1]
 
 
 # --- min filter -------------------------------------------------------------

@@ -36,7 +36,3 @@ def as_ext_array(values, shape=None) -> np.ndarray:
         a.flags.writeable = False
     return a
 
-
-def finite_mask(a: np.ndarray) -> np.ndarray:
-    """Boolean mask of the (finite) domain of a sampled function."""
-    return np.isfinite(a)

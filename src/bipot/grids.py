@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .extreal import as_ext_array, finite_mask
+from .extreal import as_ext_array
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class SampledFunction:
 
     @property
     def domain(self) -> np.ndarray:
-        return finite_mask(self.vals)
+        return np.isfinite(self.vals)
 
     @property
     def domain_nonempty(self) -> bool:
@@ -242,7 +242,7 @@ class SampledBivariate:
 
     @property
     def finite_max(self) -> float:
-        dom = finite_mask(self.vals)
+        dom = np.isfinite(self.vals)
         return float(self.vals[dom].max()) if dom.any() else 0.0
 
     def to_csv(self, path) -> None:

@@ -20,6 +20,12 @@ from .grids import Grid
 
 _SLACK = 1e-9
 
+# Input bytes per tile of ``_sweep``, so that a tile, the kernel's scratch
+# copy of it and its result tile stay in cache. On a 2-core x86 VM with
+# 2 MiB of L2 per core, tiles of 128 KiB to 1 MiB ran the cone-81 y-ball
+# min-filter in 3.9-5.2 s, against 11.9 s for whole arrays.
+_TILE_BYTES = 1 << 18
+
 
 def radius_nodes(eps: float, h: float) -> int:
     """Largest k with k*h <= eps (up to relative slack)."""
@@ -101,11 +107,14 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
     on each axis: the window is clipped at the box anyway, so the result
     is the same, and neither memory nor the row loop grows with the radius.
 
-    In 2-D one line buffer is grown in place from each distinct chord
-    half-width to the next: a window of half-width d over windows of
-    half-width w clipped at the box is the window of half-width w + d,
-    clipped the same way. Each chord is then shifted by its row offsets
-    and reduced into the result.
+    In 2-D the leading axes are independent, so they are swept a tile at a
+    time, each tile about ``_TILE_BYTES`` of input; the line buffer and the
+    kernel's scratch are then one tile each and stay in cache. The tile's
+    line buffer is grown in place from each distinct chord half-width to
+    the next: a window of half-width d over windows of half-width w clipped
+    at the box is the window of half-width w + d, clipped the same way.
+    Each chord is then shifted by its row offsets and reduced into the
+    result.
     """
     shape = a.shape
     if shape[-grid.dim:] != grid.shape:
@@ -123,14 +132,20 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
         c = halfwidth(d1)
         if c >= 0:
             by_w.setdefault(math.floor(min(c, n2 - 1)), []).append(d1)
-    out = np.full_like(a, fill)
-    buf = a.copy()
-    lines = buf.reshape(-1, n2)
-    w_prev = 0
-    for w, d1s in sorted(by_w.items()):
-        kernel(lines, w - w_prev, out=lines)
-        w_prev = w
-        _shift_reduce(out, buf, [(0, -d1, 0) for d1 in d1s], ufunc)
+    chords = [(w, [(0, -d1, 0) for d1 in d1s])
+              for w, d1s in sorted(by_w.items())]
+    out = np.empty_like(a)
+    step = max(1, _TILE_BYTES // (grid.size * a.itemsize))
+    for t in range(0, len(a), step):
+        res = out[t:t + step]
+        res.fill(fill)
+        buf = a[t:t + step].copy()
+        lines = buf.reshape(-1, n2)
+        w_prev = 0
+        for w, offsets in chords:
+            kernel(lines, w - w_prev, out=lines)
+            w_prev = w
+            _shift_reduce(res, buf, offsets, ufunc)
     return out.reshape(shape)
 
 

@@ -53,11 +53,12 @@ def convex_1d_oracle(xs, vals, tol):
 
 
 def brute_min_filter(xs, vals, radius):
-    """Definitional window minimum, O(n^2)."""
+    """Definitional window minimum, O(n^2). xs holds the node coordinates:
+    a 1-D array, or one row per node in 2-D."""
     out = np.empty_like(vals)
     for i, x in enumerate(xs):
-        win = np.abs(xs - x) <= radius * (1 + 1e-9)
-        out[i] = vals[win].min()
+        dist = np.abs(xs - x) if xs.ndim == 1 else np.linalg.norm(xs - x, axis=1)
+        out[i] = vals[dist <= radius * (1 + 1e-9)].min()
     return out
 
 
@@ -142,3 +143,76 @@ def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
         b = (phi + xa)[:, None] + shifted[None, :]
         union |= b - pair <= tol
     return union.reshape(xgrid.shape + ygrid.shape)
+
+
+def monotone_chain(points):
+    """Convex hull of 2-D points (Andrew's monotone chain), CCW, no collinears."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def half(iterable):
+        chain = []
+        for p in iterable:
+            while len(chain) >= 2:
+                ax, ay = chain[-2]
+                bx, by = chain[-1]
+                if (bx - ax) * (p[1] - ay) - (p[0] - ax) * (by - ay) <= 0.0:
+                    chain.pop()
+                else:
+                    break
+            chain.append((p[0], p[1]))
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    return np.asarray(hull)
+
+
+def hull_margin_set_convex(mask, axes, h):
+    """One-set reference for the hull-margin rule of a nonempty node set.
+
+    mask is a boolean array over the grid with node coordinates ``axes``
+    and steps ``h``. A 1-D set must be index-contiguous; the witness is its
+    first missing interior node. In 2-D every node deeper than max(h) / 2
+    inside the hull of the members must be a member; the witness is the
+    first such missing node in row-major order of the members' bounding
+    box, with its depth minus the margin. Returns (ok, witness, residual,
+    notes), the fields of the library's report.
+    """
+    if mask.ndim == 1:
+        idx = np.flatnonzero(mask)
+        holes = np.setdiff1d(np.arange(idx[0], idx[-1] + 1), idx)
+        if holes.size:
+            return False, (int(holes[0]),), None, ("missing interior node",)
+        return True, None, None, ()
+
+    ax0, ax1 = axes
+    rows = np.flatnonzero(mask.any(axis=1))
+    first = mask[rows].argmax(axis=1)
+    last = mask.shape[1] - 1 - mask[rows, ::-1].argmax(axis=1)
+    x = ax0[rows]
+    hull = monotone_chain(np.concatenate([np.column_stack([x, ax1[first]]),
+                                          np.column_stack([x, ax1[last]])]))
+    if len(hull) < 3:
+        return True, None, None, ("degenerate hull: no interior nodes",)
+
+    margin = max(h) / 2.0
+    i0, i1 = int(rows[0]), int(rows[-1])
+    j0, j1 = int(first.min()), int(last.max())
+    gx, gy = np.meshgrid(ax0[i0:i1 + 1], ax1[j0:j1 + 1], indexing="ij")
+    depth = np.full(gx.shape, np.inf)
+    for k in range(len(hull)):
+        a = hull[k]
+        b = hull[(k + 1) % len(hull)]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        norm = float(np.hypot(ex, ey))
+        signed = (ex * (gy - a[1]) - ey * (gx - a[0])) / norm
+        np.minimum(depth, signed, out=depth)
+    missing = (depth > margin) & ~mask[i0:i1 + 1, j0:j1 + 1]
+    if not missing.any():
+        return True, None, None, ()
+    wi, wj = np.unravel_index(int(np.argmax(missing)), missing.shape)
+    return (False, (int(wi + i0), int(wj + j0)),
+            float(depth[wi, wj] - margin), ("missing hull-interior node",))

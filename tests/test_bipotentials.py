@@ -232,6 +232,36 @@ class TestCheckBBGraph:
         assert not rep.ok and rep.axiom == "x-section-convex"
 
 
+    def test_witness_is_the_first_y_section_2d(self):
+        # y = (3, 4) and y = (1, 4) hold a 3x3 block of x-nodes missing its
+        # center, and so does x = (0, 0) in y; the first failing section in
+        # the y-first, ascending scan is y = (1, 4)
+        xg = Grid.box(-1.0, 1.0, 7)
+        yg = Grid.box(-1.0, 1.0, 5)
+        ring = np.ones((3, 3), dtype=bool)
+        ring[1, 1] = False
+        mask = np.zeros(xg.shape + yg.shape, dtype=bool)
+        mask[2:5, 2:5, 3, 4] = ring
+        mask[1:4, 1:4, 1, 4] = ring
+        mask[0, 0, 1:4, 1:4] = ring
+        rep = check_bbgraph(GraphSet(xg, yg, mask))
+        assert not rep.ok and rep.axiom == "y-section-convex"
+        assert rep.witness == (("y", (1, 4)), (2, 2))
+        assert rep.residual == pytest.approx(xg.h[0] / 2)
+        mask[..., 1, 4] = mask[..., 3, 4] = False
+        rep = check_bbgraph(GraphSet(xg, yg, mask))
+        assert rep.axiom == "x-section-convex"
+        assert rep.witness == (("x", (0, 0)), (2, 2))
+
+    def test_witness_is_the_first_y_section_1d(self, line_grid):
+        mask = np.zeros((line_grid.n[0],) * 2, dtype=bool)
+        mask[[10, 30], 70] = True      # later y-section with a gap
+        mask[[40, 45], 60] = True      # earlier y-section with a gap
+        mask[5, [80, 90]] = True       # x-section with a gap
+        rep = check_bbgraph(GraphSet(line_grid, line_grid, mask))
+        assert not rep.ok and rep.witness == (("y", 60), (41,))
+
+
 class TestCyclicMonotone:
     def test_identity_graph_all_lengths(self):
         pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]

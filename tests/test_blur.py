@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
+from bipot import windows
 from bipot.bipotentials import (GraphSet, check_bbgraph, check_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable)
-from bipot.blur import (BlurSpec, blur_law, blurred_bipotential, blurred_graph,
-                        check_admits_blurring, check_newc, check_newc_all,
-                        inf_convolve_blur, minkowski_blur)
+from bipot.blur import (BlurredLaw, BlurSpec, blur_law, blurred_bipotential,
+                        blurred_graph, check_admits_blurring, check_newc,
+                        check_newc_all, inf_convolve_blur, minkowski_blur)
 from bipot.convexity import is_set_convex
 from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
-from bipot.legendre import conjugate, default_subdiff_tol
+from bipot.legendre import conjugate, default_dual_grid, default_subdiff_tol
 from bipot.sampling import random_convex_1d, random_piecewise_linear_1d
 from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
                            radius_nodes)
+
+from oracles import brute_min_filter
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,21 @@ class TestBlurredBipotential:
         law = blur_law(phi, elast.spec, elast.ygrid)
         P = law.bA.pairing()
         assert np.abs((law.bA.vals - P) - law.cA.vals).max() <= 1e-9
+
+    def test_self_check_scales_with_the_box(self):
+        # <x, y> and phi reach about 1.6e7 here, where b_A - <x, y> and c_A
+        # differ by one rounding, 3.7e-9; c_A off by 1 is still refused
+        g = Grid.line(-1e6, 1.3e6, 21)
+        phi = SampledFunction.from_callable(g, lambda x: 12.5 * np.abs(x))
+        yg = default_dual_grid(phi)
+        law = blur_law(phi, BlurSpec(yg.h[0]), yg)
+        gap = np.abs(law.bA.vals - law.bA.pairing() - law.cA.vals)
+        assert gap.max() > 1e-9
+        cA = law.cA.vals.copy()
+        cA[10, 10] += 1.0
+        with pytest.raises(InvalidInputError, match="differs from c_A"):
+            BlurredLaw(phi, law.spec, SampledBivariate(g, yg, cA), law.bA,
+                       law.MplusA)
 
     def test_product_kind_rejected(self, elast):
         phi = elasticity_phi(elast)
@@ -432,6 +450,31 @@ def test_huge_radius_equals_box_diameter(grid):
                               ball_dilate(mask, grid, diam))
     assert np.array_equal(chebyshev_dilate(mask, grid, 10**12),
                           chebyshev_dilate(mask, grid, max(grid.n)))
+
+
+def test_tiles_keep_every_bit(monkeypatch):
+    # 10 leading slices: uint8 masks in tiles of 3 at the smaller size,
+    # float64 values in tiles of 1 there and of 3 at the larger, so the
+    # last tile of 3 is ragged
+    grid = Grid((0.0, -1.0), (3.0, 1.0), (7, 9))
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=(2, 5) + grid.shape)
+    vals[rng.random(vals.shape) < 0.1] = np.inf
+    mask = rng.random(vals.shape) < 0.1
+    eps = 0.6
+
+    def sweeps():
+        return (ball_min_filter(vals, grid, eps), ball_dilate(mask, grid, eps),
+                chebyshev_dilate(mask, grid, 2))
+
+    whole = sweeps()
+    for tile_bytes in (3 * grid.size, 24 * grid.size):
+        monkeypatch.setattr(windows, "_TILE_BYTES", tile_bytes)
+        for got, want in zip(sweeps(), whole):
+            assert np.array_equal(got, want)
+    for v, got in zip(vals.reshape(-1, grid.size),
+                      whole[0].reshape(-1, grid.size)):
+        assert np.array_equal(got, brute_min_filter(grid.points, v, eps))
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])
