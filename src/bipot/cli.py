@@ -6,6 +6,12 @@ byte-identical report files (wall time goes to stderr, never into the
 report). Exit codes: 0 success / check passed, 1 a mathematical check
 failed (the report carries the witness), 2 usage or input error, 3 an
 internal error (its traceback goes to stderr).
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set, before numpy loads: an idle OpenBLAS worker pool costs
+each CLI process CPU time and no BLAS call here is big enough to use it.
+Input CSV files are parsed a block of rows at a time by numpy's C reader
+(``grids._read_rows``).
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+
+# before numpy loads: `import bipot` loads no submodule (see above)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -12,6 +12,10 @@ otherwise, rows in row-major node order):
   coordinates of the sample point).
 * ``SampledBivariate`` -- header ``x,y,value`` (1-D spaces) or
   ``x1,x2,y1,y2,value`` (2-D), row-major over (x-node, y-node).
+
+The reader parses a block of rows at a time with numpy's C reader
+(``np.loadtxt``), which gives every value ``float``'s bits; only a block
+it refuses is parsed again line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .extreal import as_ext_array
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node lattice over a box; dim 1 or 2, >= 3 nodes per axis."""
+    """Uniform node lattice over a box; dim 1 or 2, >= 3 nodes per axis,
+    each axis strictly increasing in float64."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -53,6 +58,11 @@ class Grid:
         for k in n:
             if k < 3:
                 raise InvalidInputError("need at least 3 nodes per axis")
+        for k in range(len(n)):
+            if not (np.diff(self.axis(k)) > 0).all():
+                raise InvalidInputError(
+                    f"axis {k}: nodes lo + i*h are not strictly increasing "
+                    "in float64 (the step is below the coordinates' spacing)")
 
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -326,15 +336,20 @@ def _read_rows(fh, ncoord: int, value_col: bool = True) -> np.ndarray:
 
 
 def _parse_block(rows, nfields: int, ncoord: int) -> np.ndarray | None:
-    """ROWS as an (nrows, nfields) array, or None if some row is bad."""
-    if any(ln.count(",") != nfields - 1 for ln in rows):
-        return None
-    toks = ",".join(rows).split(",")
+    """ROWS as an (nrows, nfields) array, or None if some row is bad.
+
+    numpy's C reader parses the fields with ``PyOS_string_to_double``, so
+    every value has ``float``'s bits. Tokens ``float`` takes and it does
+    not (``1_0``, non-ASCII digits) make a refused block, which
+    ``_parse_lines`` then reads as ``float`` does.
+    """
     try:
-        a = np.fromiter(map(float, toks), np.float64, len(toks))
+        a = np.loadtxt(rows, np.float64, comments=None, delimiter=",",
+                       ndmin=2)
     except ValueError:
         return None
-    a = a.reshape(-1, nfields)
+    if a.shape[1] != nfields:
+        return None
     vals = a[:, ncoord:]
     if (not np.isfinite(a[:, :ncoord]).all() or np.isnan(vals).any()
             or np.isneginf(vals).any()):
@@ -348,7 +363,7 @@ def _parse_lines(lines, lineno: int, nfields: int, ncoord: int) -> np.ndarray:
 
     Fields are stripped before ``float`` here, so the few whitespace
     characters ``float`` itself rejects (U+001C..U+001F) are accepted
-    around a field.
+    around a field, as ``_parse_block`` accepts them.
     """
     rows = []
     for lineno, raw in enumerate(lines, start=lineno):

@@ -13,8 +13,6 @@ values above ``cap`` (default 1e12) are reported as +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -126,53 +124,6 @@ def conjugate_bruteforce(phi: SampledFunction, ygrid: Grid | None = None,
     return SampledFunction(ygrid, _cap_to_inf(out, cap))
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
-    """A function and its conjugate, tied by the Fenchel-Young inequality.
-
-    phi(x) + phistar(y) >= <x, y> - fy_tol at every node pair (trivially
-    where either value is +inf); construction verifies this.
-    """
-
-    phi: SampledFunction
-    phistar: SampledFunction
-    fy_tol: float = -1.0   # sentinel: derive from value scale
-
-    def __post_init__(self):
-        if self.fy_tol < 0:
-            scale = 1.0 + abs(self.phi.finite_max) + abs(self.phistar.finite_max)
-            object.__setattr__(self, "fy_tol", 1e-9 * scale)
-        worst = self.min_fy_residual()
-        if worst < -self.fy_tol:
-            raise InvalidInputError(
-                f"Fenchel-Young violated by {-worst:.3e} (> fy_tol={self.fy_tol:.3e})")
-
-    def min_fy_residual(self) -> float:
-        """min over node pairs of phi(x) + phistar(y) - <x, y> (finite pairs)."""
-        pv = self.phi.vals.reshape(-1)
-        sv = self.phistar.vals.reshape(-1)
-        worst = np.inf
-        xpts = self.phi.grid.points
-        ypts = self.phistar.grid.points
-        fin_x = np.isfinite(pv)
-        fin_y = np.isfinite(sv)
-        if not fin_x.any() or not fin_y.any():
-            return worst
-        xi = np.flatnonzero(fin_x)
-        yi = np.flatnonzero(fin_y)
-        chunk = max(1, 2_000_000 // max(len(yi), 1))
-        for s in range(0, len(xi), chunk):
-            rows = xi[s:s + chunk]
-            prod = xpts[rows] @ ypts[yi].T
-            resid = pv[rows, None] + sv[None, yi] - prod
-            worst = min(worst, float(resid.min()))
-        return worst
-
-
-def conjugate_pair(phi: SampledFunction, ygrid: Grid | None = None) -> ConjugatePair:
-    return ConjugatePair(phi, conjugate(phi, ygrid))
-
-
 def default_subdiff_tol(grid: Grid) -> np.ndarray:
     """Per-candidate Fenchel-Young tolerance h * (1 + ||x||), flat over x.
 
@@ -215,39 +166,3 @@ def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
     resid = ps + pv
     resid -= pairing(grid, phistar.grid, ycols).T
     return (resid <= tol).T
-
-
-def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
-                 tol=None) -> np.ndarray:
-    """Boolean x-grid mask of the discrete subdifferential of phistar at
-    a y-node: { x : phi(x) + phistar(y) - <x, y> <= tol }."""
-    col = np.ravel_multi_index(tuple(np.atleast_1d(at_y)), phistar.grid.shape)
-    return fenchel_young_mask(phi, phistar, [col], tol).reshape(phi.grid.shape)
-
-
-def subdiff_points(pair: ConjugatePair, at_y, tol: float | None = None):
-    """Discrete subdifferential of phistar at a y-node, as index sets.
-
-    May be empty. The default tolerance is the resolution-consistent
-    per-candidate array of ``default_subdiff_tol``.
-    """
-    grid = pair.phi.grid
-    hit = np.argwhere(subdiff_mask(pair.phi, pair.phistar, at_y, tol))
-    if grid.dim == 1:
-        return set(int(i) for (i,) in hit)
-    return set((int(i), int(j)) for i, j in hit)
-
-
-def biconjugate_residual(phi: SampledFunction, ygrid: Grid | None = None) -> float:
-    """max |phi**(x) - phi(x)| over nodes where both are finite.
-
-    For convex lsc phi this is O(h^2 * curvature); for nonconvex phi it
-    measures the gap to the convex envelope.
-    """
-    phi.require_domain("biconjugate_residual")
-    star = conjugate(phi, ygrid)
-    star2 = conjugate(star, phi.grid)
-    both = np.isfinite(phi.vals) & np.isfinite(star2.vals)
-    if not both.any():
-        return 0.0
-    return float(np.abs(star2.vals[both] - phi.vals[both]).max())

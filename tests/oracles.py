@@ -1,10 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Kept free of bipot kernel imports on purpose: these are the second route
-of every dual-route check.
+of every dual-route check. The conjugate-pair helpers at the end are the
+exception: test-only conveniences built on the library's ``conjugate``
+and ``fenchel_young_mask``, checked against closed forms.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from bipot.errors import InvalidInputError
+from bipot.grids import Grid, SampledFunction
+from bipot.legendre import conjugate, fenchel_young_mask
 
 # --- independent oracles ----------------------------------------------------
 
@@ -216,3 +224,109 @@ def hull_margin_set_convex(mask, axes, h):
     wi, wj = np.unravel_index(int(np.argmax(missing)), missing.shape)
     return (False, (int(wi + i0), int(wj + j0)),
             float(depth[wi, wj] - margin), ("missing hull-interior node",))
+
+
+def token_parse_block(rows, nfields, ncoord):
+    """Token-by-token reference for ``grids._parse_block``: ROWS as an
+    (nrows, nfields) array through ``float``, or None if some row has
+    another field count, a token ``float`` refuses, a coordinate that is
+    not finite, or a NaN or -inf value."""
+    if any(ln.count(",") != nfields - 1 for ln in rows):
+        return None
+    toks = ",".join(rows).split(",")
+    try:
+        a = np.fromiter(map(float, toks), np.float64, len(toks))
+    except ValueError:
+        return None
+    a = a.reshape(-1, nfields)
+    vals = a[:, ncoord:]
+    if (not np.isfinite(a[:, :ncoord]).all() or np.isnan(vals).any()
+            or np.isneginf(vals).any()):
+        return None
+    return a
+
+
+# --- conjugate-pair helpers (built on the library's conjugate) ---------------
+
+
+@dataclass(frozen=True)
+class ConjugatePair:
+    """A function and its conjugate, tied by the Fenchel-Young inequality.
+
+    phi(x) + phistar(y) >= <x, y> - fy_tol at every node pair (trivially
+    where either value is +inf); construction verifies this.
+    """
+
+    phi: SampledFunction
+    phistar: SampledFunction
+    fy_tol: float = -1.0   # sentinel: derive from value scale
+
+    def __post_init__(self):
+        if self.fy_tol < 0:
+            scale = 1.0 + abs(self.phi.finite_max) + abs(self.phistar.finite_max)
+            object.__setattr__(self, "fy_tol", 1e-9 * scale)
+        worst = self.min_fy_residual()
+        if worst < -self.fy_tol:
+            raise InvalidInputError(
+                f"Fenchel-Young violated by {-worst:.3e} (> fy_tol={self.fy_tol:.3e})")
+
+    def min_fy_residual(self) -> float:
+        """min over node pairs of phi(x) + phistar(y) - <x, y> (finite pairs)."""
+        pv = self.phi.vals.reshape(-1)
+        sv = self.phistar.vals.reshape(-1)
+        worst = np.inf
+        xpts = self.phi.grid.points
+        ypts = self.phistar.grid.points
+        fin_x = np.isfinite(pv)
+        fin_y = np.isfinite(sv)
+        if not fin_x.any() or not fin_y.any():
+            return worst
+        xi = np.flatnonzero(fin_x)
+        yi = np.flatnonzero(fin_y)
+        chunk = max(1, 2_000_000 // max(len(yi), 1))
+        for s in range(0, len(xi), chunk):
+            rows = xi[s:s + chunk]
+            prod = xpts[rows] @ ypts[yi].T
+            resid = pv[rows, None] + sv[None, yi] - prod
+            worst = min(worst, float(resid.min()))
+        return worst
+
+
+def conjugate_pair(phi: SampledFunction, ygrid: Grid | None = None) -> ConjugatePair:
+    return ConjugatePair(phi, conjugate(phi, ygrid))
+
+
+def subdiff_mask(phi: SampledFunction, phistar: SampledFunction, at_y,
+                 tol=None) -> np.ndarray:
+    """Boolean x-grid mask of the discrete subdifferential of phistar at
+    a y-node: { x : phi(x) + phistar(y) - <x, y> <= tol }."""
+    col = np.ravel_multi_index(tuple(np.atleast_1d(at_y)), phistar.grid.shape)
+    return fenchel_young_mask(phi, phistar, [col], tol).reshape(phi.grid.shape)
+
+
+def subdiff_points(pair: ConjugatePair, at_y, tol: float | None = None):
+    """Discrete subdifferential of phistar at a y-node, as index sets.
+
+    May be empty. The default tolerance is the resolution-consistent
+    per-candidate array of ``legendre.default_subdiff_tol``.
+    """
+    grid = pair.phi.grid
+    hit = np.argwhere(subdiff_mask(pair.phi, pair.phistar, at_y, tol))
+    if grid.dim == 1:
+        return set(int(i) for (i,) in hit)
+    return set((int(i), int(j)) for i, j in hit)
+
+
+def biconjugate_residual(phi: SampledFunction, ygrid: Grid | None = None) -> float:
+    """max |phi**(x) - phi(x)| over nodes where both are finite.
+
+    For convex lsc phi this is O(h^2 * curvature); for nonconvex phi it
+    measures the gap to the convex envelope.
+    """
+    phi.require_domain("biconjugate_residual")
+    star = conjugate(phi, ygrid)
+    star2 = conjugate(star, phi.grid)
+    both = np.isfinite(phi.vals) & np.isfinite(star2.vals)
+    if not both.any():
+        return 0.0
+    return float(np.abs(star2.vals[both] - phi.vals[both]).max())

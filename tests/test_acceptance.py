@@ -25,10 +25,11 @@ from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_phi, elasticity_sync,
                             two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
-from bipot.legendre import biconjugate_residual, conjugate, conjugate_bruteforce
+from bipot.legendre import conjugate, conjugate_bruteforce
 from bipot.sampling import random_convex_1d, random_convex_2d_separable
 
-from oracles import explicit_graph_union, lower_hull_envelope
+from oracles import (biconjugate_residual, explicit_graph_union,
+                     lower_hull_envelope)
 
 
 def announce(num, name, ok=True):

@@ -11,9 +11,8 @@ from bipot.bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
                                 sync_from_bipotential)
 from bipot.errors import FormatError, InvalidInputError
 from bipot.grids import Grid, SampledBivariate, SampledFunction
-from bipot.legendre import conjugate_pair
 
-from oracles import first_high_slice_minimum
+from oracles import conjugate_pair, first_high_slice_minimum
 
 
 def fy_equality_graph(phi, grid, tol):

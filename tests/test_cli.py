@@ -32,6 +32,47 @@ def test_cli_child_imports_package_under_test(cli_env, tmp_path):
     assert r.stdout.strip() == bipot.__file__
 
 
+def _child(cli_env, tmp_path, code, **extra):
+    """Run CODE in a fresh interpreter with the suite's environment, less
+    OPENBLAS_NUM_THREADS, plus EXTRA; returns its stdout."""
+    env = {k: v for k, v in cli_env.items() if k != "OPENBLAS_NUM_THREADS"}
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                       env={**env, **extra}, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+def test_import_bipot_loads_no_numpy(cli_env, tmp_path):
+    code = "import sys, bipot; print('numpy' in sys.modules)"
+    assert _child(cli_env, tmp_path, code) == ["False"]
+
+
+def test_public_names_resolve():
+    for name in bipot.__all__:
+        assert getattr(bipot, name) is not None, name
+    with pytest.raises(AttributeError, match="no attribute 'ConjugatePair'"):
+        bipot.ConjugatePair
+
+
+# prints OPENBLAS_NUM_THREADS as numpy starts to load, then after the import
+_SPY = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import bipot.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("user, expected", [(None, "1"), ("4", "4")])
+def test_cli_pins_openblas_unless_set(cli_env, tmp_path, user, expected):
+    extra = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+    assert _child(cli_env, tmp_path, _SPY, **extra) == [expected, expected]
+
+
 def test_schema_version_constant():
     assert report_schema_version().count(".") == 2
 
@@ -167,6 +208,30 @@ def test_invalid_utf8_csv_exits_2(run_cli, tmp_path, checker, flag, text):
     r = run_cli(["check", checker, flag, "bad.csv"], tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "bad.csv: not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _straddling_column() -> bytes:
+    """23 distinct nodes across 2**57, 16 apart below it and 32 above: close
+    enough to uniform to read, but the Grid fitted to them steps about
+    17.5, below the ulp 32 above 2**57, so two of its nodes coincide."""
+    b = 2.0 ** 57
+    nodes = [b - 16.0 * k for k in range(20, 0, -1)] + [b, b + 32.0, b + 64.0]
+    return ("x,value\n" + "".join(f"{x!r},0.0\n" for x in nodes)).encode()
+
+
+@pytest.mark.parametrize("checker, flag, text", [
+    ("convex", "--input", _straddling_column()),
+    # hi = 1e17 + 64 with 41 nodes: h = 1.6, below the ulp 16 of 1e17
+    ("bbgraph", "--graph", b"# bipot-graph v1\n# xgrid lo=1e17 "
+     b"hi=1.0000000000000006e17 n=41\n# ygrid lo=-1.0 hi=1.0 n=3\n"
+     b"x_index,y_index\n0,0\n")],
+    ids=["grid", "graph"])
+def test_coincident_nodes_exit_2(run_cli, tmp_path, checker, flag, text):
+    (tmp_path / "bad.csv").write_bytes(text)
+    r = run_cli(["check", checker, flag, "bad.csv"], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "not strictly increasing" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -13,6 +13,8 @@ from bipot.errors import FormatError, InvalidInputError
 from bipot.extreal import as_ext_array
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 
+import oracles
+
 
 class TestExtReal:
     def test_rejects_nan_and_neg_inf(self):
@@ -49,6 +51,21 @@ class TestGrid:
             Grid.line(0.0, 1.0, 2)
         with pytest.raises(InvalidInputError):
             Grid(lo=(0, 0, 0), hi=(1, 1, 1), n=(4, 4, 4))
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        # h = 1.6 is below the ulp 16 of 1e17: 5 distinct first-axis nodes
+        ((1e17, 0.0), (1e17 + 64.0, 1.0), (41, 5)),
+        # h = 2.5e-17 is below the ulp 2.2e-16 of 1: 6 distinct nodes
+        ((1.0,), (1.0 + 1e-15,), (41,)),
+    ])
+    def test_coincident_nodes_rejected(self, lo, hi, n):
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            Grid(lo, hi, n)
+
+    def test_nodes_one_ulp_apart_accepted(self):
+        eps = np.finfo(np.float64).eps
+        g = Grid.line(1.0, 1.0 + 40 * eps, 41)
+        assert np.array_equal(g.axis(0), 1.0 + np.arange(41) * eps)
 
     def test_index_coord_bijection(self):
         g = Grid.box((-1.0, 0.0), (1.0, 2.0), (5, 9))
@@ -211,6 +228,96 @@ class TestCsvCodecs:
         back = SampledBivariate.read_csv(p)
         assert back.vals.tobytes() == expected.vals.tobytes()
         assert back.xgrid == expected.xgrid and back.ygrid == expected.ygrid
+
+
+def _read_outcome(path, ncoord):
+    """What ``_read_rows`` makes of PATH: the array's bytes, or the
+    FormatError's message and line."""
+    with grids._open_csv(path) as fh:
+        fh.readline()
+        try:
+            a = grids._read_rows(fh, ncoord)
+        except FormatError as err:
+            return "error", str(err), err.line
+    return "rows", a.shape, a.tobytes()
+
+
+class TestReaderParity:
+    """``grids._parse_block`` (numpy's C reader) against the token route
+    it replaced, ``oracles.token_parse_block``: the same arrays bit for
+    bit, and the same FormatError message and line for every refused
+    file, block by block and through the line-by-line reparse."""
+
+    NCOORD = 2
+    # each replaces one field; the value column is the last
+    ODD_TOKENS = ["inf", "1e999", "-1e999", "-inf", "nan", "-0.0", "1_0",
+                  "١٢", "\x1c2.5", "2.5\x1f", " 7 ", "zardoz", "",
+                  "Infinity", "+.5e-3", "0x10"]
+
+    def _lines(self, rng, nrows):
+        # finite coordinates and values of every magnitude, from raw bits
+        bits = rng.integers(0, 2**63 - 2**52, (nrows, self.NCOORD + 1))
+        vals = bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.shape)
+        return [",".join(map(repr, row)) for row in vals.tolist()]
+
+    def _mutate(self, rng, lines):
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(len(lines)))
+            fields = lines[i].split(",")
+            kind = int(rng.integers(5))
+            if kind == 0:
+                fields.append("1.0")            # too many fields
+            elif kind == 1:
+                fields.pop()                    # too few fields
+            else:
+                k = int(rng.integers(len(fields)))
+                fields[k] = str(rng.choice(self.ODD_TOKENS))
+            lines[i] = ",".join(fields)
+        for _ in range(int(rng.integers(0, 3))):
+            lines.insert(int(rng.integers(len(lines) + 1)),
+                         str(rng.choice(["", "  \t", "\x1c"])))
+        return lines
+
+    def _check(self, path, monkeypatch):
+        new = _read_outcome(path, self.NCOORD)
+        with monkeypatch.context() as m:
+            m.setattr(grids, "_parse_block", oracles.token_parse_block)
+            old = _read_outcome(path, self.NCOORD)
+        assert new == old, path.read_bytes()[:400]
+        return new
+
+    def test_seeded_files(self, tmp_path, blocks, monkeypatch):
+        rng = np.random.default_rng(12)
+        kinds = set()
+        for t in range(120):
+            lines = self._mutate(rng, self._lines(rng, int(rng.integers(1, 40))))
+            eol = "\r\n" if t % 3 == 0 else "\n"
+            p = tmp_path / f"f{t}.csv"
+            p.write_bytes(("x,y,value" + eol + eol.join(lines) + eol).encode())
+            kinds.add(self._check(p, monkeypatch)[0])
+        assert kinds == {"rows", "error"}
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_one_bad_row_in_a_block(self, tmp_path, blocks, monkeypatch,
+                                    token, column):
+        lines = self._lines(np.random.default_rng(7), 30)
+        fields = lines[17].split(",")
+        fields[column] = token
+        lines[17] = ",".join(fields)
+        lines[4:4] = ["", "\x1c"]
+        p = tmp_path / "f.csv"
+        p.write_bytes(("x,y,value\r\n" + "\r\n".join(lines) + "\r\n").encode())
+        self._check(p, monkeypatch)
+
+    def test_blocks_agree_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            rows = [ln + "\n" for ln in self._lines(rng, 25)]
+            rows[3] = "-0.0,1e-320," + str(rng.choice(["inf", "1e999", "-0.0"])) + "\n"
+            new = grids._parse_block(rows, 3, self.NCOORD)
+            old = oracles.token_parse_block(rows, 3, self.NCOORD)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 ext_reals = st.one_of(

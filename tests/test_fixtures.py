@@ -9,7 +9,8 @@ from bipot.fixtures import (ConeFixture, cone_fixture, cone_fixture_params,
                             elasticity_sync, load_default_params,
                             two_point_fixture)
 from bipot.grids import Grid
-from bipot.legendre import ConjugatePair, subdiff_points
+
+from oracles import ConjugatePair, subdiff_points
 
 
 class TestElasticity:

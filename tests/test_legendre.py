@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
-from bipot.legendre import (ConjugatePair, biconjugate_residual, conjugate,
-                            conjugate_bruteforce, conjugate_pair,
-                            default_dual_grid, subdiff_points)
+from bipot.legendre import conjugate, conjugate_bruteforce, default_dual_grid
 from bipot.convexity import is_convex
 from bipot.sampling import random_convex_1d, random_convex_2d_separable
 
-from oracles import lower_hull_envelope
+from oracles import (ConjugatePair, biconjugate_residual, conjugate_pair,
+                     lower_hull_envelope, subdiff_points)
 
 
 class TestConjugateClosedForms:
