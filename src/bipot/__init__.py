@@ -23,10 +23,10 @@ _MODULE_OF = {
         "blur": "BlurSpec BlurredLaw blur_law blurred_bipotential "
                 "blurred_graph check_admits_blurring check_newc "
                 "check_newc_all inf_convolve_blur minkowski_blur",
-        "convexity": "is_convex is_set_convex min_filter",
+        "convexity": "is_convex is_set_convex",
         "covers": "CoverFamily build_cover check_implicitly_convex "
                   "check_maithm_equivalence infimum_bipotential "
-                  "member_graph_union reparameterize",
+                  "member_graph_union",
         "errors": "BipotError FormatError InvalidInputError ResolutionError",
         "grids": "Grid SampledBivariate SampledFunction pairing",
         "legendre": "conjugate conjugate_bruteforce default_dual_grid",

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import _set_scan, batch_is_convex, is_convex
+from .convexity import _set_scan, first_nonconvex, is_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
 from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
-                    pairing)
+                    _pair_points, pairing)
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import chebyshev_dilate
+from .windows import _tiles, chebyshev_dilate
 
 CLOSEDNESS_NOTE = "bi-closed: vacuously true on a finite grid"
 
@@ -51,8 +51,9 @@ class GraphSet:
         m = np.asarray(self.mask)
         if m.dtype != bool or m.shape != self.xgrid.shape + self.ygrid.shape:
             raise InvalidInputError("mask must be boolean with shape x-shape + y-shape")
-        m = m.copy()
-        m.flags.writeable = False
+        if m.flags.writeable:
+            m = m.copy()
+            m.flags.writeable = False
         object.__setattr__(self, "mask", m)
 
     @classmethod
@@ -210,13 +211,26 @@ def b_infinity(M: GraphSet) -> SampledBivariate:
     return SampledBivariate(M.xgrid, M.ygrid, vals)
 
 
+def _sync_tiles(b: SampledBivariate):
+    """(t, rows) of b - <x, y> over consecutive tiles t of the flat
+    x-nodes (``windows._tiles``); rows has shape (tile, ygrid.size)."""
+    xg, yg = b.xgrid, b.ygrid
+    vals = b.vals.reshape(xg.size, yg.size)
+    for t in _tiles(xg.size, yg.size * vals.itemsize):
+        yield t, vals[t] - _pair_points(xg.points[t], yg.points)
+
+
 def graph_of(b: SampledBivariate, tol: float) -> GraphSet:
-    """All node pairs with b(x, y) - <x, y> <= tol."""
-    if tol < 0:
-        raise InvalidInputError("tol must be >= 0")
+    """All node pairs with b(x, y) - <x, y> <= tol, a tile of x-nodes
+    at a time."""
+    if not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol}")
+    mask = np.empty((b.xgrid.size, b.ygrid.size), dtype=bool)
     with np.errstate(invalid="ignore"):
-        mask = (b.vals - b.pairing()) <= tol
-    return GraphSet(b.xgrid, b.ygrid, mask)
+        for t, c in _sync_tiles(b):
+            np.less_equal(c, tol, out=mask[t])
+    mask.flags.writeable = False
+    return GraphSet(b.xgrid, b.ygrid, mask.reshape(b.vals.shape))
 
 
 def default_graph_tol(xgrid: Grid, ygrid: Grid) -> float:
@@ -241,11 +255,6 @@ def _xslice_stack(vals: np.ndarray, xdim: int) -> np.ndarray:
     return vals.reshape((-1,) + vals.shape[xdim:])
 
 
-def _first_bad_slice(flags: np.ndarray):
-    bad = np.flatnonzero(~flags)
-    return None if bad.size == 0 else int(bad[0])
-
-
 def _unflatten(grid: Grid, flat: int):
     if grid.dim == 1:
         return flat
@@ -254,18 +263,14 @@ def _unflatten(grid: Grid, flat: int):
 
 def _slice_convexity(b: SampledBivariate, tol: float) -> CheckReport:
     """Axiom (a): every nonempty slice passes the convexity battery."""
-    ystack = _yslice_stack(b.vals, b.xgrid.dim)
-    flags = batch_is_convex(ystack, b.xgrid, tol)
-    bad = _first_bad_slice(flags)
+    bad = first_nonconvex(_yslice_stack(b.vals, b.xgrid.dim), b.xgrid, tol)
     if bad is not None:
         iy = _unflatten(b.ygrid, bad)
         detail = is_convex(b.y_slice(iy), tol)
         return failing(f"slice-convex[{detail.axiom}]",
                        (("y", iy), detail.witness), detail.residual,
                        "slice b(., y) fails the line battery")
-    xstack = _xslice_stack(b.vals, b.xgrid.dim)
-    flags = batch_is_convex(xstack, b.ygrid, tol)
-    bad = _first_bad_slice(flags)
+    bad = first_nonconvex(_xslice_stack(b.vals, b.xgrid.dim), b.ygrid, tol)
     if bad is not None:
         ix = _unflatten(b.xgrid, bad)
         detail = is_convex(b.x_slice(ix), tol)

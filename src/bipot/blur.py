@@ -14,6 +14,12 @@ b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>] after the
 substitution a -> y - a. M + A is the eps-ball dilation in y of the
 Fenchel-Young set {phi(x) + phi*(y) - <x, y> <= tol}, ``_blurred_mask``,
 on every route.
+
+The y-ball blur has no coupling across x, so c_A and b_A, the dilation
+of M + A and ``BlurredLaw``'s self-check run a tile of x-nodes at a time
+(``windows._tiles``) and write straight into read-only outputs, which
+``SampledBivariate`` and ``GraphSet`` keep without a copy. What stays
+whole is the outputs and the Fenchel-Young mask (one byte per pair).
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from typing import Union
 
 import numpy as np
 
-from .bipotentials import (GraphSet, check_bbgraph, check_sync,
+from .bipotentials import (GraphSet, _sync_tiles, check_bbgraph, check_sync,
                            default_graph_tol, graphs_match_within)
 from .convexity import _faults, _set_scan, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
-from .grids import Grid, SampledBivariate, SampledFunction, pairing
+from .grids import Grid, SampledBivariate, SampledFunction, _pair_points
 from .legendre import conjugate, default_subdiff_tol, fenchel_young_mask
 from .report import CheckReport, failing, passing
-from .windows import (_shift_reduce, ball_dilate, ball_min_filter,
+from .windows import (_shift_reduce, _tiles, ball_dilate, ball_min_filter,
                       ball_offsets, radius_nodes, require_resolvable)
 
 Y_BALL = "yball"
@@ -124,19 +130,39 @@ def _yball_conjugate(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None,
     return star
 
 
-def _yball_blur(phi: SampledFunction, star: SampledFunction,
-                eps: float) -> tuple[SampledBivariate, SampledBivariate]:
+def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
+                with_cA: bool) -> tuple[SampledBivariate | None,
+                                        SampledBivariate]:
     """(c_A, b_A) of the y-ball blur from one min-filter
     v(x, y) = min over ||a - y|| <= eps of phi*(a) - <x, a>:
-    c_A = phi(x) + v and b_A = phi(x) + (<x, y> + v)."""
-    P = pairing(phi.grid, star.grid)
-    v = ball_min_filter(star.vals - P, star.grid, eps)
-    phi_b = phi.vals.reshape(phi.grid.shape + (1,) * star.grid.dim)
-    P += v
-    P += phi_b
-    v += phi_b
-    return (SampledBivariate(phi.grid, star.grid, v),
-            SampledBivariate(phi.grid, star.grid, P))
+    c_A = phi(x) + v and b_A = (<x, y> + v) + phi(x). c_A is None
+    without with_cA.
+
+    The filter runs in y alone, so a tile of x-nodes at a time
+    (``windows._tiles``) is paired, filtered and summed into the outputs;
+    no other product-grid array is held.
+    """
+    xg, yg = phi.grid, star.grid
+    bA = np.empty(xg.shape + yg.shape)
+    cA = np.empty_like(bA) if with_cA else None
+    b_rows = bA.reshape(xg.size, yg.size)
+    c_rows = None if cA is None else cA.reshape(b_rows.shape)
+    pv = phi.vals.reshape(-1, 1)
+    sv = star.vals.reshape(-1)
+    for t in _tiles(xg.size, yg.size * bA.itemsize):
+        P = _pair_points(xg.points[t], yg.points)
+        v = ball_min_filter((sv - P).reshape((-1,) + yg.shape), yg,
+                            eps).reshape(P.shape)
+        if c_rows is not None:
+            np.add(v, pv[t], out=c_rows[t])
+        P += v
+        np.add(P, pv[t], out=b_rows[t])
+    # read-only, so SampledBivariate keeps the arrays instead of copying
+    bA.flags.writeable = False
+    if cA is not None:
+        cA.flags.writeable = False
+        cA = SampledBivariate(xg, yg, cA)
+    return cA, SampledBivariate(xg, yg, bA)
 
 
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
@@ -148,7 +174,7 @@ def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
     around y, which is the same minimum after substituting a -> y - a.
     """
     star = _yball_conjugate(phi, spec, ygrid, "blurred_bipotential")
-    return _yball_blur(phi, star, spec.eps)[1]
+    return _yball_blur(phi, star, spec.eps, with_cA=False)[1]
 
 
 def blurred_graph(phi: SampledFunction, spec: BlurSpec, tol=None,
@@ -177,27 +203,38 @@ class BlurredLaw:
     MplusA: GraphSet
 
     def __post_init__(self):
+        xg, yg = self.phi.grid, self.bA.ygrid
+        parts = (self.cA, self.bA, self.MplusA)
+        if any((p.xgrid, p.ygrid) != (xg, yg) for p in parts):
+            raise InvalidInputError(
+                "c_A, b_A and M + A must lie on phi's grid and one y-grid")
         # b_A - <x, y> and c_A are two roundings of sums of <x, y>, phi and
         # the filtered phi* - <x, a>, so the bound grows with their size
         corner = lambda g: np.maximum(np.abs(g.lo), np.abs(g.hi))
         vals = self.phi.vals
-        scale = float(corner(self.cA.xgrid) @ corner(self.cA.ygrid)) + float(
+        scale = float(corner(xg) @ corner(yg)) + float(
             np.max(np.abs(vals), where=np.isfinite(vals), initial=0.0))
         bound = 1e-9 * max(1.0, scale)
-        gap = _finite_gap(self.bA.vals - self.bA.pairing(), self.cA.vals)
+        gap = _shift_gap(self.bA, self.cA)
         if gap > bound:
             raise InvalidInputError(
                 f"b_A - <x,y> differs from c_A by {gap:.3e} (> {bound:.3e})")
 
 
-def _finite_gap(a: np.ndarray, b: np.ndarray) -> float:
-    both = np.isfinite(a) & np.isfinite(b)
-    agree_inf = np.isposinf(a) == np.isposinf(b)
-    if not agree_inf.all():
-        return INF
-    if not both.any():
-        return 0.0
-    return float(np.abs(a[both] - b[both]).max())
+def _shift_gap(bA: SampledBivariate, cA: SampledBivariate) -> float:
+    """max |(b_A - <x, y>) - c_A| over the pairs where both are finite
+    (0.0 if there is none), or +inf if they disagree on where +inf is;
+    a tile of x-nodes at a time."""
+    c_rows = cA.vals.reshape(cA.xgrid.size, cA.ygrid.size)
+    gap = 0.0
+    for t, a in _sync_tiles(bA):
+        c = c_rows[t]
+        if (np.isposinf(a) != np.isposinf(c)).any():
+            return INF
+        both = np.isfinite(a) & np.isfinite(c)
+        if both.any():
+            gap = max(gap, float(np.abs(a[both] - c[both]).max()))
+    return gap
 
 
 def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
@@ -209,7 +246,7 @@ def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
     as in ``blurred_graph``. BlurredLaw checks b_A - <x, y> against c_A.
     """
     star = _yball_conjugate(phi, spec, ygrid, "blur_law")
-    cA, bA = _yball_blur(phi, star, spec.eps)
+    cA, bA = _yball_blur(phi, star, spec.eps, with_cA=True)
     if tol is None:
         tol = default_graph_tol(phi.grid, star.grid)
     return BlurredLaw(phi, spec, cA, bA, GraphSet(
@@ -239,13 +276,19 @@ def _fy_blocks(phi: SampledFunction, star: SampledFunction, ycols, tol):
 
 def _blurred_mask(phi: SampledFunction, star: SampledFunction, eps: float,
                   tol) -> np.ndarray:
-    """M + A over the (x, y) product: the eps-ball dilation in y of the
-    Fenchel-Young mask at tol (see ``_fy_blocks``)."""
-    E = np.empty((phi.grid.size, star.grid.size), dtype=bool)
-    for s, block in _fy_blocks(phi, star, np.arange(star.grid.size), tol):
+    """M + A over the (x, y) product, read-only: the eps-ball dilation in
+    y of the Fenchel-Young mask at tol (see ``_fy_blocks``), a tile of
+    x-nodes at a time."""
+    yg = star.grid
+    E = np.empty((phi.grid.size, yg.size), dtype=bool)
+    for s, block in _fy_blocks(phi, star, np.arange(yg.size), tol):
         E[:, s:s + block.shape[1]] = block
-    return ball_dilate(E.reshape(phi.grid.shape + star.grid.shape),
-                       star.grid, eps)
+    E = E.reshape((-1,) + yg.shape)
+    out = np.empty_like(E)
+    for t in _tiles(len(E), yg.size):
+        out[t] = ball_dilate(E[t], yg, eps)
+    out.flags.writeable = False
+    return out.reshape(phi.grid.shape + yg.shape)
 
 
 def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,

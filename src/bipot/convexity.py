@@ -1,4 +1,4 @@
-"""Discrete convexity predicates and the grid min-filter.
+"""Discrete convexity predicates.
 
 Function convexity (``is_convex``) is decided by a line battery: along every
 grid row, column and both diagonal directions the finite domain must be
@@ -7,7 +7,9 @@ necessary set of conditions that is sufficient for the smooth and polyhedral
 functions this package works with; an exhaustive midpoint oracle cross-checks
 it in the test suite. One vectorized scan (``_faults``) is the whole
 battery: ``is_convex`` reads the first faulting line, ``batch_is_convex``
-keeps verdicts only, and 1-D sets are decided by its gap test.
+keeps verdicts only, and 1-D sets are decided by its gap test. Stacks of
+functions are scanned a chunk of about ``windows._TILE_BYTES`` at a time,
+so ``first_nonconvex`` stops at the chunk holding the first failure.
 
 Set convexity (``is_set_convex``) is decided per the hull-margin rule: every
 grid node lying deeper than max(h)/2 inside the convex hull of the member
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .grids import Grid, SampledFunction
 from .report import CheckReport, failing, passing
-from .windows import ball_min_filter
+from .windows import _tiles
 
 
 # --- line battery -----------------------------------------------------------
@@ -129,24 +131,51 @@ def is_convex(f: SampledFunction, tol: float) -> CheckReport:
                    residual, f"line = {family} {li}")
 
 
+def _chunk_verdicts(vals: np.ndarray, grid: Grid, tol: float):
+    """(slice, verdicts) of the line battery over consecutive chunks of a
+    (B, *grid.shape) stack, each about ``windows._TILE_BYTES`` of input.
+
+    Each slice is decided alone, so the chunks' verdicts are the whole
+    stack's, and the battery's buffers are one chunk's. Rows and columns
+    are scanned over the whole chunk; each diagonal only over the slices
+    that still pass.
+    """
+    for t in _tiles(len(vals), grid.size * vals.itemsize):
+        # a chunk of a transposed stack (the y-slices of a product array)
+        # is scattered in memory; the battery's passes read one copy of it
+        chunk = np.ascontiguousarray(vals[t])
+        ok = np.ones(len(chunk), dtype=bool)
+        for family, _, lines in _lines(chunk, grid.dim):
+            if family in ("row", "col"):
+                ok &= ~_faults(lines, tol).any(axis=1)
+                continue
+            sub = np.flatnonzero(ok)
+            if sub.size == 0:
+                break
+            ok[sub] = ~_faults(lines[sub], tol)[:, 0]
+        yield t, ok
+
+
 def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     """Vectorized line battery over a batch of sampled functions.
 
     vals has shape (B, *grid.shape); returns a (B,) boolean verdict array.
     Identically +inf slices pass (callers treat them as empty-domain).
-    Rows and columns are scanned over the whole stack; each diagonal only
-    over the slices that still pass.
     """
     ok = np.ones(len(vals), dtype=bool)
-    for family, _, lines in _lines(vals, grid.dim):
-        if family in ("row", "col"):
-            ok &= ~_faults(lines, tol).any(axis=1)
-            continue
-        sub = np.flatnonzero(ok)
-        if sub.size == 0:
-            break
-        ok[sub] = ~_faults(lines[sub], tol)[:, 0]
+    for t, flags in _chunk_verdicts(vals, grid, tol):
+        ok[t] = flags
     return ok
+
+
+def first_nonconvex(vals: np.ndarray, grid: Grid, tol: float) -> int | None:
+    """Index of the first slice of a (B, *grid.shape) stack that fails the
+    line battery, or None; no chunk past the one holding it is scanned."""
+    for t, flags in _chunk_verdicts(vals, grid, tol):
+        bad = np.flatnonzero(~flags)
+        if bad.size:
+            return t.start + int(bad[0])
+    return None
 
 
 # --- set convexity ----------------------------------------------------------
@@ -258,17 +287,3 @@ def is_set_convex(points, grid: Grid) -> CheckReport:
     if not mask.any():
         raise InvalidInputError("the empty set has no convexity verdict")
     return next(_set_scan(mask[None], grid))[1]
-
-
-# --- min filter -------------------------------------------------------------
-
-
-def min_filter(f: SampledFunction, radius: float) -> SampledFunction:
-    """g(y) = min{ f(node) : ||node - y|| <= radius }.
-
-    The window always contains y itself, so g <= f pointwise and radius 0
-    returns f unchanged. Windows are clipped at the box boundary.
-    """
-    if radius < 0:
-        raise InvalidInputError("radius must be >= 0")
-    return SampledFunction(f.grid, ball_min_filter(f.vals, f.grid, radius))

@@ -128,15 +128,6 @@ def infimum_bipotential(family: CoverFamily) -> SampledBivariate:
     return SampledBivariate(family.xgrid, family.ygrid, out)
 
 
-def reparameterize(family: CoverFamily, perm) -> CoverFamily:
-    """Reindex the family by a bijection on its parameter positions."""
-    order = [int(p) for p in perm]
-    if sorted(order) != list(range(len(family.offsets))):
-        raise InvalidInputError("perm must be a bijection on the lambda nodes")
-    return CoverFamily(family.phi, family.phistar,
-                       tuple(family.offsets[i] for i in order))
-
-
 def member_graph_union(family: CoverFamily, tol: float | None = None):
     """Union over members of their graphs {b_a = <x, y>} (within tol).
 
@@ -344,7 +335,7 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     _require_pair_cap(pair_cap)
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
                             "check_maithm_equivalence")
-    bA = _yball_blur(phi, star, eps)[1]
+    bA = _yball_blur(phi, star, eps, with_cA=False)[1]
     ygrid = bA.ygrid
     xgrid = bA.xgrid
     stol = 1e-9 * (1.0 + abs(bA.finite_max)) if tol is None else tol

@@ -27,9 +27,10 @@ def as_ext_array(values, shape=None) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
     if shape is not None and a.shape != tuple(shape):
         raise InvalidInputError(f"expected shape {tuple(shape)}, got {a.shape}")
-    if np.isnan(a).any():
+    lo = a.min(initial=INF)   # NaN wins a min, so one pass sees both
+    if math.isnan(lo):
         raise InvalidInputError("NaN is not an extended real")
-    if np.isneginf(a).any():
+    if lo == -INF:
         raise InvalidInputError("-inf is not representable; only +inf is")
     if a.flags.writeable or a.dtype != np.float64:
         a = a.copy()

@@ -168,6 +168,15 @@ def _pair_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_max(vals: np.ndarray) -> float:
+    """The largest finite value, 0.0 if there is none; no copy of vals
+    is made, and a mask of it only when vals holds +inf."""
+    top = float(vals.max(initial=-math.inf))
+    if top == math.inf:
+        top = float(np.max(vals, where=vals < math.inf, initial=-math.inf))
+    return top if top > -math.inf else 0.0
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Extended-real values of a function on the nodes of a grid."""
@@ -199,8 +208,7 @@ class SampledFunction:
 
     @property
     def finite_max(self) -> float:
-        dom = self.domain
-        return float(self.vals[dom].max()) if dom.any() else 0.0
+        return _finite_max(self.vals)
 
     def to_csv(self, path) -> None:
         names = ["x"] if self.grid.dim == 1 else ["x", "y"]
@@ -252,8 +260,7 @@ class SampledBivariate:
 
     @property
     def finite_max(self) -> float:
-        dom = np.isfinite(self.vals)
-        return float(self.vals[dom].max()) if dom.any() else 0.0
+        return _finite_max(self.vals)
 
     def to_csv(self, path) -> None:
         names = (["x", "y"] if self.xgrid.dim == 1

@@ -136,8 +136,11 @@ def default_subdiff_tol(grid: Grid) -> np.ndarray:
 def x_tol(tol, grid: Grid) -> np.ndarray:
     """tol as float64: a scalar, or an array over the x-grid (its shape or
     flat) made flat; capped at the largest float, so a residual of +inf
-    never passes, not even tol = +inf."""
+    never passes, not even tol = +inf. NaN and negative values are
+    refused."""
     t = np.asarray(tol, dtype=np.float64)
+    if not (t >= 0).all():
+        raise InvalidInputError("tol must be >= 0 and not NaN")
     if t.ndim > 0:
         if t.shape not in (grid.shape, (grid.size,)):
             raise InvalidInputError("array tol must match the x-grid shape")

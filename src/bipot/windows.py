@@ -27,6 +27,13 @@ _SLACK = 1e-9
 _TILE_BYTES = 1 << 18
 
 
+def _tiles(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each about ``_TILE_BYTES`` of
+    items of item_bytes bytes, and at least one item."""
+    step = max(1, _TILE_BYTES // max(1, item_bytes))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
 def radius_nodes(eps: float, h: float) -> int:
     """Largest k with k*h <= eps (up to relative slack)."""
     if math.isnan(eps) or eps < 0:
@@ -135,11 +142,10 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
     chords = [(w, [(0, -d1, 0) for d1 in d1s])
               for w, d1s in sorted(by_w.items())]
     out = np.empty_like(a)
-    step = max(1, _TILE_BYTES // (grid.size * a.itemsize))
-    for t in range(0, len(a), step):
-        res = out[t:t + step]
+    for t in _tiles(len(a), grid.size * a.itemsize):
+        res = out[t]
         res.fill(fill)
-        buf = a[t:t + step].copy()
+        buf = a[t].copy()
         lines = buf.reshape(-1, n2)
         w_prev = 0
         for w, offsets in chords:

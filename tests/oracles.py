@@ -1,18 +1,22 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Kept free of bipot kernel imports on purpose: these are the second route
-of every dual-route check. The conjugate-pair helpers at the end are the
-exception: test-only conveniences built on the library's ``conjugate``
-and ``fenchel_young_mask``, checked against closed forms.
+of every dual-route check. The helpers at the end are the exception:
+test-only conveniences built on the library, the conjugate pairs on its
+``conjugate`` and ``fenchel_young_mask`` (checked against closed forms),
+``min_filter`` on ``ball_min_filter`` and ``reparameterize`` on
+``CoverFamily``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from bipot.covers import CoverFamily
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
 from bipot.legendre import conjugate, fenchel_young_mask
+from bipot.windows import ball_min_filter
 
 # --- independent oracles ----------------------------------------------------
 
@@ -330,3 +334,26 @@ def biconjugate_residual(phi: SampledFunction, ygrid: Grid | None = None) -> flo
     if not both.any():
         return 0.0
     return float(np.abs(star2.vals[both] - phi.vals[both]).max())
+
+
+# --- test-only wrappers of library routines ---------------------------------
+
+
+def min_filter(f: SampledFunction, radius: float) -> SampledFunction:
+    """g(y) = min{ f(node) : ||node - y|| <= radius }.
+
+    The window always contains y itself, so g <= f pointwise and radius 0
+    returns f unchanged. Windows are clipped at the box boundary.
+    """
+    if radius < 0:
+        raise InvalidInputError("radius must be >= 0")
+    return SampledFunction(f.grid, ball_min_filter(f.vals, f.grid, radius))
+
+
+def reparameterize(family: CoverFamily, perm) -> CoverFamily:
+    """Reindex the family by a bijection on its parameter positions."""
+    order = [int(p) for p in perm]
+    if sorted(order) != list(range(len(family.offsets))):
+        raise InvalidInputError("perm must be a bijection on the lambda nodes")
+    return CoverFamily(family.phi, family.phistar,
+                       tuple(family.offsets[i] for i in order))

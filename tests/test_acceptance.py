@@ -18,8 +18,7 @@ from bipot.blur import (BlurSpec, blur_law, blurred_bipotential,
                         blurred_graph, check_admits_blurring, check_newc,
                         inf_convolve_blur, minkowski_blur)
 from bipot.covers import (build_cover, check_maithm_equivalence,
-                          infimum_bipotential, member_graph_union,
-                          reparameterize)
+                          infimum_bipotential, member_graph_union)
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync,
@@ -29,7 +28,7 @@ from bipot.legendre import conjugate, conjugate_bruteforce
 from bipot.sampling import random_convex_1d, random_convex_2d_separable
 
 from oracles import (biconjugate_residual, explicit_graph_union,
-                     lower_hull_envelope)
+                     lower_hull_envelope, reparameterize)
 
 
 def announce(num, name, ok=True):

@@ -9,6 +9,7 @@ from bipot.bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable,
                                 sync_from_bipotential)
+from bipot import windows
 from bipot.errors import FormatError, InvalidInputError
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 
@@ -148,6 +149,28 @@ class TestCheckBipotential:
         vals[np.arange(n), np.arange(n)] += bump
         rep = check_bipotential(SampledBivariate(line_grid, line_grid, vals))
         assert not rep.ok
+
+
+    @pytest.mark.parametrize("grid", [Grid.line(-1.0, 1.0, 11),
+                                      Grid.box(-1.0, 1.0, 5)])
+    def test_witness_when_only_the_last_chunk_fails(self, monkeypatch, grid):
+        # y-slices are scanned a chunk at a time; only the last y-node's
+        # slice is concave in x, so the scan reaches the last chunk (ragged
+        # at 3 slices a chunk: 11 and 25 y-nodes)
+        phi = SampledFunction.from_callable(
+            grid, (lambda x: x * x) if grid.dim == 1
+            else (lambda a, b: a * a + b * b))
+        vals = separable(phi, grid).vals.copy()
+        x1 = grid.meshgrid()[0]
+        vals[(Ellipsis,) + (-1,) * grid.dim] -= 2.0 * x1 * x1
+        b = SampledBivariate(grid, grid, vals)
+        whole = check_bipotential(b)
+        last = grid.n[0] - 1 if grid.dim == 1 else (grid.n[0] - 1,) * 2
+        assert whole.axiom == "slice-convex[second-difference]"
+        assert whole.witness[0] == ("y", last)
+        for slices in (1, 3):
+            monkeypatch.setattr(windows, "_TILE_BYTES", slices * grid.size * 8)
+            assert check_bipotential(b).to_lines() == whole.to_lines()
 
 
 class TestCheckSync:

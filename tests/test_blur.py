@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bipot import windows
+from bipot import blur, windows
 from bipot.bipotentials import (GraphSet, check_bbgraph, check_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable)
@@ -13,7 +13,8 @@ from bipot.errors import InvalidInputError, ResolutionError
 from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
                             elasticity_phi, elasticity_sync, two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
-from bipot.legendre import conjugate, default_dual_grid, default_subdiff_tol
+from bipot.legendre import (conjugate, default_dual_grid, default_subdiff_tol,
+                            x_tol)
 from bipot.sampling import random_convex_1d, random_piecewise_linear_1d
 from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
                            radius_nodes)
@@ -130,6 +131,26 @@ class TestBlurredBipotential:
         with pytest.raises(InvalidInputError, match="differs from c_A"):
             BlurredLaw(phi, law.spec, SampledBivariate(g, yg, cA), law.bA,
                        law.MplusA)
+
+    def test_parts_on_other_grids_refused(self):
+        # a c_A on another y-grid once met b_A in a raw numpy broadcast
+        # (ValueError); x-tiles reshape rows, so a part of the same size on
+        # other nodes could slip through a gap check that trusts the shapes
+        g = Grid.line(-2.0, 2.0, 21)
+        phi = SampledFunction.from_callable(g, lambda x: 0.5 * x * x)
+        law = blur_law(phi, BlurSpec(0.5))
+        wider = blur_law(phi, BlurSpec(0.5), Grid.line(-2.0, 2.0, 23))
+        moved = blur_law(phi, BlurSpec(0.5), Grid.line(-2.5, 1.5, 21))
+        other_x = blur_law(SampledFunction.from_callable(
+            Grid.line(-1.0, 1.0, 21), lambda x: x * x), BlurSpec(0.5), g)
+        for parts in ((wider.cA, law.bA, law.MplusA),
+                      (law.cA, wider.bA, wider.MplusA),
+                      (law.cA, law.bA, wider.MplusA),
+                      (moved.cA, law.bA, law.MplusA),
+                      (law.cA, law.bA, moved.MplusA),
+                      (other_x.cA, other_x.bA, other_x.MplusA)):
+            with pytest.raises(InvalidInputError, match="grid"):
+                BlurredLaw(phi, law.spec, *parts)
 
     def test_product_kind_rejected(self, elast):
         phi = elasticity_phi(elast)
@@ -475,6 +496,72 @@ def test_tiles_keep_every_bit(monkeypatch):
     for v, got in zip(vals.reshape(-1, grid.size),
                       whole[0].reshape(-1, grid.size)):
         assert np.array_equal(got, brute_min_filter(grid.points, v, eps))
+
+
+def _x_tiled_laws():
+    """(name, phi, spec, ygrid) for the x-tile tests: 1-D and 2-D, a law
+    that is +inf off its domain, and the |x| law on a box where <x, y>
+    reaches 1.6e7; x-node counts are not multiples of 3."""
+    line = Grid.line(-2.0, 2.0, 20)
+    box = Grid((-2.0, -1.5), (2.0, 1.5), (5, 7))
+    quad = SampledFunction.from_callable(line, lambda x: 0.5 * x * x)
+    bowl = SampledFunction.from_callable(box, lambda a, b: a * a + 0.5 * b * b)
+    ball = np.linalg.norm(box.points, axis=1).reshape(box.shape) <= 1.2
+    cap = SampledFunction(box, np.where(ball, bowl.vals, np.inf))
+    wide = SampledFunction.from_callable(Grid.line(-1e6, 1.3e6, 20),
+                                         lambda x: 12.5 * np.abs(x))
+    wide_y = default_dual_grid(wide)
+    return [("1-D", quad, BlurSpec(0.5), None),
+            ("2-D", bowl, BlurSpec(0.8), Grid.box(-3.0, 3.0, 9)),
+            ("2-D +inf", cap, BlurSpec(0.8), Grid.box(-3.0, 3.0, 9)),
+            ("|x| box", wide, BlurSpec(wide_y.h[0]), wide_y)]
+
+
+@pytest.mark.parametrize("name, phi, spec, ygrid", _x_tiled_laws(),
+                         ids=[c[0] for c in _x_tiled_laws()])
+def test_blurred_law_tiles_keep_every_bit(monkeypatch, name, phi, spec,
+                                          ygrid):
+    # one x-tile against x-tiles of 1 and 3 float64 rows (ragged: 20 and
+    # 35 x-nodes); M + A's bool rows then come 8 and 24 to a tile
+    def parts():
+        law = blur_law(phi, spec, ygrid)
+        gtol = default_graph_tol(law.bA.xgrid, law.bA.ygrid)
+        return (law.cA.vals, law.bA.vals, law.MplusA.mask,
+                blurred_bipotential(phi, spec, ygrid).vals,
+                graph_of(law.bA, gtol).mask,
+                blur._shift_gap(law.bA, law.cA))
+
+    whole = parts()
+    row_bytes = whole[0][(0,) * phi.grid.dim].nbytes
+    assert phi.grid.size * row_bytes <= windows._TILE_BYTES
+    if name == "|x| box":
+        assert whole[-1] > 1e-9
+    if name == "2-D +inf":
+        assert np.isposinf(whole[0]).any()
+    for nodes in (1, 3):
+        monkeypatch.setattr(windows, "_TILE_BYTES", nodes * row_bytes)
+        got = parts()
+        for a, b in zip(got[:-1], whole[:-1]):
+            assert np.array_equal(a, b)
+        assert got[-1] == whole[-1]
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_unusable_tol_is_invalid_input(tol):
+    # NaN passed every `tol < 0` check and made M + A empty
+    g = Grid.line(-2.0, 2.0, 21)
+    phi = SampledFunction.from_callable(g, lambda x: 0.5 * x * x)
+    per_x = np.full(g.shape, 0.1)
+    per_x[7] = tol
+    for call in (lambda: blur_law(phi, BlurSpec(0.5), tol=tol),
+                 lambda: blur_law(phi, BlurSpec(0.5), tol=per_x),
+                 lambda: blurred_graph(phi, BlurSpec(0.5), tol),
+                 lambda: check_newc(phi, 0.5, 10, tol),
+                 lambda: graph_of(separable(phi), tol),
+                 lambda: x_tol(tol, g),
+                 lambda: x_tol(per_x, g)):
+        with pytest.raises(InvalidInputError, match="tol must be >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])

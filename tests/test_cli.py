@@ -186,6 +186,16 @@ def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_blur_rejects_unusable_tol(run_cli, tmp_path, quad_csv, tol):
+    r = run_cli(["blur", "--phi", str(quad_csv), "--eps", "0.5",
+                 f"--tol={tol}"], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "bipot: error: tol must be >= 0" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quad.csv"]
+
+
 def test_blur_huge_eps_equals_box_width(run_cli, tmp_path):
     g = Grid.line(-1.0, 1.0, 3)
     SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(

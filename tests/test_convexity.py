@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipot.convexity import (_set_scan, batch_is_convex, is_convex,
-                             is_set_convex, min_filter)
+from bipot import windows
+from bipot.convexity import (_set_scan, batch_is_convex, first_nonconvex,
+                             is_convex, is_set_convex)
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
 from bipot.sampling import random_piecewise_linear_1d
 from bipot.windows import ball_dilate
 
 from oracles import (brute_midpoint_convex, brute_min_filter,
-                     convex_1d_oracle, hull_margin_set_convex, monotone_chain)
+                     convex_1d_oracle, hull_margin_set_convex, min_filter,
+                     monotone_chain)
 
 
 class TestIsConvex1D:
@@ -160,6 +162,23 @@ class TestBatchIsConvex:
         assert 0 < got.sum() < len(vals)
         if len(shape) == 2:
             assert diagonal_only > 0
+
+
+    @pytest.mark.parametrize("shape", [(17,), (5, 6)])
+    def test_chunks_keep_every_verdict(self, monkeypatch, shape):
+        # 59 slices: chunks of 1, and of 3 with a ragged last chunk
+        rng = np.random.default_rng(7)
+        g = Grid((-1.0,) * len(shape), (1.0,) * len(shape), shape)
+        vals = self.corpus(shape, rng)[:59]
+        whole = batch_is_convex(vals, g, 1e-9)
+        first = int(np.flatnonzero(~whole)[0])
+        assert first_nonconvex(vals, g, 1e-9) == first
+        for slices in (1, 3):
+            monkeypatch.setattr(windows, "_TILE_BYTES", slices * g.size * 8)
+            assert np.array_equal(batch_is_convex(vals, g, 1e-9), whole)
+            assert first_nonconvex(vals, g, 1e-9) == first
+            assert first_nonconvex(vals[whole], g, 1e-9) is None
+            assert first_nonconvex(vals[first:], g, 1e-9) == 0
 
 
 class TestIsSetConvex:

@@ -6,13 +6,13 @@ from bipot.bipotentials import (check_bipotential, default_graph_tol,
 from bipot.blur import BlurSpec, blurred_bipotential, blurred_graph
 from bipot.covers import (build_cover, check_implicitly_convex,
                           check_maithm_equivalence, infimum_bipotential,
-                          member_graph_union, reparameterize)
+                          member_graph_union)
 from bipot.errors import InvalidInputError, ResolutionError
 from bipot.grids import Grid, SampledFunction
 from bipot.fixtures import cone_fixture, cone_fixture_params
 from bipot.sampling import random_convex_1d
 
-from oracles import explicit_graph_union
+from oracles import explicit_graph_union, reparameterize
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,49 @@
+"""Memory guards for product-grid work, read from tracemalloc.
+
+numpy reports its data buffers to tracemalloc, so a traced peak repeats
+exactly from run to run, unlike peak RSS, which also moves with the heap
+layout. Each guard bounds the bytes allocated during one call above what
+was allocated when it started.
+"""
+
+import tracemalloc
+
+from bipot import windows
+from bipot.bipotentials import check_sync
+from bipot.blur import blur_law
+from bipot.fixtures import (cone_fixture, cone_fixture_params,
+                            elasticity_fixture, elasticity_phi)
+
+
+def traced_peak(fn):
+    """(fn(), the traced allocation peak during the call, in bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_blur_law_holds_its_outputs_and_a_few_tiles():
+    # n = 25: one float64 product array is 3.1 MB, a tile 0.26 MB; c_A and
+    # b_A are built an x-tile at a time, and M + A needs one more whole
+    # boolean mask (the Fenchel-Young set it dilates)
+    fix = cone_fixture_params(0.5, 1.0, 1.0, -2.0, 2.0, 25)
+    phi = cone_fixture(fix).phi
+    law, peak = traced_peak(lambda: blur_law(phi, fix.spec, fix.ygrid))
+    mask = law.MplusA.mask.nbytes
+    outputs = law.cA.vals.nbytes + law.bA.vals.nbytes + mask
+    assert peak <= outputs + mask + 8 * windows._TILE_BYTES
+
+
+def test_failing_check_sync_allocates_less_than_one_product_array():
+    # 2-D elasticity at n = 25 fails slice convexity at y = (0, 0), in the
+    # first chunk of y-slices, so no scan of the whole stack is needed
+    fix = elasticity_fixture(1.0, 0.5, n=25, dim=2)
+    cA = blur_law(elasticity_phi(fix), fix.spec, fix.ygrid).cA
+    rep, peak = traced_peak(lambda: check_sync(cA))
+    assert rep.axiom == "slice-convex[second-difference]"
+    assert rep.witness[0] == ("y", (0, 0))
+    assert peak < cA.vals.nbytes
