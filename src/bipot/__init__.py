@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "bipotentials": "GraphSet b_infinity bipotential_from_sync "
-                        "check_bbgraph check_bipotential "
+        "bipotentials": "GraphSet check_bbgraph check_bipotential "
                         "check_cyclically_monotone check_sync graph_of "
                         "graphs_match_within separable sync_from_bipotential",
         "blur": "BlurSpec BlurredLaw blur_law blurred_bipotential "
@@ -29,7 +28,7 @@ _MODULE_OF = {
                   "member_graph_union",
         "errors": "BipotError FormatError InvalidInputError ResolutionError",
         "grids": "Grid SampledBivariate SampledFunction pairing",
-        "legendre": "conjugate conjugate_bruteforce default_dual_grid",
+        "legendre": "conjugate default_dual_grid",
         "report": "CheckReport",
     }.items()
     for name in names.split()

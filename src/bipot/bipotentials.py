@@ -24,7 +24,7 @@ from .convexity import _set_scan, first_nonconvex, is_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
 from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
-                    _pair_points, pairing)
+                    _pair_points)
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
 from .windows import _tiles, chebyshev_dilate
@@ -86,10 +86,6 @@ class GraphSet:
         if self.ygrid.dim == 1:
             return self.mask[..., iy]
         return self.mask[..., iy[0], iy[1]]
-
-    def x_section(self, ix) -> np.ndarray:
-        """Mask over the y-grid of M(x) = {y : (x, y) in M}."""
-        return self.mask[ix]
 
     def same_pairs(self, other: "GraphSet") -> bool:
         return np.array_equal(self.mask, other.mask)
@@ -182,15 +178,6 @@ def sync_from_bipotential(b: SampledBivariate) -> SampledBivariate:
     return SampledBivariate(b.xgrid, b.ygrid, b.vals - b.pairing())
 
 
-def bipotential_from_sync(c: SampledBivariate) -> SampledBivariate:
-    """b = c + <x, y>; rejects negative sync values."""
-    if (c.vals < 0).any():
-        idx = np.unravel_index(int(np.argmax(c.vals < 0)), c.vals.shape)
-        raise InvalidInputError(
-            f"sync values must be >= 0; c{tuple(int(i) for i in idx)} < 0")
-    return SampledBivariate(c.xgrid, c.ygrid, c.vals + c.pairing())
-
-
 def separable(phi: SampledFunction, ygrid: Grid | None = None) -> SampledBivariate:
     """b(x, y) = phi(x) + phi*(y)."""
     phi.require_domain("separable")
@@ -201,14 +188,6 @@ def separable(phi: SampledFunction, ygrid: Grid | None = None) -> SampledBivaria
     yshape = star.grid.shape
     vals = phi.vals.reshape(xshape + (1,) * len(yshape)) + star.vals
     return SampledBivariate(phi.grid, star.grid, vals)
-
-
-def b_infinity(M: GraphSet) -> SampledBivariate:
-    """b_inf(x, y) = <x, y> on M, +inf elsewhere."""
-    if M.is_empty:
-        raise InvalidInputError("b_infinity needs a nonempty graph")
-    vals = np.where(M.mask, pairing(M.xgrid, M.ygrid), INF)
-    return SampledBivariate(M.xgrid, M.ygrid, vals)
 
 
 def _sync_tiles(b: SampledBivariate):
@@ -420,8 +399,7 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
             return failing("attained-min-zero", (tag, _unflatten(grid, s)), m,
                            f"slice minimum {m!r} exceeds {t!r}")
 
-    # c + <x, y> directly: c may dip below 0 within neg_tol, which
-    # bipotential_from_sync would refuse
+    # c + <x, y> directly: c may dip below 0 within neg_tol
     rep_b = check_bipotential(SampledBivariate(c.xgrid, c.ygrid, c.vals + P), tol)
     if not rep_b.ok:
         return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,

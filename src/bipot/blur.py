@@ -59,12 +59,12 @@ class BlurSpec:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise InvalidInputError("eps must be >= 0")
+        if not self.eps >= 0:   # NaN fails too, as in radius_nodes
+            raise InvalidInputError(f"radius must be >= 0, got {self.eps}")
         if self.kind not in (Y_BALL, PRODUCT_BALL):
             raise InvalidInputError(f"unknown blur kind {self.kind!r}")
-        if self.p < 1:
-            raise InvalidInputError("p must be >= 1")
+        if not 1 <= self.p < INF:
+            raise InvalidInputError(f"p must be finite and >= 1, got {self.p}")
 
     def require_resolvable(self, xgrid: Grid, ygrid: Grid) -> None:
         if self.kind == Y_BALL:
@@ -305,10 +305,10 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
 
+    at_t = ygrid.node_index(at_y)
     center = ygrid.coords(at_y)
-    at_t = (at_y,) if ygrid.dim == 1 else tuple(at_y)
     offs = np.array(ball_offsets(ygrid, eps)).reshape(-1, ygrid.dim)
-    idx = offs + np.array(at_t)
+    idx = offs + at_t
     inbox = ((idx >= 0) & (idx < np.array(ygrid.n))).all(axis=1)
     cols = np.ravel_multi_index(tuple(idx[inbox].T), ygrid.shape)
     union = np.zeros(phi.grid.size, dtype=bool)

@@ -3,7 +3,9 @@
 The cover of a blurred law is the family b_a(x, y) = phi(x) + phi*(y - a)
 + <x, a> indexed by the node offsets a of the eps-ball (a finite set, so
 the compactness and lower-semicontinuity requirements on the index space
-hold trivially). Its pointwise infimum is the blurred law b_A, and b_A is
+hold trivially). Its pointwise infimum is the blurred law b_A, which
+``infimum_bipotential`` takes from the blur's one min-filter in y (the
+member-by-member minimum is the test oracle ``explicit_infimum``). b_A is
 a bipotential exactly when the family is implicitly convex in (a, x) for
 every y; ``check_maithm_equivalence`` confronts the two sides of that
 equivalence computationally.
@@ -34,7 +36,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _overlap, ball_offsets, radius_nodes
+from .windows import ball_offsets, radius_nodes
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -43,8 +45,9 @@ DEFAULT_PAIR_CAP = 200_000
 class CoverFamily:
     """The family a -> b_a over the eps-ball of y-node offsets.
 
-    Members are built lazily; ``offsets`` is the ordered index set (the
-    lambda nodes). Offset coordinates are offset * h per axis.
+    ``offsets`` is the ordered index set (the lambda nodes); offset
+    coordinates are offset * h per axis. ``values_at`` evaluates the
+    members at one y-node and ``infimum_bipotential`` is their minimum.
     """
 
     phi: SampledFunction
@@ -69,14 +72,6 @@ class CoverFamily:
             return np.array([off * h[0]])
         return np.array([off[0] * h[0], off[1] * h[1]])
 
-    def _shifted_star(self, off) -> np.ndarray:
-        """phi*(y - a) on the y-grid, +inf where y - a leaves the box."""
-        star = self.phistar.vals
-        out = np.full_like(star, INF)
-        dst, src = _overlap(star.shape, np.atleast_1d(off))
-        out[dst] = star[src]
-        return out
-
     def _lead(self, off) -> np.ndarray:
         """phi(x) + <x, a> on the x-grid."""
         a = self.offset_coords(off)
@@ -87,18 +82,18 @@ class CoverFamily:
             xa = g1 * a[0] + g2 * a[1]
         return self.phi.vals + xa
 
-    def member(self, off) -> SampledBivariate:
-        """b_a(x, y) = phi(x) + phi*(y - a) + <x, a> for one offset a."""
-        lead = self._lead(off).reshape(self.xgrid.shape + (1,) * self.ygrid.dim)
-        return SampledBivariate(self.xgrid, self.ygrid,
-                                lead + self._shifted_star(off))
-
     def values_at(self, y_idx) -> np.ndarray:
-        """f(a, x) = b_a(x, y) at the y-node y_idx, stacked over the
-        offsets: each row is member(a).vals at that node."""
-        y = tuple(np.atleast_1d(y_idx))
-        return np.stack([self._lead(off) + self._shifted_star(off)[y]
-                         for off in self.offsets])
+        """f(a, x) = b_a(x, y) = phi(x) + phi*(y - a) + <x, a> at the
+        y-node y_idx, stacked over the offsets; phi*(y - a) is +inf where
+        y - a leaves the box."""
+        y = self.ygrid.node_index(y_idx)
+        star = self.phistar.vals
+        rows = []
+        for off in self.offsets:
+            src = y - off
+            inside = ((src >= 0) & (src < star.shape)).all()
+            rows.append(self._lead(off) + (star[tuple(src)] if inside else INF))
+        return np.stack(rows)
 
 
 def build_cover(phi: SampledFunction, eps: float,
@@ -115,17 +110,26 @@ def build_cover(phi: SampledFunction, eps: float,
     return CoverFamily(phi, star, offsets)
 
 
-def infimum_bipotential(family: CoverFamily) -> SampledBivariate:
-    """Pointwise minimum over the members (exact finite min).
+def _ball_radius(family: CoverFamily) -> float:
+    """The radius of the ball whose node offsets the family holds; other
+    offset sets are refused."""
+    radius = max(float(np.linalg.norm(family.offset_coords(off)))
+                 for off in family.offsets)
+    if sorted(ball_offsets(family.ygrid, radius)) != sorted(family.offsets):
+        raise InvalidInputError("the shift identity needs a ball of offsets")
+    return radius
 
-    Cost is |offsets| full product-grid sweeps; meant for desk-scale
-    fixtures. The blur module computes the same surface in one filter pass.
+
+def infimum_bipotential(family: CoverFamily) -> SampledBivariate:
+    """Pointwise minimum over the members, b_A itself.
+
+    With a -> y - a, min over a of b_a(x, y) is phi(x) + <x, y> + the
+    ball min-filter in y of phi*(a) - <x, a>, which ``blur._yball_blur``
+    computes in one pass; this needs the offsets of a ball, as
+    ``build_cover`` makes them.
     """
-    out = None
-    for off in family.offsets:
-        vals = family.member(off).vals
-        out = vals.copy() if out is None else np.minimum(out, vals)
-    return SampledBivariate(family.xgrid, family.ygrid, out)
+    return _yball_blur(family.phi, family.phistar, _ball_radius(family),
+                       with_cA=False)[1]
 
 
 def member_graph_union(family: CoverFamily, tol: float | None = None):
@@ -138,11 +142,8 @@ def member_graph_union(family: CoverFamily, tol: float | None = None):
     """
     if tol is None:
         tol = default_graph_tol(family.xgrid, family.ygrid)
-    radius = max(float(np.linalg.norm(family.offset_coords(off)))
-                 for off in family.offsets)
-    if sorted(ball_offsets(family.ygrid, radius)) != sorted(family.offsets):
-        raise InvalidInputError("the shift identity needs a ball of offsets")
-    union = _blurred_mask(family.phi, family.phistar, radius, tol)
+    union = _blurred_mask(family.phi, family.phistar, _ball_radius(family),
+                          tol)
     return GraphSet(family.xgrid, family.ygrid, union), "shifted-masks"
 
 

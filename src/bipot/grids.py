@@ -105,6 +105,16 @@ class Grid:
         i, j = (int(v) for v in idx)
         return (self.lo[0] + i * self.h[0], self.lo[1] + j * self.h[1])
 
+    def node_index(self, idx) -> np.ndarray:
+        """A node index (int in 1-D, (i, j) in 2-D) as an int array of
+        shape (dim,); InvalidInputError unless it names a node."""
+        i = np.atleast_1d(idx)
+        if (i.shape != (self.dim,) or i.dtype.kind not in "iu"
+                or not ((i >= 0) & (i < self.n)).all()):
+            raise InvalidInputError(
+                f"node index {idx!r} is not on the grid of shape {self.shape}")
+        return i
+
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.axes, indexing="ij")
 

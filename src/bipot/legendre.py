@@ -2,10 +2,9 @@
 
 The production transform is the linear-time discrete Legendre transform
 (lower hull + monotone argmax pointer, in ``bipot._kernels``); in 2-D it
-factors into iterated per-axis 1-D transforms. ``conjugate_bruteforce``
-is the exhaustive-maximization oracle kept for tests: both paths evaluate
-candidates as ``fl(<x, y> - phi(x))`` with identical association, so their
-outputs agree bit for bit.
+factors into iterated per-axis 1-D transforms. Candidates are evaluated
+as ``fl(<x, y> - phi(x))``, the association of the exhaustive-maximization
+oracle ``conjugate_bruteforce`` in the tests, so the two agree bit for bit.
 
 Finite grids cannot hold phi* = +inf where the sup escapes the box, so
 values above ``cap`` (default 1e12) are reported as +inf.
@@ -95,33 +94,6 @@ def conjugate(phi: SampledFunction, ygrid: Grid | None = None,
     outer_in = np.ascontiguousarray(-u.T)
     out = _kernels.lf_transform(x1, outer_in, y1).T
     return SampledFunction(ygrid, _cap_to_inf(np.ascontiguousarray(out), cap))
-
-
-def conjugate_bruteforce(phi: SampledFunction, ygrid: Grid | None = None,
-                         cap: float = DEFAULT_CAP) -> SampledFunction:
-    """Exhaustive O(N*M) conjugation; the test oracle for `conjugate`."""
-    phi.require_domain("conjugate_bruteforce")
-    if ygrid is None:
-        ygrid = default_dual_grid(phi)
-    if ygrid.dim != phi.grid.dim:
-        raise InvalidInputError("ygrid dimension must match phi")
-    if phi.grid.dim == 1:
-        xs = phi.grid.axis(0)
-        ys = ygrid.axis(0)
-        with np.errstate(invalid="ignore"):
-            cand = ys[:, None] * xs[None, :] - phi.vals[None, :]
-        out = cand.max(axis=1)
-        return SampledFunction(ygrid, _cap_to_inf(out, cap))
-
-    x1, x2 = phi.grid.axes
-    y1ax, y2ax = ygrid.axes
-    out = np.empty(ygrid.shape)
-    with np.errstate(invalid="ignore"):
-        for j2, yb in enumerate(y2ax):
-            inner = x2[None, :] * yb - phi.vals      # (n1, n2)
-            for j1, ya in enumerate(y1ax):
-                out[j1, j2] = np.max(x1[:, None] * ya + inner)
-    return SampledFunction(ygrid, _cap_to_inf(out, cap))
 
 
 def default_subdiff_tol(grid: Grid) -> np.ndarray:

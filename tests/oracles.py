@@ -1,21 +1,31 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Kept free of bipot kernel imports on purpose: these are the second route
-of every dual-route check. The helpers at the end are the exception:
-test-only conveniences built on the library, the conjugate pairs on its
-``conjugate`` and ``fenchel_young_mask`` (checked against closed forms),
-``min_filter`` on ``ball_min_filter`` and ``reparameterize`` on
-``CoverFamily``.
+of every dual-route check. They include the exhaustive conjugate
+``conjugate_bruteforce`` and a cover's member-by-member routes
+(``cover_member``, ``explicit_infimum``, ``explicit_graph_union``), which
+the library replaces by one conjugate kernel, one min-filter and one
+dilation. The helpers at the end are the exception: test-only
+conveniences built on the library, namely the constructions
+``bipotential_from_sync`` and ``b_infinity``, the random generators
+``random_convex_2d_separable`` and ``random_piecewise_linear_1d``, the
+conjugate pairs on ``conjugate`` and ``fenchel_young_mask`` (checked
+against closed forms), ``min_filter`` on ``ball_min_filter`` and
+``reparameterize`` on ``CoverFamily``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from bipot.bipotentials import GraphSet
 from bipot.covers import CoverFamily
 from bipot.errors import InvalidInputError
-from bipot.grids import Grid, SampledFunction
-from bipot.legendre import conjugate, fenchel_young_mask
+from bipot.extreal import INF
+from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
+from bipot.legendre import (DEFAULT_CAP, _cap_to_inf, conjugate,
+                            default_dual_grid, fenchel_young_mask)
+from bipot.sampling import random_convex_1d
 from bipot.windows import ball_min_filter
 
 # --- independent oracles ----------------------------------------------------
@@ -125,23 +135,15 @@ def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
     return None
 
 
-def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
-    """Member-by-member union of a cover's graphs {b_a - <x, y> <= tol}.
-
-    b_a(x, y) = phi(x) + phi*(y - a) + <x, a>, +inf where y - a leaves the
-    y-box, for each node offset a (offset * h per axis). Returns the union
-    as a boolean mask over (x-node, y-node).
-    """
+def _cover_members(phi_vals, phistar_vals, offsets, xgrid, ygrid):
+    """Each member b_a(x, y) = phi(x) + phi*(y - a) + <x, a> of a cover,
+    +inf where y - a leaves the y-box, for the node offsets a (offset * h
+    per axis) in order; an array over (flat x-node, flat y-node)."""
     dim = ygrid.dim
     xs = [g.ravel() for g in np.meshgrid(*xgrid.axes, indexing="ij")]
-    ys = [g.ravel() for g in np.meshgrid(*ygrid.axes, indexing="ij")]
     yidx = np.indices(ygrid.shape).reshape(dim, -1)
     phi = phi_vals.reshape(-1)
     star = phistar_vals.reshape(-1)
-    pair = np.multiply.outer(xs[0], ys[0])
-    if dim == 2:
-        pair += np.multiply.outer(xs[1], ys[1])
-    union = np.zeros(pair.shape, dtype=bool)
     for off in offsets:
         off = np.atleast_1d(off)
         xa = xs[0] * (off[0] * ygrid.h[0])
@@ -152,9 +154,63 @@ def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
         shifted = np.full(star.shape, np.inf)
         shifted[inside] = star[np.ravel_multi_index(tuple(src[:, inside]),
                                                     ygrid.shape)]
-        b = (phi + xa)[:, None] + shifted[None, :]
+        yield (phi + xa)[:, None] + shifted[None, :]
+
+
+def cover_member(phi_vals, phistar_vals, off, xgrid, ygrid):
+    """The cover member b_a for one node offset a, over (x-node, y-node)."""
+    b = next(_cover_members(phi_vals, phistar_vals, [off], xgrid, ygrid))
+    return b.reshape(xgrid.shape + ygrid.shape)
+
+
+def explicit_infimum(phi_vals, phistar_vals, offsets, xgrid, ygrid):
+    """Member-by-member pointwise minimum of a cover, over (x-node,
+    y-node): one full product pass per offset."""
+    out = None
+    for b in _cover_members(phi_vals, phistar_vals, offsets, xgrid, ygrid):
+        out = b if out is None else np.minimum(out, b, out=out)
+    return out.reshape(xgrid.shape + ygrid.shape)
+
+
+def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
+    """Member-by-member union of a cover's graphs {b_a - <x, y> <= tol}, as
+    a boolean mask over (x-node, y-node)."""
+    xs = [g.ravel() for g in np.meshgrid(*xgrid.axes, indexing="ij")]
+    ys = [g.ravel() for g in np.meshgrid(*ygrid.axes, indexing="ij")]
+    pair = np.multiply.outer(xs[0], ys[0])
+    if ygrid.dim == 2:
+        pair += np.multiply.outer(xs[1], ys[1])
+    union = np.zeros(pair.shape, dtype=bool)
+    for b in _cover_members(phi_vals, phistar_vals, offsets, xgrid, ygrid):
         union |= b - pair <= tol
     return union.reshape(xgrid.shape + ygrid.shape)
+
+
+def conjugate_bruteforce(phi: SampledFunction, ygrid: Grid | None = None,
+                         cap: float = DEFAULT_CAP) -> SampledFunction:
+    """Exhaustive O(N*M) conjugation; the test oracle for `conjugate`."""
+    phi.require_domain("conjugate_bruteforce")
+    if ygrid is None:
+        ygrid = default_dual_grid(phi)
+    if ygrid.dim != phi.grid.dim:
+        raise InvalidInputError("ygrid dimension must match phi")
+    if phi.grid.dim == 1:
+        xs = phi.grid.axis(0)
+        ys = ygrid.axis(0)
+        with np.errstate(invalid="ignore"):
+            cand = ys[:, None] * xs[None, :] - phi.vals[None, :]
+        out = cand.max(axis=1)
+        return SampledFunction(ygrid, _cap_to_inf(out, cap))
+
+    x1, x2 = phi.grid.axes
+    y1ax, y2ax = ygrid.axes
+    out = np.empty(ygrid.shape)
+    with np.errstate(invalid="ignore"):
+        for j2, yb in enumerate(y2ax):
+            inner = x2[None, :] * yb - phi.vals      # (n1, n2)
+            for j1, ya in enumerate(y1ax):
+                out[j1, j2] = np.max(x1[:, None] * ya + inner)
+    return SampledFunction(ygrid, _cap_to_inf(out, cap))
 
 
 def monotone_chain(points):
@@ -248,6 +304,50 @@ def token_parse_block(rows, nfields, ncoord):
             or np.isneginf(vals).any()):
         return None
     return a
+
+
+# --- test-only constructions and generators (built on the library) ---------
+
+
+def bipotential_from_sync(c: SampledBivariate) -> SampledBivariate:
+    """b = c + <x, y>; rejects negative sync values."""
+    if (c.vals < 0).any():
+        idx = np.unravel_index(int(np.argmax(c.vals < 0)), c.vals.shape)
+        raise InvalidInputError(
+            f"sync values must be >= 0; c{tuple(int(i) for i in idx)} < 0")
+    return SampledBivariate(c.xgrid, c.ygrid, c.vals + c.pairing())
+
+
+def b_infinity(M: GraphSet) -> SampledBivariate:
+    """b_inf(x, y) = <x, y> on M, +inf elsewhere."""
+    if M.is_empty:
+        raise InvalidInputError("b_infinity needs a nonempty graph")
+    vals = np.where(M.mask, pairing(M.xgrid, M.ygrid), INF)
+    return SampledBivariate(M.xgrid, M.ygrid, vals)
+
+
+def random_convex_2d_separable(grid: Grid,
+                               rng: np.random.Generator) -> SampledFunction:
+    """phi(x1, x2) = f1(x1) + f2(x2) with random convex 1-D parts."""
+    parts = []
+    for k in range(2):
+        line = Grid.line(grid.lo[k], grid.hi[k], grid.n[k])
+        parts.append(random_convex_1d(line, rng).vals)
+    return SampledFunction(grid, parts[0][:, None] + parts[1][None, :])
+
+
+def random_piecewise_linear_1d(grid: Grid, rng: np.random.Generator,
+                               convex: bool) -> SampledFunction:
+    """Random piecewise-linear sample; slopes sorted iff convex."""
+    n = grid.n[0]
+    slopes = rng.uniform(-3.0, 3.0, n - 1)
+    if convex:
+        slopes = np.sort(slopes)
+    else:
+        rng.shuffle(slopes)
+    vals = rng.uniform(-1.0, 1.0) + np.concatenate(
+        [[0.0], np.cumsum(slopes * grid.h[0])])
+    return SampledFunction(grid, vals)
 
 
 # --- conjugate-pair helpers (built on the library's conjugate) ---------------

@@ -24,11 +24,13 @@ from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_phi, elasticity_sync,
                             two_point_fixture)
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
-from bipot.legendre import conjugate, conjugate_bruteforce
-from bipot.sampling import random_convex_1d, random_convex_2d_separable
+from bipot.legendre import conjugate
+from bipot.sampling import random_convex_1d
 
-from oracles import (biconjugate_residual, explicit_graph_union,
-                     lower_hull_envelope, reparameterize)
+from oracles import (biconjugate_residual, conjugate_bruteforce,
+                     explicit_graph_union, explicit_infimum,
+                     lower_hull_envelope, random_convex_2d_separable,
+                     reparameterize)
 
 
 def announce(num, name, ok=True):
@@ -212,6 +214,20 @@ def _assert_cA_independent(law, phi, spec, ygrid, name):
     assert np.abs(law.cA.vals[fin] - ref[fin]).max() <= 1e-9, name
 
 
+def _assert_infimum_is_blurred(phi, spec, ygrid, name):
+    """The cover's member-by-member minimum (tests/oracles.py) against
+    b_A: same +inf pattern, values within 1e-9; ``infimum_bipotential``
+    is b_A bit for bit."""
+    fam = build_cover(phi, spec.eps, ygrid)
+    inf_b = explicit_infimum(fam.phi.vals, fam.phistar.vals, fam.offsets,
+                             fam.xgrid, fam.ygrid)
+    bA = blurred_bipotential(phi, spec, ygrid)
+    fin = np.isfinite(inf_b)
+    assert np.array_equal(fin, np.isfinite(bA.vals)), name
+    assert np.abs(inf_b[fin] - bA.vals[fin]).max() <= 1e-9, name
+    assert np.array_equal(infimum_bipotential(fam).vals, bA.vals), name
+
+
 def test_criterion_6_shift_identity(cone81):
     for name, phi, spec, ygrid in _blur_fixture_laws():
         law = blur_law(phi, spec, ygrid)   # validates b_A - <x,y> == c_A @1e-9
@@ -220,12 +236,7 @@ def test_criterion_6_shift_identity(cone81):
         gap = np.abs((law.bA.vals - P)[fin] - law.cA.vals[fin]).max()
         assert gap <= 1e-9, (name, gap)
         _assert_cA_independent(law, phi, spec, ygrid, name)
-        fam = build_cover(phi, spec.eps, ygrid)
-        inf_b = infimum_bipotential(fam)
-        bA = blurred_bipotential(phi, spec, ygrid)
-        fin = np.isfinite(inf_b.vals)
-        assert np.array_equal(fin, np.isfinite(bA.vals)), name
-        assert np.abs(inf_b.vals[fin] - bA.vals[fin]).max() <= 1e-9, name
+        _assert_infimum_is_blurred(phi, spec, ygrid, name)
 
     # 2-D: the cone at two scales (the infimum route at desk scale)
     fix, law81 = cone81
@@ -235,12 +246,8 @@ def test_criterion_6_shift_identity(cone81):
     small_law = cone_fixture(small)
     _assert_cA_independent(blur_law(small_law.phi, small.spec, small.ygrid),
                            small_law.phi, small.spec, small.ygrid, "cone21")
-    fam = build_cover(small_law.phi, small.eps, small.ygrid)
-    inf_b = infimum_bipotential(fam)
-    bA = blurred_bipotential(small_law.phi, small.spec, small.ygrid)
-    fin = np.isfinite(inf_b.vals)
-    assert np.array_equal(fin, np.isfinite(bA.vals))
-    assert np.abs(inf_b.vals[fin] - bA.vals[fin]).max() <= 1e-9
+    _assert_infimum_is_blurred(small_law.phi, small.spec, small.ygrid,
+                               "cone21")
     announce(6, "shift identity at 1e-9 (5 1-D laws + 2-D cone; "
                 "infimum == blurred on all desk-scale fixtures)")
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bipot.bipotentials import (GraphSet, b_infinity, bipotential_from_sync,
-                                check_bbgraph, check_bipotential,
+from bipot.bipotentials import (GraphSet, check_bbgraph, check_bipotential,
                                 check_cyclically_monotone, check_sync,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable,
@@ -13,7 +12,8 @@ from bipot import windows
 from bipot.errors import FormatError, InvalidInputError
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 
-from oracles import conjugate_pair, first_high_slice_minimum
+from oracles import (b_infinity, bipotential_from_sync, conjugate_pair,
+                     first_high_slice_minimum)
 
 
 def fy_equality_graph(phi, grid, tol):

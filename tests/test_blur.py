@@ -15,11 +15,11 @@ from bipot.fixtures import (elasticity_closed_form_ca, elasticity_fixture,
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 from bipot.legendre import (conjugate, default_dual_grid, default_subdiff_tol,
                             x_tol)
-from bipot.sampling import random_convex_1d, random_piecewise_linear_1d
+from bipot.sampling import random_convex_1d
 from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
                            radius_nodes)
 
-from oracles import brute_min_filter
+from oracles import brute_min_filter, random_piecewise_linear_1d
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +562,34 @@ def test_unusable_tol_is_invalid_input(tol):
                  lambda: x_tol(per_x, g)):
         with pytest.raises(InvalidInputError, match="tol must be >= 0"):
             call()
+
+
+@pytest.mark.parametrize("dim, at_y", [
+    (1, 101), (1, 500), (1, -1), (1, -3), (1, (0, 0)), (1, 2.0),
+    (2, (9, 0)), (2, (0, -1)), (2, (4,)), (2, 4)])
+def test_check_newc_refuses_an_off_grid_node(dim, at_y):
+    # on the line, 500 passed with "U(y) is empty" and -3 decided the
+    # clipped ball around y = -2.12, off the box
+    if dim == 1:
+        g = Grid.line(-2.0, 2.0, 101)
+        phi, eps = SampledFunction.from_callable(g, lambda x: 0.5 * x * x), 0.5
+    else:
+        from bipot.fixtures import cone_fixture, cone_fixture_params
+        fix = cone_fixture_params(n=9)
+        phi, eps = cone_fixture(fix).phi, fix.eps
+    check_newc(phi, eps, (phi.grid.n[0] - 1,) * dim)
+    with pytest.raises(InvalidInputError, match="not on the grid"):
+        check_newc(phi, eps, at_y)
+
+
+@pytest.mark.parametrize("eps, p", [(0.2, float("nan")), (0.2, float("inf")),
+                                    (0.2, 0.5), (float("nan"), 2.0),
+                                    (-0.1, 2.0)])
+def test_blur_spec_refuses_unusable_eps_and_p(eps, p):
+    # NaN passed `p < 1` and `eps < 0`; p = nan or inf left no product
+    # offset, not even (0, 0), so c_A was +inf everywhere
+    with pytest.raises(InvalidInputError, match="radius must|p must"):
+        BlurSpec(eps, "product", p)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])

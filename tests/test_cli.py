@@ -6,11 +6,14 @@ import pytest
 
 import bipot
 from bipot import cli
-from bipot.blur import check_newc
+from bipot.blur import BlurSpec, blurred_bipotential, check_newc
 from bipot.cli import main, report_schema_version
-from bipot.fixtures import elasticity_fixture, elasticity_sync
+from bipot.covers import build_cover
+from bipot.fixtures import (cone_fixture, cone_fixture_params,
+                            elasticity_fixture, elasticity_sync)
 from bipot.grids import Grid, SampledBivariate, SampledFunction
-from bipot.sampling import random_piecewise_linear_1d
+
+from oracles import explicit_infimum, random_piecewise_linear_1d
 
 
 @pytest.fixture()
@@ -184,6 +187,23 @@ def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "bipot: error: radius" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_product_blur_rejects_unusable_p(run_cli, tmp_path, p):
+    g = Grid.line(-1.0, 1.0, 21)
+    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "phi.csv")
+    SampledBivariate.from_callable(
+        g, g, lambda x, y: 0.5 * (x - y) ** 2).to_csv(tmp_path / "sync.csv")
+    for args in (["blur", "--phi", "phi.csv", "--out-ca", "ca.csv"],
+                 ["check", "blurring", "--sync", "sync.csv"]):
+        r = run_cli(args + ["--eps", "0.2", "--kind", "product", "--p", p],
+                    tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "bipot: error: p must be finite" in r.stderr
+        assert "Traceback" not in r.stderr
+    assert not (tmp_path / "ca.csv").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -360,12 +380,35 @@ def test_check_reports_print_plain_numbers(run_cli, tmp_path):
     assert "witness = ((0, (0,)), (0, (2,)), 0.5)" in reports[2]
 
 
-def test_cover_build(run_cli, tmp_path, quad_csv):
-    r = run_cli(["cover", "build", "--phi", str(quad_csv), "--eps", "0.5",
+def _check_cover_build(run_cli, tmp_path, phi_csv, eps):
+    """``cover build`` writes b_A itself: its infimum reads back bit-equal
+    to ``blurred_bipotential`` on the family's grids, and within 1e-9 of
+    the member-by-member minimum (tests/oracles.py)."""
+    r = run_cli(["cover", "build", "--phi", str(phi_csv), "--eps", str(eps),
                  "--out-dir", "cov"], tmp_path)
     assert r.returncode == 0, r.stderr
-    assert (tmp_path / "cov" / "infimum_bipotential.csv").exists()
     assert (tmp_path / "cov" / "offsets.csv").exists()
+    got = SampledBivariate.read_csv(tmp_path / "cov" / "infimum_bipotential.csv")
+    phi = SampledFunction.read_csv(phi_csv)
+    fam = build_cover(phi, eps)
+    bA = blurred_bipotential(phi, BlurSpec(eps))
+    assert (got.xgrid, got.ygrid) == (fam.xgrid, fam.ygrid)
+    assert np.array_equal(got.vals, bA.vals)
+    ref = explicit_infimum(fam.phi.vals, fam.phistar.vals, fam.offsets,
+                           fam.xgrid, fam.ygrid)
+    fin = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got.vals), fin)
+    assert np.abs(got.vals[fin] - ref[fin]).max() <= 1e-9
+
+
+def test_cover_build(run_cli, tmp_path, quad_csv):
+    _check_cover_build(run_cli, tmp_path, quad_csv, 0.5)
+
+
+def test_cover_build_cone(run_cli, tmp_path):
+    fix = cone_fixture_params(n=17)
+    cone_fixture(fix).phi.to_csv(tmp_path / "cone.csv")
+    _check_cover_build(run_cli, tmp_path, tmp_path / "cone.csv", fix.eps)
 
 
 def test_explore_darboux_runs(run_cli, tmp_path):

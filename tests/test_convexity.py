@@ -8,12 +8,11 @@ from bipot.convexity import (_set_scan, batch_is_convex, first_nonconvex,
                              is_convex, is_set_convex)
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
-from bipot.sampling import random_piecewise_linear_1d
 from bipot.windows import ball_dilate
 
 from oracles import (brute_midpoint_convex, brute_min_filter,
                      convex_1d_oracle, hull_margin_set_convex, min_filter,
-                     monotone_chain)
+                     monotone_chain, random_piecewise_linear_1d)
 
 
 class TestIsConvex1D:

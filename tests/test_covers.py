@@ -4,15 +4,28 @@ import pytest
 from bipot.bipotentials import (check_bipotential, default_graph_tol,
                                 graphs_match_within)
 from bipot.blur import BlurSpec, blurred_bipotential, blurred_graph
-from bipot.covers import (build_cover, check_implicitly_convex,
+from bipot.covers import (CoverFamily, build_cover, check_implicitly_convex,
                           check_maithm_equivalence, infimum_bipotential,
                           member_graph_union)
 from bipot.errors import InvalidInputError, ResolutionError
-from bipot.grids import Grid, SampledFunction
+from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.fixtures import cone_fixture, cone_fixture_params
 from bipot.sampling import random_convex_1d
 
-from oracles import explicit_graph_union, reparameterize
+from oracles import (cover_member, explicit_graph_union, explicit_infimum,
+                     reparameterize)
+
+
+def member(fam, off):
+    """The cover's member b_a for one offset (tests/oracles.py)."""
+    return SampledBivariate(fam.xgrid, fam.ygrid, cover_member(
+        fam.phi.vals, fam.phistar.vals, off, fam.xgrid, fam.ygrid))
+
+
+def oracle_infimum(fam):
+    """The cover's infimum member by member (tests/oracles.py)."""
+    return explicit_infimum(fam.phi.vals, fam.phistar.vals, fam.offsets,
+                            fam.xgrid, fam.ygrid)
 
 
 @pytest.fixture(scope="module")
@@ -26,21 +39,21 @@ class TestBuildCover:
         from bipot.bipotentials import separable
         phi, fam = quad_cover
         assert 0 in fam.offsets
-        m0 = fam.member(0)
+        m0 = member(fam, 0)
         sep = separable(phi, line_grid)
         assert np.abs(m0.vals - sep.vals).max() <= 1e-12
 
     def test_members_pass_bipotential_check(self, quad_cover):
         phi, fam = quad_cover
         for off in (min(fam.offsets), 0, max(fam.offsets)):
-            assert check_bipotential(fam.member(off)).ok, off
+            assert check_bipotential(member(fam, off)).ok, off
 
     def test_member_graph_is_shifted_diagonal(self, quad_cover, line_grid):
         phi, fam = quad_cover
         from bipot.bipotentials import graph_of
         off = 10
         tol = default_graph_tol(line_grid, line_grid)
-        g = graph_of(fam.member(off), tol)
+        g = graph_of(member(fam, off), tol)
         ij = np.argwhere(g.mask)
         assert np.abs(ij[:, 1] - ij[:, 0] - off).max() <= 1
 
@@ -51,7 +64,7 @@ class TestBuildCover:
         for y in ((0, 0), (8, 8), (4, 1)):
             values = fam.values_at(y)
             for k, off in enumerate(fam.offsets):
-                row = fam.member(off).vals[(slice(None), slice(None)) + y]
+                row = member(fam, off).vals[(slice(None), slice(None)) + y]
                 assert np.array_equal(values[k], row), (y, off)
                 left_box += not np.isfinite(values[k]).any()
         assert left_box > 0
@@ -67,18 +80,28 @@ class TestInfimum:
         phi, fam = quad_cover
         solo = reparameterize(fam, range(len(fam.offsets)))
         one = type(fam)(fam.phi, fam.phistar, (0,))
-        assert np.array_equal(infimum_bipotential(one).vals,
-                              fam.member(0).vals)
-        assert np.array_equal(infimum_bipotential(solo).vals,
-                              infimum_bipotential(fam).vals)
+        assert np.array_equal(oracle_infimum(one),
+                              member(fam, 0).vals)
+        assert np.array_equal(oracle_infimum(solo),
+                              oracle_infimum(fam))
 
     def test_equals_blurred_bipotential(self, quad_cover, line_grid):
         phi, fam = quad_cover
-        inf_b = infimum_bipotential(fam)
+        inf_b = oracle_infimum(fam)
         bA = blurred_bipotential(phi, BlurSpec(0.5), line_grid)
-        fin = np.isfinite(inf_b.vals)
+        fin = np.isfinite(inf_b)
         assert np.array_equal(fin, np.isfinite(bA.vals))
-        assert np.abs(inf_b.vals[fin] - bA.vals[fin]).max() <= 1e-9
+        assert np.abs(inf_b[fin] - bA.vals[fin]).max() <= 1e-9
+        assert np.array_equal(infimum_bipotential(fam).vals, bA.vals)
+
+    def test_non_ball_family_refused(self, quad_cover):
+        fam = quad_cover[1]
+        for offsets in ((0, 3), (-1, 0, 2), tuple(fam.offsets[1:])):
+            other = CoverFamily(fam.phi, fam.phistar, offsets)
+            with pytest.raises(InvalidInputError, match="ball of offsets"):
+                infimum_bipotential(other)
+            with pytest.raises(InvalidInputError, match="ball of offsets"):
+                member_graph_union(other)
 
     def test_permutation_invariance_seeded(self, quad_cover):
         phi, fam = quad_cover

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
-from bipot.legendre import conjugate, conjugate_bruteforce, default_dual_grid
+from bipot.legendre import conjugate, default_dual_grid
 from bipot.convexity import is_convex
-from bipot.sampling import random_convex_1d, random_convex_2d_separable
+from bipot.sampling import random_convex_1d
 
-from oracles import (ConjugatePair, biconjugate_residual, conjugate_pair,
-                     lower_hull_envelope, subdiff_points)
+from oracles import (ConjugatePair, biconjugate_residual, conjugate_bruteforce,
+                     conjugate_pair, lower_hull_envelope,
+                     random_convex_2d_separable, subdiff_points)
 
 
 class TestConjugateClosedForms:
