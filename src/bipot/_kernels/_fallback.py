@@ -1,10 +1,10 @@
 """Numpy kernels: the row-wise discrete Legendre transform and the sliding
 window min/max line filters.
 
-The sliding filters widen their window by doubling with shifted in-place
-reductions, so they need one scratch copy of the rows and no padding. The
-Legendre transform is a per-row Python loop (hull + monotone pointer), fast
-enough at the grid sizes this package targets.
+The sliding filters widen their window by doubling, two shifted
+reductions a step through one scratch buffer the size of the rows, and
+need no padding. The Legendre transform is a per-row Python loop (hull +
+monotone pointer), fast enough at the grid sizes this package targets.
 """
 
 from __future__ import annotations
@@ -75,24 +75,28 @@ def lf_transform(xs, vals, ys, out=None):
 def _sliding(a, w, ufunc, out):
     """out[b, i] = ufunc.reduce(a[b, max(0, i-w) : i+w+1]) for w >= 0.
 
-    The window grows by doubling: at half-width s, ``ufunc`` of ``out``
-    and its copies shifted by +-d (d <= s + 1, so the three windows
-    overlap) gives half-width s + d, clipped at the row ends just as the
-    definition is. w is clamped to n - 1, past which nothing changes.
-    ``out`` may be ``a`` itself.
+    The window grows by doubling: at half-width s, m[i] = ufunc(out[i],
+    out[i + d]) spans [i - s, i + d + s], and ufunc(m[i - d], m[i]) spans
+    half-width s + d (d <= s + 1, so the pieces overlap). Near the row
+    ends the clipped window is m[i] (i < d) or m[i - d] (i >= n - d), just
+    as the definition clips it. w is clamped to n - 1, past which nothing
+    changes. ``out`` may be ``a`` itself.
     """
     if out is None:
         out = np.empty_like(a)
     if out is not a:
         out[...] = a
-    w = min(int(w), a.shape[-1] - 1)
-    prev = np.empty_like(out) if w > 0 else None
+    n = a.shape[-1]
+    w = min(int(w), n - 1)
+    scratch = np.empty_like(out[:, 1:]) if w > 0 else None
     s = 0
     while s < w:
         d = min(s + 1, w - s)
-        np.copyto(prev, out)
-        ufunc(out[:, d:], prev[:, :-d], out=out[:, d:])
-        ufunc(out[:, :-d], prev[:, d:], out=out[:, :-d])
+        m = scratch[:, :n - d]
+        ufunc(out[:, :-d], out[:, d:], out=m)
+        ufunc(m[:, :n - 2 * d], m[:, d:], out=out[:, d:n - d])
+        out[:, :d] = m[:, :d]
+        out[:, n - d:] = m[:, n - 2 * d:]
         s += d
     return out
 

@@ -81,7 +81,12 @@ class BlurSpec:
         out = []
         slack = self.eps * (1.0 + 1e-9)
         for combo in itertools.product(*ranges):
-            norm = sum(abs(d * h) ** self.p for d, h in zip(combo, hs)) ** (1.0 / self.p)
+            # scaled by the largest term, so no power overflows for a
+            # large p: the norm then tends to the max-norm
+            terms = [abs(d * h) for d, h in zip(combo, hs)]
+            top = max(terms) or 1.0
+            norm = top * sum((t / top) ** self.p
+                             for t in terms) ** (1.0 / self.p)
             if norm <= slack:
                 d = xgrid.dim
                 xoff = combo[0] if d == 1 else combo[:d]

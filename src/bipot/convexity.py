@@ -8,8 +8,10 @@ functions this package works with; an exhaustive midpoint oracle cross-checks
 it in the test suite. One vectorized scan (``_faults``) is the whole
 battery: ``is_convex`` reads the first faulting line, ``batch_is_convex``
 keeps verdicts only, and 1-D sets are decided by its gap test. Stacks of
-functions are scanned a chunk of about ``windows._TILE_BYTES`` at a time,
-so ``first_nonconvex`` stops at the chunk holding the first failure.
+functions are scanned a chunk of about ``windows._TILE_BYTES`` at a time:
+``first_nonconvex`` stops at the chunk holding the first failure, and
+``batch_is_convex`` scans the diagonals last, once, over the slices that
+pass the rows and columns.
 
 Set convexity (``is_set_convex``) is decided per the hull-margin rule: every
 grid node lying deeper than max(h)/2 inside the convex hull of the member
@@ -131,29 +133,30 @@ def is_convex(f: SampledFunction, tol: float) -> CheckReport:
                    residual, f"line = {family} {li}")
 
 
-def _chunk_verdicts(vals: np.ndarray, grid: Grid, tol: float):
-    """(slice, verdicts) of the line battery over consecutive chunks of a
-    (B, *grid.shape) stack, each about ``windows._TILE_BYTES`` of input.
+def _straight_ok(chunk: np.ndarray, dim: int, tol: float) -> np.ndarray:
+    """(B,) verdicts of a contiguous (B, *shape) chunk over its rows and
+    columns."""
+    ok = np.ones(len(chunk), dtype=bool)
+    for family, _, lines in _lines(chunk, dim):
+        if family not in ("row", "col"):
+            break
+        ok &= ~_faults(lines, tol).any(axis=1)
+    return ok
 
-    Each slice is decided alone, so the chunks' verdicts are the whole
-    stack's, and the battery's buffers are one chunk's. Rows and columns
-    are scanned over the whole chunk; each diagonal only over the slices
-    that still pass.
-    """
-    for t in _tiles(len(vals), grid.size * vals.itemsize):
-        # a chunk of a transposed stack (the y-slices of a product array)
-        # is scattered in memory; the battery's passes read one copy of it
-        chunk = np.ascontiguousarray(vals[t])
-        ok = np.ones(len(chunk), dtype=bool)
-        for family, _, lines in _lines(chunk, grid.dim):
-            if family in ("row", "col"):
-                ok &= ~_faults(lines, tol).any(axis=1)
-                continue
-            sub = np.flatnonzero(ok)
-            if sub.size == 0:
-                break
-            ok[sub] = ~_faults(lines[sub], tol)[:, 0]
-        yield t, ok
+
+def _diagonal_ok(chunk: np.ndarray, dim: int, tol: float,
+                 ok: np.ndarray) -> np.ndarray:
+    """Narrow ok, the (B,) verdicts of a contiguous chunk's rows and
+    columns, by its diagonals, in place; each diagonal is scanned only
+    over the slices that still pass."""
+    for family, _, lines in _lines(chunk, dim):
+        if family in ("row", "col"):
+            continue
+        sub = np.flatnonzero(ok)
+        if sub.size == 0:
+            break
+        ok[sub] = ~_faults(lines[sub], tol)[:, 0]
+    return ok
 
 
 def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
@@ -161,17 +164,34 @@ def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
 
     vals has shape (B, *grid.shape); returns a (B,) boolean verdict array.
     Identically +inf slices pass (callers treat them as empty-domain).
+    Each slice is decided alone, so the battery runs on chunks of about
+    ``windows._TILE_BYTES``, each copied contiguous (a chunk of a
+    transposed stack, such as the y-slices of a product array, is
+    scattered in memory): rows and columns chunk by chunk, then the
+    diagonals once, over the slices that pass them, gathered into chunks.
     """
-    ok = np.ones(len(vals), dtype=bool)
-    for t, flags in _chunk_verdicts(vals, grid, tol):
-        ok[t] = flags
+    ok = np.empty(len(vals), dtype=bool)
+    item = grid.size * vals.itemsize
+    for t in _tiles(len(vals), item):
+        ok[t] = _straight_ok(np.ascontiguousarray(vals[t]), grid.dim, tol)
+    if grid.dim == 2:
+        keep = np.flatnonzero(ok)
+        for u in _tiles(len(keep), item):
+            rows = keep[u]
+            ok[rows] = _diagonal_ok(np.ascontiguousarray(vals[rows]),
+                                    grid.dim, tol, np.ones(len(rows), bool))
     return ok
 
 
 def first_nonconvex(vals: np.ndarray, grid: Grid, tol: float) -> int | None:
     """Index of the first slice of a (B, *grid.shape) stack that fails the
-    line battery, or None; no chunk past the one holding it is scanned."""
-    for t, flags in _chunk_verdicts(vals, grid, tol):
+    line battery, or None. The whole battery runs one contiguous chunk of
+    about ``windows._TILE_BYTES`` at a time, so no chunk past the one
+    holding the first failure is scanned."""
+    for t in _tiles(len(vals), grid.size * vals.itemsize):
+        chunk = np.ascontiguousarray(vals[t])
+        flags = _diagonal_ok(chunk, grid.dim, tol,
+                             _straight_ok(chunk, grid.dim, tol))
         bad = np.flatnonzero(~flags)
         if bad.size:
             return t.start + int(bad[0])

@@ -36,7 +36,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import ball_offsets, radius_nodes
+from .windows import _tiles, ball_offsets, radius_nodes
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -150,23 +150,33 @@ def member_graph_union(family: CoverFamily, tol: float | None = None):
 # --- implicit convexity -----------------------------------------------------
 
 
+def _mandatory_steps(zshape):
+    """(o, valid) for each line direction: the +-1-step triples along it
+    are (mid - o, mid + o, mid) in flat index, for the mids where valid
+    (a flat boolean mask over the z-grid) holds; o is 1 in 1-D, and 1, n2,
+    n2 + 1 and n2 - 1 for the rows, columns and both diagonals in 2-D."""
+    if len(zshape) == 1:
+        valid = np.zeros(zshape, dtype=bool)
+        valid[1:-1] = True
+        return [(1, valid)]
+    n1, n2 = zshape
+    steps = []
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        valid = np.zeros(zshape, dtype=bool)
+        valid[di:n1 - di, abs(dj):n2 - abs(dj)] = True
+        steps.append((di * n2 + dj, valid.reshape(-1)))
+    return steps
+
+
 def _mandatory_pairs(zshape):
     """Flat (z1, z2, mid) triples for +-1-step pairs along every line
     direction (axes and, in 2-D, both diagonals); midpoints exact."""
-    if len(zshape) == 1:
-        n = zshape[0]
-        mid = np.arange(1, n - 1)
-        return mid - 1, mid + 1, mid
-    n1, n2 = zshape
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     z1s, z2s, mids = [], [], []
-    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        ok = ((ii - abs(di) >= 0) & (ii + abs(di) < n1)
-              & (jj - abs(dj) >= 0) & (jj + abs(dj) < n2))
-        i0, j0 = ii[ok], jj[ok]
-        z1s.append((i0 - di) * n2 + (j0 - dj))
-        z2s.append((i0 + di) * n2 + (j0 + dj))
-        mids.append(i0 * n2 + j0)
+    for o, valid in _mandatory_steps(zshape):
+        mid = np.flatnonzero(valid)
+        z1s.append(mid - o)
+        z2s.append(mid + o)
+        mids.append(mid)
     return (np.concatenate(z1s), np.concatenate(z2s), np.concatenate(mids))
 
 
@@ -249,23 +259,65 @@ def _pair_sample(zshape, alpha, cap, rng):
             f"mode=sampled pairs={len(a1)} cap={cap}")
 
 
+def _violations(g1, g2, gm, alpha, tol):
+    """Flags of the triples whose midpoint value gm lies above the chord
+    between the end values g1 and g2 by more than tol; a triple with an
+    infinite end is never flagged."""
+    rhs = alpha * g1 + (1.0 - alpha) * g2 + tol
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(g1) & np.isfinite(g2) & (gm > rhs)
+
+
 def _scan_envelope(gflat, triples, alpha, tol):
     """First midpoint-convexity violation of the envelope, or None."""
-    z1, z2, mid = triples
-    g1 = gflat[z1]
-    g2 = gflat[z2]
-    fin = np.isfinite(g1) & np.isfinite(g2)
-    if not fin.any():
-        return None
-    rhs = alpha * g1 + (1.0 - alpha) * g2 + tol
-    gm = gflat[mid]
-    with np.errstate(invalid="ignore"):
-        viol = fin & (gm > rhs)
+    viol = _violations(*(gflat[z] for z in triples), alpha, tol)
     if not viol.any():
         return None
     w = int(np.argmax(viol))
-    resid = float(gm[w] - (rhs[w] - tol)) if np.isfinite(gm[w]) else INF
-    return int(z1[w]), int(z2[w]), resid
+    z1, z2, mid = (int(z[w]) for z in triples)
+    gm = gflat[mid]
+    rhs = alpha * gflat[z1] + (1.0 - alpha) * gflat[z2] + tol
+    resid = float(gm - (rhs - tol)) if np.isfinite(gm) else INF
+    return z1, z2, resid
+
+
+def _implicit_verdicts(ystack, sampled, tol):
+    """Per-slice midpoint convexity (alpha = 0.5) of a (B, *zshape) stack
+    of envelopes: no +-1-step triple along any line direction and none of
+    the sampled (z1, z2, mid) triples violated.
+
+    The stack is scanned a chunk of about ``windows._TILE_BYTES`` at a
+    time, each chunk copied contiguous. The adjacent triples of a whole
+    chunk are decided at once, one flat shift per line direction, and a
+    triple counts only where its mid is a valid mid of its own slice.
+    The sampled triples are gathered only for the slices that pass.
+    """
+    zshape = ystack.shape[1:]
+    n = int(np.prod(zshape))
+    tiles = _tiles(len(ystack), n * ystack.itemsize)
+    size = len(ystack[tiles[0]]) if tiles else 0
+    steps = [(o, np.tile(valid, size))
+             for o, valid in _mandatory_steps(zshape)]
+    out = np.empty(len(ystack), dtype=bool)
+    for t in tiles:
+        chunk = np.ascontiguousarray(ystack[t]).reshape(-1, n)
+        g = chunk.reshape(-1)
+        bad = np.zeros(len(g), dtype=bool)
+        for o, valid in steps:
+            span = len(g) - 2 * o
+            if span <= 0:
+                continue
+            mids = slice(o, o + span)
+            viol = _violations(g[:span], g[2 * o:], g[mids], 0.5, tol)
+            bad[mids] |= viol & valid[mids]
+        ok = ~bad.reshape(len(chunk), n).any(axis=1)
+        keep = np.flatnonzero(ok)
+        for u in _tiles(len(keep), len(sampled[0]) * ystack.itemsize):
+            rows = keep[u]
+            ends = (np.take(chunk[rows], z, axis=1) for z in sampled)
+            ok[rows] = ~_violations(*ends, 0.5, tol).any(axis=1)
+        out[t] = ok
+    return out
 
 
 def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
@@ -349,15 +401,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
         GraphSet(xgrid, ygrid, _blurred_mask(phi, star, eps, gtol)), 1)
 
     rng = np.random.default_rng(seed)
-    mand = _mandatory_pairs(xgrid.shape)
     s1, s2, smid, meta = _pair_sample(xgrid.shape, 0.5, pair_cap, rng)
-    sampled = (s1, s2, smid)
-    v2 = np.empty(len(ystack), dtype=bool)
-    for s in range(len(ystack)):
-        gflat = ystack[s].reshape(-1)
-        bad = _scan_envelope(gflat, mand, 0.5, stol) \
-            or _scan_envelope(gflat, sampled, 0.5, stol)
-        v2[s] = bad is None
+    v2 = _implicit_verdicts(ystack, (s1, s2, smid), stol)
 
     verdict1 = bool(v1.all() and graph_eq)
     verdict2 = bool(v2.all())

@@ -5,7 +5,10 @@ with ||d * h|| <= eps (Euclidean norm; a relative slack of 1e-9 keeps
 exact-rim offsets in despite float rounding). In 2-D the disc decomposes
 into chords, one sliding 1-D window per row offset (Urbach & Wilkinson,
 IEEE TIP 17(1), 2008), so every sweep reduces to the batched line kernels
-in ``bipot._kernels``. Windows are clipped at the box.
+in ``bipot._kernels``. Windows are clipped at the box: in 2-D each row of
+the line buffer carries identity cells on its right, as many as the
+widest chord's half-width, so that a tile of rows is one flat line for
+the kernel and a window that runs off a row meets only identities.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from .grids import Grid
 
 _SLACK = 1e-9
 
-# Input bytes per tile of ``_sweep``, so that a tile, the kernel's scratch
-# copy of it and its result tile stay in cache. On a 2-core x86 VM with
-# 2 MiB of L2 per core, tiles of 128 KiB to 1 MiB ran the cone-81 y-ball
-# min-filter in 3.9-5.2 s, against 11.9 s for whole arrays.
+# Bytes per tile of ``_sweep``'s padded line buffer, so that it, the
+# kernel's scratch and the result tile stay in cache; also the size of the
+# x-tiles and slice chunks elsewhere. On a 2-core x86 VM with 2 MiB of L2
+# per core, tiles of 128 KiB to 1 MiB ran the cone-81 y-ball min-filter
+# (``blur._yball_blur``) in 1.8-2.5 s, against 3.5-3.6 s at 4-16 MiB and 3.8 s
+# at 64 KiB.
 _TILE_BYTES = 1 << 18
 
 
@@ -102,6 +107,35 @@ def _shift_reduce(out: np.ndarray, src: np.ndarray, offsets, ufunc) -> None:
         ufunc(out[dst], src[s], out=out[dst])
 
 
+def _chord_plan(n1: int, n2: int, r1: int, halfwidth):
+    """(pad, steps) of a 2-D sweep on rows of n2 + pad cells.
+
+    Each step is (widening, [(dst, src)]): the line buffer's windows grow
+    by ``widening`` to the next distinct chord half-width, then each row
+    offset d1 of that chord reduces flat slice src of an item's buffer
+    into flat slice dst of its result, pairing row i with row i + d1 over
+    the rows where both lie in the box. Half-widths are clamped to n2 - 1
+    and pad is the widest of them.
+    """
+    by_w: dict[int, list[int]] = {}
+    for d1 in range(-r1, r1 + 1):
+        c = halfwidth(d1)
+        if c >= 0:
+            by_w.setdefault(math.floor(min(c, n2 - 1)), []).append(d1)
+    pad = max(by_w, default=0)
+    row = n2 + pad
+    steps, w_prev = [], 0
+    for w, d1s in sorted(by_w.items()):
+        pairs = []
+        for d1 in d1s:
+            lo, hi = max(0, -d1), n1 - max(0, d1)
+            pairs.append((slice(lo * row, hi * row),
+                          slice((lo + d1) * row, (hi + d1) * row)))
+        steps.append((w - w_prev, pairs))
+        w_prev = w
+    return pad, steps
+
+
 def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
            fill) -> np.ndarray:
     """Reduce the trailing grid axes of ``a`` with ``ufunc`` over a window.
@@ -115,13 +149,17 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
     is the same, and neither memory nor the row loop grows with the radius.
 
     In 2-D the leading axes are independent, so they are swept a tile at a
-    time, each tile about ``_TILE_BYTES`` of input; the line buffer and the
-    kernel's scratch are then one tile each and stay in cache. The tile's
-    line buffer is grown in place from each distinct chord half-width to
-    the next: a window of half-width d over windows of half-width w clipped
-    at the box is the window of half-width w + d, clipped the same way.
-    Each chord is then shifted by its row offsets and reduced into the
-    result.
+    time, each tile about ``_TILE_BYTES`` of padded input; the line buffer
+    and the kernel's scratch are then one tile each and stay in cache.
+    Each row of the line buffer carries ``pad`` identity cells on its
+    right, pad being the widest chord half-width, so the whole tile is one
+    flat line: a window that runs off a row meets only identities, and the
+    flat window equals the row's window clipped at the box. The buffer is
+    grown in place from each distinct chord half-width to the next (a
+    window of half-width d over windows of half-width w is the window of
+    half-width w + d), and each chord is reduced into the result at its
+    row offsets, one flat slice per offset. The plan is built once per
+    call and serves every tile.
     """
     shape = a.shape
     if shape[-grid.dim:] != grid.shape:
@@ -133,25 +171,25 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
 
     n1, n2 = grid.n
     a = a.reshape(-1, n1, n2)
-    r1 = min(r1, n1 - 1)
-    by_w: dict[int, list[int]] = {}
-    for d1 in range(-r1, r1 + 1):
-        c = halfwidth(d1)
-        if c >= 0:
-            by_w.setdefault(math.floor(min(c, n2 - 1)), []).append(d1)
-    chords = [(w, [(0, -d1, 0) for d1 in d1s])
-              for w, d1s in sorted(by_w.items())]
+    pad, steps = _chord_plan(n1, n2, min(r1, n1 - 1), halfwidth)
+    tiles = _tiles(len(a), n1 * (n2 + pad) * a.itemsize)
+    size = len(a[tiles[0]]) if tiles else 0
+    buf = np.empty((size, n1, n2 + pad), dtype=a.dtype)
+    res = np.empty_like(buf)
     out = np.empty_like(a)
-    for t in _tiles(len(a), grid.size * a.itemsize):
-        res = out[t]
-        res.fill(fill)
-        buf = a[t].copy()
-        lines = buf.reshape(-1, n2)
-        w_prev = 0
-        for w, offsets in chords:
-            kernel(lines, w - w_prev, out=lines)
-            w_prev = w
-            _shift_reduce(res, buf, offsets, ufunc)
+    for t in tiles:
+        k = len(out[t])
+        lines, acc = buf[:k], res[:k]
+        lines[:, :, :n2] = a[t]
+        lines[:, :, n2:] = fill
+        acc.fill(fill)
+        flat = lines.reshape(1, -1)
+        items, sums = lines.reshape(k, -1), acc.reshape(k, -1)
+        for widening, pairs in steps:
+            kernel(flat, widening, out=flat)
+            for dst, src in pairs:
+                ufunc(sums[:, dst], items[:, src], out=sums[:, dst])
+        out[t] = acc[:, :, :n2]
     return out.reshape(shape)
 
 

@@ -2,16 +2,18 @@
 
 Kept free of bipot kernel imports on purpose: these are the second route
 of every dual-route check. They include the exhaustive conjugate
-``conjugate_bruteforce`` and a cover's member-by-member routes
+``conjugate_bruteforce``, a cover's member-by-member routes
 (``cover_member``, ``explicit_infimum``, ``explicit_graph_union``), which
 the library replaces by one conjugate kernel, one min-filter and one
-dilation. The helpers at the end are the exception: test-only
-conveniences built on the library, namely the constructions
-``bipotential_from_sync`` and ``b_infinity``, the random generators
-``random_convex_2d_separable`` and ``random_piecewise_linear_1d``, the
-conjugate pairs on ``conjugate`` and ``fenchel_young_mask`` (checked
-against closed forms), ``min_filter`` on ``ball_min_filter`` and
-``reparameterize`` on ``CoverFamily``.
+dilation, the offset-by-offset window ``shifted_window_reduce`` behind
+the padded chord sweeps, and the slice-by-slice ``envelope_verdicts``
+behind maithm's flat midpoint scan. The helpers at the end are the
+exception: test-only conveniences built on the library, namely the
+constructions ``bipotential_from_sync`` and ``b_infinity``, the random
+generators ``random_convex_2d_separable`` and
+``random_piecewise_linear_1d``, the conjugate pairs on ``conjugate`` and
+``fenchel_young_mask`` (checked against closed forms), ``min_filter`` on
+``ball_min_filter`` and ``reparameterize`` on ``CoverFamily``.
 """
 
 from dataclasses import dataclass
@@ -103,6 +105,64 @@ def brute_midpoint_convex(vals, tol):
             if m > 0.5 * (arr[i1, j1] + arr[i2, j2]) + tol:
                 return False
     return True
+
+
+def shifted_window_reduce(vals, offsets, ufunc, fill):
+    """out[..., i, j] = ufunc over vals[..., i + d1, j + d2] for the
+    offsets (d1, d2) that stay in the box, fill where none does: one
+    whole-array shifted reduction per offset, with no chords, rows or
+    padding. Leading axes are batched."""
+    n1, n2 = vals.shape[-2:]
+    out = np.full(vals.shape, fill, dtype=vals.dtype)
+    for d1, d2 in offsets:
+        if abs(d1) >= n1 or abs(d2) >= n2:
+            continue
+        dst = (Ellipsis, slice(max(0, -d1), n1 - max(0, d1)),
+               slice(max(0, -d2), n2 - max(0, d2)))
+        src = (Ellipsis, slice(max(0, d1), n1 + min(0, d1)),
+               slice(max(0, d2), n2 + min(0, d2)))
+        ufunc(out[dst], vals[src], out=out[dst])
+    return out
+
+
+def adjacent_triples(zshape):
+    """Flat (z1, z2, mid) triples of the +-1-step pairs along the rows
+    (1-D: the line), columns and both diagonals, in that order, each in
+    row-major order of its mid."""
+    if len(zshape) == 1:
+        n = zshape[0]
+        mid = np.arange(1, n - 1)
+        return mid - 1, mid + 1, mid
+    n1, n2 = zshape
+    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    z1s, z2s, mids = [], [], []
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        ok = ((ii - abs(di) >= 0) & (ii + abs(di) < n1)
+              & (jj - abs(dj) >= 0) & (jj + abs(dj) < n2))
+        i0, j0 = ii[ok], jj[ok]
+        z1s.append((i0 - di) * n2 + (j0 - dj))
+        z2s.append((i0 + di) * n2 + (j0 + dj))
+        mids.append(i0 * n2 + j0)
+    return (np.concatenate(z1s), np.concatenate(z2s), np.concatenate(mids))
+
+
+def envelope_verdicts(ystack, sampled, tol):
+    """Per-slice midpoint convexity (alpha = 0.5) of a (B, *zshape) stack,
+    one slice at a time: the slice's adjacent triples, then the sampled
+    (z1, z2, mid) triples; a triple with an infinite end is skipped."""
+    mandatory = adjacent_triples(ystack.shape[1:])
+    out = np.empty(len(ystack), dtype=bool)
+    for s in range(len(ystack)):
+        g = ystack[s].reshape(-1)
+        out[s] = True
+        for z1, z2, mid in (mandatory, sampled):
+            g1, g2 = g[z1], g[z2]
+            rhs = 0.5 * g1 + (1.0 - 0.5) * g2 + tol
+            with np.errstate(invalid="ignore"):
+                if (np.isfinite(g1) & np.isfinite(g2) & (g[mid] > rhs)).any():
+                    out[s] = False
+                    break
+    return out
 
 
 def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,35 @@ class TestBlurSpecRealization:
         spec = BlurSpec(0.3, "product", p=1.0)
         assert (0, 0) in spec.product_offsets(line_grid, line_grid)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
+    def test_product_offsets_are_the_plain_p_norm_ball(self, p):
+        # the norm is scaled by its largest term; the offset sets stay
+        # those of the unscaled sum of powers
+        for xg, yg, eps in ((Grid.line(-2, 2, 101), Grid.line(-2, 2, 101), 0.2),
+                            (Grid.line(-1, 1, 21), Grid.line(-3, 3, 31), 0.5),
+                            (Grid.box(-1, 1, 11),
+                             Grid.box([-1, -2], [1, 2], [9, 13]), 0.6)):
+            hs = list(xg.h) + list(yg.h)
+            want = []
+            for combo in itertools.product(*(
+                    range(-radius_nodes(eps, h), radius_nodes(eps, h) + 1)
+                    for h in hs)):
+                norm = sum(abs(d * h) ** p for d, h in zip(combo, hs)) ** (1 / p)
+                if norm <= eps * (1.0 + 1e-9):
+                    k = xg.dim
+                    want.append((combo[0], combo[1]) if k == 1
+                                else (combo[:k], combo[k:]))
+            got = BlurSpec(eps, "product", p).product_offsets(xg, yg)
+            assert got == want
+
+    def test_huge_p_gives_the_max_norm_box(self, line_grid):
+        eps = 0.3
+        r = radius_nodes(eps, line_grid.h[0])
+        offs = BlurSpec(eps, "product", 1e308).product_offsets(line_grid,
+                                                              line_grid)
+        assert offs == [(dx, dy) for dx in range(-r, r + 1)
+                        for dy in range(-r, r + 1)]
+
 
 class TestNewcBBGraphEquivalence:
     """Both directions of the blur-admissibility criterion: convexity of
@@ -474,9 +505,9 @@ def test_huge_radius_equals_box_diameter(grid):
 
 
 def test_tiles_keep_every_bit(monkeypatch):
-    # 10 leading slices: uint8 masks in tiles of 3 at the smaller size,
-    # float64 values in tiles of 1 there and of 3 at the larger, so the
-    # last tile of 3 is ragged
+    # 10 leading slices on rows padded to 11 cells: uint8 masks in tiles
+    # of 2 at the smaller size, float64 values in tiles of 1 there and of
+    # 2 at the larger (test_windows.py has ragged last tiles)
     grid = Grid((0.0, -1.0), (3.0, 1.0), (7, 9))
     rng = np.random.default_rng(11)
     vals = rng.normal(size=(2, 5) + grid.shape)

@@ -206,6 +206,18 @@ def test_product_blur_rejects_unusable_p(run_cli, tmp_path, p):
     assert not (tmp_path / "ca.csv").exists()
 
 
+def test_product_blur_with_a_huge_p_is_no_internal_error(run_cli, tmp_path):
+    # a p-norm power of p = 1e308 overflows a float unless it is scaled
+    g = Grid.line(-2.0, 2.0, 101)
+    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "phi.csv")
+    r = run_cli(["blur", "--phi", "phi.csv", "--out-ca", "ca.csv",
+                 "--eps", "1.2", "--kind", "product", "--p", "1e308"],
+                tmp_path)
+    assert r.returncode in (0, 2), r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_blur_rejects_unusable_tol(run_cli, tmp_path, quad_csv, tol):
     r = run_cli(["blur", "--phi", str(quad_csv), "--eps", "0.5",

@@ -180,6 +180,34 @@ class TestBatchIsConvex:
             assert first_nonconvex(vals[first:], g, 1e-9) == 0
 
 
+    @pytest.mark.parametrize("shape", [(9,), (5, 6), (7, 4)])
+    def test_scattered_survivors_across_chunks(self, monkeypatch, shape):
+        # noise fails the rows; every seventh slice is a bowl, and those
+        # with |c| = 4 fail a diagonal only (a row in 1-D, where they are
+        # concave), so the diagonals see survivors from several chunks at
+        # once; the stack is a transposed view, as the y-slices of a
+        # product array are
+        rng = np.random.default_rng(len(shape) + shape[0])
+        g = Grid((-1.0,) * len(shape), (1.0,) * len(shape), shape)
+        cs = (0.0, 4.0, -1.0, -4.0, 1.0, 4.0, 0.5)
+        if len(shape) == 1:
+            x = g.axis(0)
+            bowls = [np.sign(2.0 - abs(c)) * x * x + c * x for c in cs]
+        else:
+            a, b = g.meshgrid()
+            bowls = [a * a + b * b + c * a * b for c in cs]
+        vals = rng.normal(size=(45,) + shape)
+        vals[::7] = bowls
+        stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, 0, -1)),
+                            -1, 0)
+        want = [is_convex(SampledFunction(g, v), 1e-9).ok for v in vals]
+        assert 1 < sum(want) < len(cs)
+        for slices in (2, 5):
+            monkeypatch.setattr(windows, "_TILE_BYTES", slices * g.size * 8)
+            assert batch_is_convex(stack, g, 1e-9).tolist() == want
+            assert first_nonconvex(stack, g, 1e-9) == want.index(False)
+
+
 class TestIsSetConvex:
     def test_1d_gap_fails(self):
         g = Grid.line(0.0, 1.0, 11)

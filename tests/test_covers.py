@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bipot import covers, windows
 from bipot.bipotentials import (check_bipotential, default_graph_tol,
                                 graphs_match_within)
 from bipot.blur import BlurSpec, blurred_bipotential, blurred_graph
@@ -12,8 +13,8 @@ from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.fixtures import cone_fixture, cone_fixture_params
 from bipot.sampling import random_convex_1d
 
-from oracles import (cover_member, explicit_graph_union, explicit_infimum,
-                     reparameterize)
+from oracles import (adjacent_triples, cover_member, envelope_verdicts,
+                     explicit_graph_union, explicit_infimum, reparameterize)
 
 
 def member(fam, off):
@@ -230,3 +231,71 @@ class TestMaithmEquivalence:
         assert rep.ok
         assert "bipotential-verdict = fail" in rep.notes
         assert "implicit-convexity-verdict = fail" in rep.notes
+
+
+def _envelope_stack(zshape, rng):
+    """(B, *zshape) envelopes on integer nodes, exact in float64: convex
+    quadratics (pass), the same with an interior band of +inf two nodes
+    wide, or a quadratic convex along the rows, columns and diagonals but
+    not along (1, -2) (both pass the +-1-step triples and fail only some
+    wider pair), the quadratics with a bump (fail), one convex along all
+    but the anti-diagonal (fails), noise with +inf entries, and all-+inf
+    slices (pass)."""
+    idx = np.indices(zshape).astype(np.float64)
+    i, j = (idx[0], idx[0]) if len(zshape) == 1 else idx
+    out = []
+    for k in range(60):
+        a, c = rng.integers(1, 4, size=2)
+        g = a * (i - 2) ** 2 + c * (j - 3) ** 2 + rng.integers(-5, 5)
+        kind = k % 6
+        if kind == 1:
+            g = g.copy()
+            band = int(rng.integers(1, zshape[-1] - 3))
+            g[..., band:band + 2] = np.inf
+        elif kind == 2:
+            g = 4.0 * i * i + 4.0 * i * j + 0.25 * j * j if len(zshape) == 2 \
+                else np.where((i == 3) | (i == 4), np.inf, g)
+        elif kind == 3:
+            g = g.copy()
+            g[tuple(rng.integers(1, n - 1) for n in zshape)] += 2.0
+        elif kind == 4:
+            g = rng.normal(size=zshape)
+            g[rng.random(zshape) < 0.2] = np.inf
+        elif kind == 5 and k % 4 == 1:
+            g = np.full(zshape, np.inf)
+        elif kind == 5 and len(zshape) == 2:
+            g = i * i + 3.0 * i * j + j * j   # fails along (1, -1) only
+        out.append(g)
+    return np.stack(out)
+
+
+class TestFlatMandatoryScan:
+    def test_steps_give_the_adjacent_triples(self):
+        for zshape in ((7,), (3, 3), (5, 8), (9, 4)):
+            for a, b in zip(covers._mandatory_pairs(zshape),
+                            adjacent_triples(zshape)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("zshape", [(13,), (7, 10), (10, 7)])
+    def test_verdicts_equal_the_slice_loop(self, monkeypatch, zshape):
+        # 60 slices in chunks of 1, of 7 (ragged) and whole; exhaustive
+        # aligned pairs, and a strided sample of them
+        rng = np.random.default_rng(sum(zshape))
+        stack = _envelope_stack(zshape, rng)
+        empty = (np.zeros(0, dtype=np.int64),) * 3
+        mandatory_only = envelope_verdicts(stack, empty, 1e-9)
+        assert np.array_equal(
+            covers._implicit_verdicts(stack, empty, 1e-9), mandatory_only)
+        for cap in (10 ** 6, 97):
+            z1, z2, mid, _ = covers._pair_sample(
+                zshape, 0.5, cap, np.random.default_rng(3))
+            want = envelope_verdicts(stack, (z1, z2, mid), 1e-9)
+            # slices that pass every +-1-step triple but fail a wider pair
+            if cap > 10 ** 5:
+                assert (mandatory_only & ~want).sum() >= 10
+            assert 0 < want.sum() < len(stack)
+            for slices in (1, 7, len(stack)):
+                monkeypatch.setattr(windows, "_TILE_BYTES",
+                                    slices * stack[0].nbytes)
+                got = covers._implicit_verdicts(stack, (z1, z2, mid), 1e-9)
+                assert np.array_equal(got, want), (cap, slices)
