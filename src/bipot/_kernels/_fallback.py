@@ -73,14 +73,14 @@ def lf_transform(xs, vals, ys, out=None):
 
 
 def _sliding(a, w, ufunc, out):
-    """out[b, i] = ufunc.reduce(a[b, max(0, i-w) : i+w+1]) for w >= 0.
+    """out[..., i] = ufunc.reduce(a[..., max(0, i-w) : i+w+1]) for w >= 0.
 
     The window grows by doubling: at half-width s, m[i] = ufunc(out[i],
     out[i + d]) spans [i - s, i + d + s], and ufunc(m[i - d], m[i]) spans
     half-width s + d (d <= s + 1, so the pieces overlap). Near the row
     ends the clipped window is m[i] (i < d) or m[i - d] (i >= n - d), just
     as the definition clips it. w is clamped to n - 1, past which nothing
-    changes. ``out`` may be ``a`` itself.
+    changes. ``out`` may be ``a`` itself, and the scratch takes its layout.
     """
     if out is None:
         out = np.empty_like(a)
@@ -88,15 +88,15 @@ def _sliding(a, w, ufunc, out):
         out[...] = a
     n = a.shape[-1]
     w = min(int(w), n - 1)
-    scratch = np.empty_like(out[:, 1:]) if w > 0 else None
+    scratch = np.empty_like(out[..., 1:]) if w > 0 else None
     s = 0
     while s < w:
         d = min(s + 1, w - s)
-        m = scratch[:, :n - d]
-        ufunc(out[:, :-d], out[:, d:], out=m)
-        ufunc(m[:, :n - 2 * d], m[:, d:], out=out[:, d:n - d])
-        out[:, :d] = m[:, :d]
-        out[:, n - d:] = m[:, n - 2 * d:]
+        m = scratch[..., :n - d]
+        ufunc(out[..., :-d], out[..., d:], out=m)
+        ufunc(m[..., :n - 2 * d], m[..., d:], out=out[..., d:n - d])
+        out[..., :d] = m[..., :d]
+        out[..., n - d:] = m[..., n - 2 * d:]
         s += d
     return out
 

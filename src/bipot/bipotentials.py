@@ -23,11 +23,10 @@ import numpy as np
 from .convexity import _set_scan, first_nonconvex, is_convex
 from .errors import FormatError, InvalidInputError
 from .extreal import INF
-from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
-                    _pair_points)
+from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _tiles, chebyshev_dilate
+from .windows import _pair_tiles, chebyshev_dilate
 
 CLOSEDNESS_NOTE = "bi-closed: vacuously true on a finite grid"
 
@@ -191,12 +190,11 @@ def separable(phi: SampledFunction, ygrid: Grid | None = None) -> SampledBivaria
 
 
 def _sync_tiles(b: SampledBivariate):
-    """(t, rows) of b - <x, y> over consecutive tiles t of the flat
-    x-nodes (``windows._tiles``); rows has shape (tile, ygrid.size)."""
-    xg, yg = b.xgrid, b.ygrid
-    vals = b.vals.reshape(xg.size, yg.size)
-    for t in _tiles(xg.size, yg.size * vals.itemsize):
-        yield t, vals[t] - _pair_points(xg.points[t], yg.points)
+    """(t, rows) of b - <x, y> over the x-tiles t of
+    ``windows._pair_tiles``; rows has shape (tile, ygrid.size)."""
+    vals = b.vals.reshape(b.xgrid.size, b.ygrid.size)
+    for t, P in _pair_tiles(b.xgrid, b.ygrid):
+        yield t, np.subtract(vals[t], P, out=P)
 
 
 def graph_of(b: SampledBivariate, tol: float) -> GraphSet:

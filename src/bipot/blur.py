@@ -13,13 +13,13 @@ and b_A = phi(x) + (<x, y> + v) is the direct form
 b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>] after the
 substitution a -> y - a. M + A is the eps-ball dilation in y of the
 Fenchel-Young set {phi(x) + phi*(y) - <x, y> <= tol}, ``_blurred_mask``,
-on every route.
+on every route, and ``check_newc`` reads U(y) off the same set.
 
-The y-ball blur has no coupling across x, so c_A and b_A, the dilation
-of M + A and ``BlurredLaw``'s self-check run a tile of x-nodes at a time
-(``windows._tiles``) and write straight into read-only outputs, which
-``SampledBivariate`` and ``GraphSet`` keep without a copy. What stays
-whole is the outputs and the Fenchel-Young mask (one byte per pair).
+The y-ball blur has no coupling across x, so c_A and b_A, the
+Fenchel-Young set (``_fy_tiles``) and its dilation, and ``BlurredLaw``'s
+self-check run an x-tile at a time on its <x, y> (``windows._pair_tiles``)
+and write straight into read-only outputs, which ``SampledBivariate`` and
+``GraphSet`` keep without a copy. Only the outputs stay whole.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from .bipotentials import (GraphSet, _sync_tiles, check_bbgraph, check_sync,
 from .convexity import _faults, _set_scan, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
-from .grids import Grid, SampledBivariate, SampledFunction, _pair_points
-from .legendre import conjugate, default_subdiff_tol, fenchel_young_mask
+from .grids import Grid, SampledBivariate, SampledFunction
+from .legendre import conjugate, default_subdiff_tol, x_tol
 from .report import CheckReport, failing, passing
-from .windows import (_shift_reduce, _tiles, ball_dilate, ball_min_filter,
-                      ball_offsets, radius_nodes, require_resolvable)
+from .windows import (_pair_tiles, _shift_reduce, ball_dilate,
+                      ball_min_filter, ball_offsets, radius_nodes,
+                      require_resolvable)
 
 Y_BALL = "yball"
 PRODUCT_BALL = "product"
@@ -143,9 +144,9 @@ def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
     c_A = phi(x) + v and b_A = (<x, y> + v) + phi(x). c_A is None
     without with_cA.
 
-    The filter runs in y alone, so a tile of x-nodes at a time
-    (``windows._tiles``) is paired, filtered and summed into the outputs;
-    no other product-grid array is held.
+    The filter runs in y alone, so each x-tile of ``windows._pair_tiles``
+    is paired, filtered and summed into the outputs; no other product-grid
+    array is held.
     """
     xg, yg = phi.grid, star.grid
     bA = np.empty(xg.shape + yg.shape)
@@ -154,8 +155,7 @@ def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
     c_rows = None if cA is None else cA.reshape(b_rows.shape)
     pv = phi.vals.reshape(-1, 1)
     sv = star.vals.reshape(-1)
-    for t in _tiles(xg.size, yg.size * bA.itemsize):
-        P = _pair_points(xg.points[t], yg.points)
+    for t, P in _pair_tiles(xg, yg):
         v = ball_min_filter((sv - P).reshape((-1,) + yg.shape), yg,
                             eps).reshape(P.shape)
         if c_rows is not None:
@@ -261,37 +261,32 @@ def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
 # --- checkers ---------------------------------------------------------------
 
 
-# float64 residuals per block of the Fenchel-Young mask, so the working set
-# stays small however many x-nodes and ball offsets there are. Temporaries
-# of 128 KiB stay under glibc malloc's default mmap threshold and reuse heap
-# memory; on a 2-core x86 VM, 4x larger blocks made check_newc on the 81x81
-# cone about 1.7x slower.
-_BLOCK_ELEMS = 1 << 14
-
-
-def _fy_blocks(phi: SampledFunction, star: SampledFunction, ycols, tol):
-    """(start, mask) blocks of ``fenchel_young_mask`` over the y-nodes ycols,
-    a few columns at a time."""
-    if tol is None:
-        tol = default_subdiff_tol(phi.grid)
-    step = max(1, _BLOCK_ELEMS // phi.grid.size)
-    for s in range(0, len(ycols), step):
-        yield s, fenchel_young_mask(phi, star, ycols[s:s + step], tol)
+def _fy_tiles(phi: SampledFunction, star: SampledFunction, tol,
+              cols=slice(None)):
+    """(t, mask) of the Fenchel-Young set (phi(x) + phi*(y)) - <x, y> <=
+    tol(x) over the x-tiles t of ``windows._pair_tiles`` and the y-nodes
+    of flat indices cols; column k is the discrete subdifferential of phi*
+    at y-node cols[k]. tol is as in ``legendre.x_tol``, which admits no
+    +inf residual (default ``default_subdiff_tol``)."""
+    grid = phi.grid
+    tol = x_tol(default_subdiff_tol(grid) if tol is None else tol, grid)
+    pv = phi.vals.reshape(-1, 1)
+    sv = star.vals.reshape(-1)[cols]
+    for t, P in _pair_tiles(grid, star.grid, cols):
+        resid = np.subtract(pv[t] + sv, P, out=P)
+        yield t, resid <= (tol[t, None] if tol.ndim else tol)
 
 
 def _blurred_mask(phi: SampledFunction, star: SampledFunction, eps: float,
                   tol) -> np.ndarray:
     """M + A over the (x, y) product, read-only: the eps-ball dilation in
-    y of the Fenchel-Young mask at tol (see ``_fy_blocks``), a tile of
-    x-nodes at a time."""
+    y of the Fenchel-Young set at tol (``_fy_tiles``), an x-tile at a
+    time."""
     yg = star.grid
-    E = np.empty((phi.grid.size, yg.size), dtype=bool)
-    for s, block in _fy_blocks(phi, star, np.arange(yg.size), tol):
-        E[:, s:s + block.shape[1]] = block
-    E = E.reshape((-1,) + yg.shape)
-    out = np.empty_like(E)
-    for t in _tiles(len(E), yg.size):
-        out[t] = ball_dilate(E[t], yg, eps)
+    out = np.empty((phi.grid.size, yg.size), dtype=bool)
+    for t, E in _fy_tiles(phi, star, tol):
+        out[t] = ball_dilate(E.reshape((-1,) + yg.shape), yg,
+                             eps).reshape(E.shape)
     out.flags.writeable = False
     return out.reshape(phi.grid.shape + yg.shape)
 
@@ -301,11 +296,11 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     """Convexity of U(y) = union of subdifferentials of phi* over the
     eps-ball of y-nodes around at_y.
 
-    Each subdifferential is a column of ``fenchel_young_mask``, with the
-    per-candidate tolerance (default ``default_subdiff_tol``); only the
-    ball's in-box y-nodes are evaluated, so U(y) is the (x, at_y) section
-    of M + A at that tolerance, and one verdict of ``check_newc_all``.
-    The witness is ``is_set_convex``'s.
+    Each subdifferential is a column of the Fenchel-Young set ``_fy_tiles``
+    at the per-candidate tolerance (default ``default_subdiff_tol``); only
+    the ball's in-box y-nodes are evaluated, so U(y) is the (x, at_y)
+    section of M + A at that tolerance, and one verdict of
+    ``check_newc_all``. The witness is ``is_set_convex``'s.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
     ygrid = star.grid
@@ -316,9 +311,9 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     idx = offs + at_t
     inbox = ((idx >= 0) & (idx < np.array(ygrid.n))).all(axis=1)
     cols = np.ravel_multi_index(tuple(idx[inbox].T), ygrid.shape)
-    union = np.zeros(phi.grid.size, dtype=bool)
-    for _, block in _fy_blocks(phi, star, cols, tol):
-        union |= block.any(axis=1)
+    union = np.empty(phi.grid.size, dtype=bool)
+    for t, E in _fy_tiles(phi, star, tol, cols):
+        E.any(axis=1, out=union[t])
     union = union.reshape(phi.grid.shape)
     notes = [f"y = {(center,) if ygrid.dim == 1 else center}", f"eps = {eps}"]
     if not inbox.all():

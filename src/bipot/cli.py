@@ -35,7 +35,7 @@ from .bipotentials import (GraphSet, check_bbgraph, check_bipotential,
 from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
                    check_newc_all, inf_convolve_blur)
 from .convexity import is_convex
-from .covers import (build_cover, check_implicitly_convex,
+from .covers import (_require_seed, build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential)
 from .errors import BipotError, FormatError, InvalidInputError
 from .fixtures import (cone_fixture, cone_fixture_params, elasticity_closed_form_ca,
@@ -89,13 +89,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise InvalidInputError(f"expected comma-separated reals, got {text!r}")
 
 
+def _lo_hi(text: str, flag: str) -> tuple[float, ...]:
+    lohi = _parse_floats(text)
+    if len(lohi) != 2:
+        raise InvalidInputError(f"{flag} expects 'lo,hi'")
+    return lohi
+
+
 def _ygrid_from_flags(args, phi: SampledFunction) -> Grid | None:
     box = getattr(args, "ybox", None)
     if box is None:
         return None
-    lohi = _parse_floats(box)
-    if len(lohi) != 2:
-        raise InvalidInputError("--ybox expects 'lo,hi'")
+    lohi = _lo_hi(box, "--ybox")
     n = getattr(args, "yn", None) or phi.grid.n[0]
     if phi.grid.dim == 1:
         return Grid.line(lohi[0], lohi[1], n)
@@ -362,13 +367,13 @@ def _cmd_example(cfg: RunConfig) -> int:
 
 def _box_or(a, defaults, key):
     if a.box:
-        lo, hi = _parse_floats(a.box)
-        return lo, hi
+        return _lo_hi(a.box, "--box")
     return defaults[f"{key}.lo"], defaults[f"{key}.hi"]
 
 
 def _cmd_explore(cfg: RunConfig) -> int:
     a = cfg.args
+    _require_seed(a.seed)
     rng = np.random.default_rng(a.seed)
     g = Grid.line(-2.0, 2.0, a.grid)
     failures = []

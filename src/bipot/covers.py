@@ -180,9 +180,15 @@ def _mandatory_pairs(zshape):
     return (np.concatenate(z1s), np.concatenate(z2s), np.concatenate(mids))
 
 
-def _require_pair_cap(cap) -> None:
+def _require_sampling(cap, seed) -> None:
     if not cap >= 1:
         raise InvalidInputError(f"pair cap must be >= 1, got {cap}")
+    _require_seed(seed)
+
+
+def _require_seed(seed) -> None:
+    if not seed >= 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
 def _pair_sample(zshape, alpha, cap, rng):
@@ -340,7 +346,7 @@ def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
         raise InvalidInputError("alphas must include 0.5")
     if not all(0 <= a <= 1 for a in alphas):   # NaN fails too
         raise InvalidInputError("alphas must lie in [0, 1]")
-    _require_pair_cap(pair_cap)
+    _require_sampling(pair_cap, seed)
     zshape = values.shape[1:]
     g = values.min(axis=0)
     gflat = g.reshape(-1)
@@ -385,7 +391,7 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     verdicts coincide; witness is the first y-node where the per-slice
     verdicts disagree.
     """
-    _require_pair_cap(pair_cap)
+    _require_sampling(pair_cap, seed)
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
                             "check_maithm_equivalence")
     bA = _yball_blur(phi, star, eps, with_cA=False)[1]

@@ -126,9 +126,10 @@ class Grid:
         return pts
 
     def snap(self, point):
-        """Nearest node index; the point must lie within h/2 of the box."""
+        """Nearest node index; the point must be finite and lie within h/2
+        of the box."""
         p = np.atleast_1d(np.asarray(point, dtype=np.float64))
-        if p.shape != (self.dim,):
+        if p.shape != (self.dim,) or not np.isfinite(p).all():
             raise InvalidInputError(f"expected a point in R^{self.dim}, got {point!r}")
         idx = []
         for k in range(self.dim):
@@ -152,21 +153,16 @@ class Grid:
         return f"Grid({parts})"
 
 
-def pairing(xgrid: Grid, ygrid: Grid, ycols=None) -> np.ndarray:
+def pairing(xgrid: Grid, ygrid: Grid) -> np.ndarray:
     """Duality products <x, y> for all node pairs.
 
     Shape is ``xgrid.shape + ygrid.shape``. 1-D: x*y; 2-D: x1*y1 + x2*y2,
-    evaluated as ``fl(fl(x1*y1) + fl(x2*y2))``. With ``ycols``, an array
-    of flat y-node indices, only those y-nodes are paired and the shape is
-    ``(xgrid.size, len(ycols))``; the values are bit-identical.
+    evaluated as ``fl(fl(x1*y1) + fl(x2*y2))``.
     """
     if xgrid.dim != ygrid.dim:
         raise InvalidInputError("x-grid and y-grid must have the same dimension")
-    if ycols is None:
-        out = _pair_points(xgrid.points, ygrid.points)
-        return out.reshape(xgrid.shape + ygrid.shape)
-    # y-major, so the long x-axis is the inner loop; fl(y*x) == fl(x*y)
-    return _pair_points(ygrid.points[ycols], xgrid.points).T
+    out = _pair_points(xgrid.points, ygrid.points)
+    return out.reshape(xgrid.shape + ygrid.shape)
 
 
 def _pair_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:

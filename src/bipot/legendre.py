@@ -1,4 +1,4 @@
-"""Fenchel conjugation on grids and subdifferentials via Fenchel-Young.
+"""Fenchel conjugation on grids, and the tolerances of Fenchel-Young sets.
 
 The production transform is the linear-time discrete Legendre transform
 (lower hull + monotone argmax pointer, in ``bipot._kernels``); in 2-D it
@@ -8,6 +8,11 @@ oracle ``conjugate_bruteforce`` in the tests, so the two agree bit for bit.
 
 Finite grids cannot hold phi* = +inf where the sup escapes the box, so
 values above ``cap`` (default 1e12) are reported as +inf.
+
+The discrete subdifferential of phi* at a y-node is the x-nodes where
+phi(x) + phi*(y) - <x, y> <= tol(x); ``default_subdiff_tol`` and
+``x_tol`` give tol, and ``blur._fy_tiles`` builds the set an x-tile at
+a time.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError
-from .grids import Grid, SampledFunction, pairing
+from .grids import Grid, SampledFunction
 from .extreal import INF
 
 DEFAULT_CAP = 1e12
@@ -118,26 +123,3 @@ def x_tol(tol, grid: Grid) -> np.ndarray:
             raise InvalidInputError("array tol must match the x-grid shape")
         t = t.reshape(-1)
     return np.minimum(t, np.finfo(np.float64).max)
-
-
-def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
-                       tol=None) -> np.ndarray:
-    """Boolean mask of the discrete Fenchel-Young equality set
-    { (x, y) : phi(x) + phistar(y) - <x, y> <= tol(x), both finite } over
-    every x-node and the y-nodes with flat indices ``ycols``.
-
-    The shape is ``(phi.grid.size, len(ycols))``; column k is the discrete
-    subdifferential of phistar at y-node ``ycols[k]``. tol is as in
-    ``x_tol`` (default ``default_subdiff_tol``), and <x, y> is
-    ``grids.pairing``'s.
-    """
-    grid = phi.grid
-    ycols = np.asarray(ycols, dtype=np.intp)
-    pv = phi.vals.reshape(-1)
-    ps = phistar.vals.reshape(-1)[ycols, None]
-    # an infinite value makes the residual +inf, which x_tol never admits
-    tol = x_tol(default_subdiff_tol(grid) if tol is None else tol, grid)
-    # built y-major, so the long x-axis is the inner loop
-    resid = ps + pv
-    resid -= pairing(grid, phistar.grid, ycols).T
-    return (resid <= tol).T

@@ -18,8 +18,9 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._kernels._fallback import _sliding
 from .errors import InvalidInputError, ResolutionError
-from .grids import Grid
+from .grids import Grid, _pair_points
 
 _SLACK = 1e-9
 
@@ -37,6 +38,15 @@ def _tiles(count: int, item_bytes: int) -> list[slice]:
     items of item_bytes bytes, and at least one item."""
     step = max(1, _TILE_BYTES // max(1, item_bytes))
     return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _pair_tiles(xgrid: Grid, ygrid: Grid, cols=slice(None)):
+    """(t, <x, y>) over consecutive x-tiles t of about ``_TILE_BYTES`` of
+    float64 pairs with the y-nodes of flat indices cols, shape
+    (tile, len(cols)), with the bits of ``grids.pairing``."""
+    ypts = ygrid.points[cols]
+    for t in _tiles(xgrid.size, len(ypts) * 8):
+        yield t, _pair_points(xgrid.points[t], ypts)
 
 
 def radius_nodes(eps: float, h: float) -> int:
@@ -219,8 +229,13 @@ def ball_dilate(mask: np.ndarray, grid: Grid, eps: float) -> np.ndarray:
 
 
 def chebyshev_dilate(mask: np.ndarray, grid: Grid, nodes: int) -> np.ndarray:
-    """Dilate the trailing grid axes by `nodes` steps in every direction."""
-    if nodes <= 0:
-        return mask.astype(bool).copy()
-    return _sweep(mask.astype(np.uint8), grid, nodes, lambda d1: nodes,
-                  _kernels.sliding_max_u8, np.maximum, 0).astype(bool)
+    """Dilate the trailing grid axes by `nodes` steps in every direction.
+
+    The window is a box: each trailing axis is dilated in turn, in place
+    on one bool copy of the mask in the mask's memory layout (a transposed
+    view is not made contiguous), by the line kernels' doubling."""
+    out = np.array(mask, dtype=bool, order="K")
+    for ax in range(out.ndim - grid.dim, out.ndim):
+        line = np.moveaxis(out, ax, -1)
+        _sliding(line, nodes, np.logical_or, line)
+    return out

@@ -5,12 +5,13 @@ of every dual-route check. They include the exhaustive conjugate
 ``conjugate_bruteforce``, a cover's member-by-member routes
 (``cover_member``, ``explicit_infimum``, ``explicit_graph_union``), which
 the library replaces by one conjugate kernel, one min-filter and one
-dilation, the offset-by-offset window ``shifted_window_reduce`` behind
-the padded chord sweeps, and the slice-by-slice ``envelope_verdicts``
-behind maithm's flat midpoint scan. The helpers at the end are the
-exception: test-only conveniences built on the library, namely the
-constructions ``bipotential_from_sync`` and ``b_infinity``, the random
-generators ``random_convex_2d_separable`` and
+dilation, the whole y-major Fenchel-Young set ``fenchel_young_mask``
+behind the x-tiled one that M + A and newc read, the offset-by-offset
+window ``shifted_window_reduce`` behind the padded chord sweeps, and the
+slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan.
+The helpers at the end are the exception: test-only conveniences built
+on the library, namely the constructions ``bipotential_from_sync`` and
+``b_infinity``, the random generators ``random_convex_2d_separable`` and
 ``random_piecewise_linear_1d``, the conjugate pairs on ``conjugate`` and
 ``fenchel_young_mask`` (checked against closed forms), ``min_filter`` on
 ``ball_min_filter`` and ``reparameterize`` on ``CoverFamily``.
@@ -26,7 +27,7 @@ from bipot.errors import InvalidInputError
 from bipot.extreal import INF
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 from bipot.legendre import (DEFAULT_CAP, _cap_to_inf, conjugate,
-                            default_dual_grid, fenchel_young_mask)
+                            default_dual_grid, default_subdiff_tol, x_tol)
 from bipot.sampling import random_convex_1d
 from bipot.windows import ball_min_filter
 
@@ -244,6 +245,34 @@ def explicit_graph_union(phi_vals, phistar_vals, offsets, xgrid, ygrid, tol):
     for b in _cover_members(phi_vals, phistar_vals, offsets, xgrid, ygrid):
         union |= b - pair <= tol
     return union.reshape(xgrid.shape + ygrid.shape)
+
+
+def fenchel_young_mask(phi: SampledFunction, phistar: SampledFunction, ycols,
+                       tol=None) -> np.ndarray:
+    """Boolean mask of the discrete Fenchel-Young equality set
+    { (x, y) : phi(x) + phistar(y) - <x, y> <= tol(x), both finite } over
+    every x-node and the y-nodes with flat indices ``ycols``, built y-major
+    over all x-nodes at once: the reference for ``blur._fy_tiles``.
+
+    The shape is ``(phi.grid.size, len(ycols))``; column k is the discrete
+    subdifferential of phistar at y-node ``ycols[k]``. tol is as in
+    ``x_tol`` (default ``default_subdiff_tol``), and <x, y> is summed over
+    the axes in order, as in ``grids.pairing``.
+    """
+    grid = phi.grid
+    ycols = np.asarray(ycols, dtype=np.intp)
+    pv = phi.vals.reshape(-1)
+    ps = phistar.vals.reshape(-1)[ycols, None]
+    # an infinite value makes the residual +inf, which x_tol never admits
+    tol = x_tol(default_subdiff_tol(grid) if tol is None else tol, grid)
+    # built y-major, so the long x-axis is the inner loop; fl(y*x) == fl(x*y)
+    xs, ys = grid.points, phistar.grid.points[ycols]
+    pair = np.multiply.outer(ys[:, 0], xs[:, 0])
+    if grid.dim == 2:
+        pair += np.multiply.outer(ys[:, 1], xs[:, 1])
+    resid = ps + pv
+    resid -= pair
+    return (resid <= tol).T
 
 
 def conjugate_bruteforce(phi: SampledFunction, ygrid: Grid | None = None,

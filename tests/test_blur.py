@@ -18,10 +18,11 @@ from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 from bipot.legendre import (conjugate, default_dual_grid, default_subdiff_tol,
                             x_tol)
 from bipot.sampling import random_convex_1d
-from bipot.windows import (ball_dilate, ball_min_filter, chebyshev_dilate,
-                           radius_nodes)
+from bipot.windows import (ball_dilate, ball_min_filter, ball_offsets,
+                           chebyshev_dilate, radius_nodes)
 
-from oracles import brute_min_filter, random_piecewise_linear_1d
+from oracles import (brute_min_filter, fenchel_young_mask,
+                     random_piecewise_linear_1d)
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +554,7 @@ def _x_tiled_laws():
 def test_blurred_law_tiles_keep_every_bit(monkeypatch, name, phi, spec,
                                           ygrid):
     # one x-tile against x-tiles of 1 and 3 float64 rows (ragged: 20 and
-    # 35 x-nodes); M + A's bool rows then come 8 and 24 to a tile
+    # 35 x-nodes), for M + A's Fenchel-Young rows too
     def parts():
         law = blur_law(phi, spec, ygrid)
         gtol = default_graph_tol(law.bA.xgrid, law.bA.ygrid)
@@ -575,6 +576,73 @@ def test_blurred_law_tiles_keep_every_bit(monkeypatch, name, phi, spec,
         for a, b in zip(got[:-1], whole[:-1]):
             assert np.array_equal(a, b)
         assert got[-1] == whole[-1]
+
+
+@pytest.mark.parametrize("name, phi, spec, ygrid", _x_tiled_laws(),
+                         ids=[c[0] for c in _x_tiled_laws()])
+@pytest.mark.parametrize("tol", ["default", "scalar", "per-x"])
+def test_blurred_mask_equals_the_dilated_oracle_set(monkeypatch, name, phi,
+                                                     spec, ygrid, tol):
+    # the x-tiled Fenchel-Young set and its dilation against ball_dilate
+    # of the whole y-major oracle mask, in x-tiles of 1 float64 row, of 3
+    # (ragged: 20 and 35 x-nodes) and of the whole grid
+    star = conjugate(phi, ygrid or phi.grid)
+    xg, yg = phi.grid, star.grid
+    gtol = default_graph_tol(xg, yg)
+    per_x = gtol * np.linspace(0.2, 5.0, xg.size).reshape(xg.shape)
+    tol = {"default": None, "scalar": gtol, "per-x": per_x}[tol]
+    fy = fenchel_young_mask(phi, star, np.arange(yg.size), tol)
+    want = ball_dilate(fy.reshape(xg.shape + yg.shape), yg, spec.eps)
+    # the default tol h (1 + |x|) at h = 1.2e5 admits every pair of |x| box
+    assert fy.any() and (not want.all() or name == "|x| box")
+    for nodes in (1, 3, xg.size):
+        monkeypatch.setattr(windows, "_TILE_BYTES", nodes * yg.size * 8)
+        got = blur._blurred_mask(phi, star, spec.eps, tol)
+        assert not got.flags.writeable
+        assert np.array_equal(got, want), nodes
+
+
+def _oracle_union(phi, star, eps, at_y, tol):
+    """(U(y), clipped): the union of the oracle mask's columns over the
+    in-box y-nodes of the eps-ball around at_y, and whether any of the
+    ball's nodes lies off the box."""
+    yg = star.grid
+    idx = np.array(ball_offsets(yg, eps)).reshape(-1, yg.dim) + at_y
+    inbox = ((idx >= 0) & (idx < np.array(yg.n))).all(axis=1)
+    cols = np.ravel_multi_index(tuple(idx[inbox].T), yg.shape)
+    union = fenchel_young_mask(phi, star, cols, tol).any(axis=1)
+    return union.reshape(phi.grid.shape), not inbox.all()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_check_newc_equals_the_per_column_oracle(monkeypatch, dim):
+    # three balls clipped at the y-box (in 2-D, (0, 4) and (12, 3) fail)
+    # and one inside it, at the default and a scalar tol, in x-tiles of
+    # one row of the ball's columns and whole
+    clipped = failures = 0
+    for phi, eps, ygrid in _newc_corpus(dim):
+        star = conjugate(phi, ygrid)
+        last = ygrid.n[0] - 1
+        nodes = ([0, 1, 33, last] if dim == 1
+                 else [(0, 4), (12, 3), (8, 8), (last, last)])
+        for at_y, tol in itertools.product(nodes, (None, 0.05)):
+            union, clip = _oracle_union(phi, star, eps, at_y, tol)
+            want = is_set_convex(union, phi.grid)
+            for tile_bytes in (8, 1 << 18):
+                monkeypatch.setattr(windows, "_TILE_BYTES", tile_bytes)
+                rep = check_newc(phi, eps, at_y, tol, ygrid)
+                assert clip == ("ball clipped at the y-box boundary"
+                                in rep.notes)
+                if not union.any():
+                    assert rep.ok and "U(y) is empty" in rep.notes
+                    continue
+                assert (rep.ok, rep.witness, rep.residual) == (
+                    want.ok, want.witness, want.residual), at_y
+                assert rep.notes[len(rep.notes) - len(want.notes):] \
+                    == want.notes
+            clipped += clip
+            failures += not want.ok
+    assert clipped == len(_newc_corpus(dim)) * 3 * 2 and failures > 0
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])

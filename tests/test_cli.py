@@ -357,7 +357,10 @@ def test_check_implicit_cli(run_cli, tmp_path, quad_csv):
     (3, ["implicit", "--y", "0.0", "--cap", "-5"], "pair cap must be >= 1"),
     (401, ["implicit", "--y", "0.0", "--cap", "0"], "pair cap must be >= 1"),
     (3, ["implicit", "--y", "0.0", "--alphas", "0.5,nan"],
-     "alphas must lie in [0, 1]")])
+     "alphas must lie in [0, 1]"),
+    # a negative seed reached numpy's default_rng, a ValueError: exit 3
+    (3, ["implicit", "--y", "0.0", "--seed", "-1"], "seed must be >= 0"),
+    (3, ["maithm", "--seed", "-1"], "seed must be >= 0")])
 def test_check_refuses_bad_pair_settings(run_cli, tmp_path, n, args, message):
     SampledFunction.from_callable(Grid.line(-1.0, 1.0, n),
                                   lambda x: 0.5 * x * x).to_csv(
@@ -366,6 +369,36 @@ def test_check_refuses_bad_pair_settings(run_cli, tmp_path, n, args, message):
                 tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
     assert message in r.stderr, r.stderr
+
+
+def test_explore_refuses_a_negative_seed(tmp_path, capsys):
+    code = main(["explore", "darboux", "--seed", "-1", "--samples", "1",
+                 "--report", str(tmp_path / "d.txt")])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checker", ["newc", "implicit"])
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_check_refuses_a_non_finite_y(quad_csv, capsys, checker, y):
+    # nan died in int(round(nan)) with ValueError, inf with OverflowError
+    code = main(["check", checker, "--phi", str(quad_csv), "--eps", "0.5",
+                 f"--y={y}"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "expected a point in R^1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("example", ["elasticity", "two-point", "cone"])
+@pytest.mark.parametrize("box", ["1,2,3", "1"])
+def test_example_refuses_a_box_of_other_than_two_reals(tmp_path, capsys,
+                                                       example, box):
+    # unpacking the parsed reals raised ValueError: exit 3
+    code = main(["example", example, "--out-dir", str(tmp_path / "o"),
+                 "--box", box])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "--box expects 'lo,hi'" in err and "Traceback" not in err
 
 
 def test_check_reports_print_plain_numbers(run_cli, tmp_path):

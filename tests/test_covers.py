@@ -233,6 +233,17 @@ class TestMaithmEquivalence:
         assert "implicit-convexity-verdict = fail" in rep.notes
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 40])
+def test_a_negative_seed_is_invalid_input(line_grid, seed):
+    # numpy's default_rng raised ValueError, an internal error at the CLI
+    phi = SampledFunction.from_callable(line_grid, lambda x: 0.5 * x * x)
+    F = np.stack([line_grid.axis(0) ** 2])
+    for call in (lambda: check_maithm_equivalence(phi, 0.5, seed=seed),
+                 lambda: check_implicitly_convex(F, seed=seed)):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            call()
+
+
 def _envelope_stack(zshape, rng):
     """(B, *zshape) envelopes on integer nodes, exact in float64: convex
     quadratics (pass), the same with an interior band of +inf two nodes

@@ -77,6 +77,14 @@ class TestGrid:
         with pytest.raises(InvalidInputError):
             g.snap([2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_snap_rejects_non_finite(self, bad):
+        # nan raised ValueError and inf OverflowError from int(round(t))
+        for g, point in ((Grid.line(0.0, 1.0, 11), [bad]),
+                         (Grid.box(-1.0, 1.0, 5), [0.0, bad])):
+            with pytest.raises(InvalidInputError, match="expected a point"):
+                g.snap(point)
+
 
 class TestSampledCsv:
     def test_function_round_trip_1d(self, tmp_path):

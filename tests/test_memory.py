@@ -10,7 +10,7 @@ import tracemalloc
 
 from bipot import windows
 from bipot.bipotentials import check_sync
-from bipot.blur import blur_law
+from bipot.blur import blur_law, blurred_graph
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_fixture, elasticity_phi)
 
@@ -27,15 +27,24 @@ def traced_peak(fn):
 
 
 def test_blur_law_holds_its_outputs_and_a_few_tiles():
-    # n = 25: one float64 product array is 3.1 MB, a tile 0.26 MB; c_A and
-    # b_A are built an x-tile at a time, and M + A needs one more whole
-    # boolean mask (the Fenchel-Young set it dilates)
+    # n = 25: one float64 product array is 3.1 MB, a tile 0.26 MB; c_A,
+    # b_A and M + A are each built an x-tile at a time
     fix = cone_fixture_params(0.5, 1.0, 1.0, -2.0, 2.0, 25)
     phi = cone_fixture(fix).phi
     law, peak = traced_peak(lambda: blur_law(phi, fix.spec, fix.ygrid))
-    mask = law.MplusA.mask.nbytes
-    outputs = law.cA.vals.nbytes + law.bA.vals.nbytes + mask
-    assert peak <= outputs + mask + 8 * windows._TILE_BYTES
+    outputs = (law.cA.vals.nbytes + law.bA.vals.nbytes
+               + law.MplusA.mask.nbytes)
+    assert peak <= outputs + 8 * windows._TILE_BYTES
+
+
+def test_blurred_graph_holds_its_mask_and_a_few_tiles():
+    # n = 41: the mask is 2.8 MB, about 11 tiles; the Fenchel-Young set
+    # is formed and dilated an x-tile at a time, never whole
+    fix = cone_fixture_params(n=41)
+    phi = cone_fixture(fix).phi
+    M, peak = traced_peak(lambda: blurred_graph(phi, fix.spec,
+                                                ygrid=fix.ygrid))
+    assert peak <= M.mask.nbytes + 6 * windows._TILE_BYTES
 
 
 def test_failing_check_sync_allocates_less_than_one_product_array():

@@ -62,11 +62,18 @@ def test_sweeps_equal_the_offset_window(monkeypatch, grid, radii, lead):
             assert np.array_equal(
                 ball_dilate(mask, grid, eps),
                 shifted_window_reduce(mask, offs, np.maximum, False)), eps
-        for nodes in (1, 2, max(grid.n)):
-            assert np.array_equal(
-                chebyshev_dilate(mask, grid, nodes),
-                shifted_window_reduce(mask, _chebyshev_offsets(nodes),
-                                      np.maximum, False)), nodes
+        # the mask, and the same mask as a view whose grid axes lead in
+        # memory (the layout of a transposed graph)
+        moved = np.moveaxis(np.moveaxis(mask, (-2, -1), (0, 1)).copy(),
+                            (0, 1), (-2, -1))
+        for nodes in (0, 1, 2, max(grid.n)):
+            want = shifted_window_reduce(mask, _chebyshev_offsets(nodes),
+                                         np.maximum, False)
+            assert np.array_equal(chebyshev_dilate(mask, grid, nodes),
+                                  want), nodes
+            got = chebyshev_dilate(moved, grid, nodes)
+            assert np.array_equal(got, want), nodes
+            assert got.strides == moved.strides
 
 
 def test_two_node_rows():
