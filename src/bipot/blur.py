@@ -19,7 +19,9 @@ The y-ball blur has no coupling across x, so c_A and b_A, the
 Fenchel-Young set (``_fy_tiles``) and its dilation, and ``BlurredLaw``'s
 self-check run an x-tile at a time on its <x, y> (``windows._pair_tiles``)
 and write straight into read-only outputs, which ``SampledBivariate`` and
-``GraphSet`` keep without a copy. Only the outputs stay whole.
+``GraphSet`` keep without a copy. Only the outputs stay whole. The
+min-filter and the dilation are one ``windows._sweep`` each, over those
+x-tiles, so each builds its chord plan once.
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ from typing import Union
 
 import numpy as np
 
+from . import _kernels
 from .bipotentials import (GraphSet, _sync_tiles, check_bbgraph, check_sync,
                            default_graph_tol, graphs_match_within)
-from .convexity import _faults, _set_scan, is_set_convex
+from .convexity import _set_scan, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate, default_subdiff_tol, x_tol
 from .report import CheckReport, failing, passing
-from .windows import (_pair_tiles, _shift_reduce, ball_dilate,
-                      ball_min_filter, ball_offsets, radius_nodes,
-                      require_resolvable)
+from .windows import (_ball_window, _pair_tiles, _shift_reduce, _sweep,
+                      ball_dilate, ball_min_filter, ball_offsets,
+                      radius_nodes, require_resolvable)
 
 Y_BALL = "yball"
 PRODUCT_BALL = "product"
@@ -51,7 +54,9 @@ class BlurSpec:
     """Shape of the indeterminacy set A.
 
     kind 'yball':  A = {0} x closed ball of radius eps in Y (Euclidean);
-    kind 'product': A = {(x, y) : (||x||^p + ||y||^p)^(1/p) <= eps}.
+    kind 'product': A = {(x, y) : ||(x, y)||_p <= eps}, the lp norm of all
+    2 * dim coordinates: (||x||_p^p + ||y||_p^p)^(1/p), with lp norms (not
+    Euclidean ones) on X and Y too.
     Both contain (0, 0) and are BB-graphs by construction.
     """
 
@@ -144,30 +149,28 @@ def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
     c_A = phi(x) + v and b_A = (<x, y> + v) + phi(x). c_A is None
     without with_cA.
 
-    The filter runs in y alone, so each x-tile of ``windows._pair_tiles``
-    is paired, filtered and summed into the outputs; no other product-grid
-    array is held.
+    The filter runs in y alone, so the x-tiles of ``windows._pair_tiles``
+    are the blocks of one ``windows._sweep``: each is paired, filtered and
+    summed into the outputs, and no other product-grid array is held.
     """
     xg, yg = phi.grid, star.grid
-    bA = np.empty(xg.shape + yg.shape)
+    bA = np.empty((xg.size,) + yg.shape)
     cA = np.empty_like(bA) if with_cA else None
-    b_rows = bA.reshape(xg.size, yg.size)
-    c_rows = None if cA is None else cA.reshape(b_rows.shape)
-    pv = phi.vals.reshape(-1, 1)
-    sv = star.vals.reshape(-1)
-    for t, P in _pair_tiles(xg, yg):
-        v = ball_min_filter((sv - P).reshape((-1,) + yg.shape), yg,
-                            eps).reshape(P.shape)
-        if c_rows is not None:
-            np.add(v, pv[t], out=c_rows[t])
+    pv = phi.vals.reshape((-1,) + (1,) * yg.dim)
+    tiles = ((t, P.reshape((-1,) + yg.shape)) for t, P in _pair_tiles(xg, yg))
+    blocks = (((t, P), star.vals - P) for t, P in tiles)
+    for (t, P), v in _sweep(blocks, yg, *_ball_window(yg, eps),
+                            _kernels.sliding_min, np.minimum, np.inf):
+        if cA is not None:
+            np.add(v, pv[t], out=cA[t])
         P += v
-        np.add(P, pv[t], out=b_rows[t])
+        np.add(P, pv[t], out=bA[t])
     # read-only, so SampledBivariate keeps the arrays instead of copying
     bA.flags.writeable = False
     if cA is not None:
         cA.flags.writeable = False
-        cA = SampledBivariate(xg, yg, cA)
-    return cA, SampledBivariate(xg, yg, bA)
+        cA = SampledBivariate(xg, yg, cA.reshape(xg.shape + yg.shape))
+    return cA, SampledBivariate(xg, yg, bA.reshape(xg.shape + yg.shape))
 
 
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
@@ -280,13 +283,16 @@ def _fy_tiles(phi: SampledFunction, star: SampledFunction, tol,
 def _blurred_mask(phi: SampledFunction, star: SampledFunction, eps: float,
                   tol) -> np.ndarray:
     """M + A over the (x, y) product, read-only: the eps-ball dilation in
-    y of the Fenchel-Young set at tol (``_fy_tiles``), an x-tile at a
-    time."""
+    y of the Fenchel-Young set at tol, whose x-tiles (``_fy_tiles``) are
+    the blocks of one ``windows._sweep``, read and written as bytes."""
     yg = star.grid
-    out = np.empty((phi.grid.size, yg.size), dtype=bool)
-    for t, E in _fy_tiles(phi, star, tol):
-        out[t] = ball_dilate(E.reshape((-1,) + yg.shape), yg,
-                             eps).reshape(E.shape)
+    out = np.empty((phi.grid.size,) + yg.shape, dtype=bool)
+    u8 = out.view(np.uint8)
+    blocks = ((t, E.view(np.uint8).reshape((-1,) + yg.shape))
+              for t, E in _fy_tiles(phi, star, tol))
+    for t, D in _sweep(blocks, yg, *_ball_window(yg, eps),
+                       _kernels.sliding_max_u8, np.maximum, 0):
+        u8[t] = D
     out.flags.writeable = False
     return out.reshape(phi.grid.shape + yg.shape)
 
@@ -332,17 +338,12 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
     ``ygrid.shape`` (True where U(y) is convex or empty).
 
     One conjugate gives M + A at the subdifferential tolerance
-    (``_blurred_mask``), whose y-sections are every U(y). 1-D sections
-    are convex iff their members are contiguous, which one batched line
-    scan decides; 2-D sections are one stack for the hull-margin scan of
-    ``is_set_convex``.
+    (``_blurred_mask``), whose y-sections are every U(y), decided as one
+    stack by ``is_set_convex``'s scan.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
     ygrid = star.grid
     U = _blurred_mask(phi, star, eps, tol).reshape(phi.grid.size, ygrid.size).T
-    if phi.grid.dim == 1:
-        lines = np.where(U, 0.0, np.inf)[:, None, :]
-        return ~_faults(lines, 0.0)[:, 0]
     ok = np.ones(ygrid.size, dtype=bool)
     for j, rep in _set_scan(U.reshape(-1, *phi.grid.shape), phi.grid):
         ok[j] = rep.ok

@@ -374,6 +374,8 @@ def _box_or(a, defaults, key):
 def _cmd_explore(cfg: RunConfig) -> int:
     a = cfg.args
     _require_seed(a.seed)
+    if a.samples < 0:
+        raise InvalidInputError(f"samples must be >= 0, got {a.samples}")
     rng = np.random.default_rng(a.seed)
     g = Grid.line(-2.0, 2.0, a.grid)
     failures = []

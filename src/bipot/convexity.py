@@ -247,12 +247,10 @@ def _set_scan(masks: np.ndarray, grid: Grid):
     if grid.dim == 1:
         lines = np.where(masks, 0.0, np.inf)[:, None, :]
         bad, _, pos, _ = (a[:, 0] for a in _faults(lines, 0.0, locate=True))
+        ok = passing("set-convex")   # frozen, so one serves every set
         for b in np.flatnonzero(masks.any(axis=1)).tolist():
-            if bad[b]:
-                yield b, failing("set-convex", (int(pos[b]),), None,
-                                 "missing interior node")
-            else:
-                yield b, passing("set-convex")
+            yield b, failing("set-convex", (int(pos[b]),), None,
+                             "missing interior node") if bad[b] else ok
         return
 
     ax0, ax1 = grid.axes

@@ -215,11 +215,7 @@ def _pair_sample(zshape, alpha, cap, rng):
             ok &= np.abs(m - r) <= 1e-9
             mids.append(r.astype(np.int64))
         i1, i2 = i1[ok], i2[ok]
-        mid = np.zeros(len(i1), dtype=np.int64)
-        stride = 1
-        for d in range(dims - 1, -1, -1):
-            mid += mids[d][ok] * stride
-            stride *= zshape[d]
+        mid = np.ravel_multi_index(tuple(m[ok] for m in mids), zshape)
         if len(i1) == 0:
             raise InvalidInputError("grid too coarse for alpha set")
         if len(i1) <= cap:
@@ -252,16 +248,8 @@ def _pair_sample(zshape, alpha, cap, rng):
     a1 = np.concatenate(got1)[:want]
     a2 = np.concatenate(got2)[:want]
     mid = np.rint(alpha * a1 + beta * a2).astype(np.int64)
-
-    def flatten(ix):
-        out = np.zeros(len(ix), dtype=np.int64)
-        stride = 1
-        for d in range(dims - 1, -1, -1):
-            out += ix[:, d] * stride
-            stride *= zshape[d]
-        return out
-
-    return (flatten(a1), flatten(a2), flatten(mid),
+    flat = lambda ix: np.ravel_multi_index(tuple(ix.T), zshape)
+    return (flat(a1), flat(a2), flat(mid),
             f"mode=sampled pairs={len(a1)} cap={cap}")
 
 

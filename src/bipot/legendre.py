@@ -81,6 +81,8 @@ def conjugate(phi: SampledFunction, ygrid: Grid | None = None,
     nest. The result is convex regardless of the input.
     """
     phi.require_domain("conjugate")
+    if np.isnan(cap):   # every `out > cap` would be false
+        raise InvalidInputError("cap must not be NaN")
     if ygrid is None:
         ygrid = default_dual_grid(phi)
     if ygrid.dim != phi.grid.dim:

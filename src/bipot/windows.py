@@ -5,10 +5,11 @@ with ||d * h|| <= eps (Euclidean norm; a relative slack of 1e-9 keeps
 exact-rim offsets in despite float rounding). In 2-D the disc decomposes
 into chords, one sliding 1-D window per row offset (Urbach & Wilkinson,
 IEEE TIP 17(1), 2008), so every sweep reduces to the batched line kernels
-in ``bipot._kernels``. Windows are clipped at the box: in 2-D each row of
-the line buffer carries identity cells on its right, as many as the
-widest chord's half-width, so that a tile of rows is one flat line for
-the kernel and a window that runs off a row meets only identities.
+in ``bipot._kernels``; a 1-D grid is one row. Windows are clipped at the
+box: each row of the line buffer carries identity cells on its right, as
+many as the widest chord's half-width, so that a tile of rows is one flat
+line for the kernel and a window that runs off a row meets only
+identities. A sweep runs over its caller's tiles with one chord plan.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .grids import Grid, _pair_points
 
 _SLACK = 1e-9
 
-# Bytes per tile of ``_sweep``'s padded line buffer, so that it, the
-# kernel's scratch and the result tile stay in cache; also the size of the
-# x-tiles and slice chunks elsewhere. On a 2-core x86 VM with 2 MiB of L2
-# per core, tiles of 128 KiB to 1 MiB ran the cone-81 y-ball min-filter
-# (``blur._yball_blur``) in 1.8-2.5 s, against 3.5-3.6 s at 4-16 MiB and 3.8 s
-# at 64 KiB.
+# Bytes per tile of the items that ``_sweep`` takes as one block, and per
+# slice chunk elsewhere; a sweep's padded buffer is at most twice a tile.
+# On a 2-core x86 VM with 2 MiB of L2 per core, padded buffers of 128 KiB
+# to 1 MiB ran the cone-81 y-ball min-filter (``blur._yball_blur``) in
+# 1.8-2.5 s, against 3.5-3.6 s at 4-16 MiB and 3.8 s at 64 KiB.
 _TILE_BYTES = 1 << 18
 
 
@@ -146,51 +146,42 @@ def _chord_plan(n1: int, n2: int, r1: int, halfwidth):
     return pad, steps
 
 
-def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
-           fill) -> np.ndarray:
-    """Reduce the trailing grid axes of ``a`` with ``ufunc`` over a window.
-
-    The window holds the offsets (d1, d2) with |d1| <= r1 and
-    |d2| <= floor(halfwidth(d1)), a row being empty when halfwidth(d1) < 0;
-    a 1-D grid has the axis of d1 alone. ``kernel`` is the batched 1-D line
+def _sweep(blocks, grid: Grid, r1: int, halfwidth, kernel, ufunc, fill):
+    """(key, result) for each (key, block) of ``blocks``: the block, of
+    shape (k, *grid.shape), reduced over its grid axes with ``ufunc`` over
+    the window of offsets (d1, d2) with |d1| <= r1 and
+    |d2| <= floor(halfwidth(d1)), no row where halfwidth(d1) < 0. A 1-D
+    grid is one row, whose window is r1. ``kernel`` is the batched 1-D line
     filter that reduces with ``ufunc``, and ``fill`` is the identity of
-    ``ufunc``. Leading axes are batched. Half-widths are clamped to n - 1
-    on each axis: the window is clipped at the box anyway, so the result
-    is the same, and neither memory nor the row loop grows with the radius.
+    ``ufunc``. Half-widths are clamped to n - 1 on each axis: the window is
+    clipped at the box anyway, so neither memory nor the row loop grows
+    with the radius.
 
-    In 2-D the leading axes are independent, so they are swept a tile at a
-    time, each tile about ``_TILE_BYTES`` of padded input; the line buffer
-    and the kernel's scratch are then one tile each and stay in cache.
     Each row of the line buffer carries ``pad`` identity cells on its
-    right, pad being the widest chord half-width, so the whole tile is one
-    flat line: a window that runs off a row meets only identities, and the
-    flat window equals the row's window clipped at the box. The buffer is
-    grown in place from each distinct chord half-width to the next (a
-    window of half-width d over windows of half-width w is the window of
-    half-width w + d), and each chord is reduced into the result at its
-    row offsets, one flat slice per offset. The plan is built once per
-    call and serves every tile.
+    right, pad being the widest chord half-width, so a whole block is one
+    flat line: a window that runs off a row meets only identities. The
+    buffer grows in place from each distinct chord half-width to the next
+    (a window of half-width d over windows of half-width w is the window of
+    half-width w + d), and each chord is reduced into the result at its row
+    offsets, one flat slice per offset. The plan and the two buffers are
+    made once per call, the buffers sized by the first block, which no
+    later block may exceed; callers pass cache-sized tiles. The key passes
+    through, and the result is a view that the next block overwrites.
     """
-    shape = a.shape
-    if shape[-grid.dim:] != grid.shape:
-        raise InvalidInputError("trailing axes do not match the grid")
-    a = np.ascontiguousarray(a)
     if grid.dim == 1:
-        n = grid.n[0]
-        return kernel(a.reshape(-1, n), min(r1, n - 1)).reshape(shape)
-
-    n1, n2 = grid.n
-    a = a.reshape(-1, n1, n2)
+        n1, (n2,), w = 1, grid.n, r1
+        r1, halfwidth = 0, lambda d1: w
+    else:
+        n1, n2 = grid.n
     pad, steps = _chord_plan(n1, n2, min(r1, n1 - 1), halfwidth)
-    tiles = _tiles(len(a), n1 * (n2 + pad) * a.itemsize)
-    size = len(a[tiles[0]]) if tiles else 0
-    buf = np.empty((size, n1, n2 + pad), dtype=a.dtype)
-    res = np.empty_like(buf)
-    out = np.empty_like(a)
-    for t in tiles:
-        k = len(out[t])
+    buf = res = None
+    for key, block in blocks:
+        k = len(block)
+        if buf is None:
+            buf = np.empty((k, n1, n2 + pad), dtype=block.dtype)
+            res = np.empty_like(buf)
         lines, acc = buf[:k], res[:k]
-        lines[:, :, :n2] = a[t]
+        lines[:, :, :n2] = block.reshape(k, n1, n2)
         lines[:, :, n2:] = fill
         acc.fill(fill)
         flat = lines.reshape(1, -1)
@@ -199,8 +190,7 @@ def _sweep(a: np.ndarray, grid: Grid, r1: int, halfwidth, kernel, ufunc,
             kernel(flat, widening, out=flat)
             for dst, src in pairs:
                 ufunc(sums[:, dst], items[:, src], out=sums[:, dst])
-        out[t] = acc[:, :, :n2]
-    return out.reshape(shape)
+        yield key, acc[:, :, :n2].reshape(block.shape)
 
 
 def _ball_window(grid: Grid, eps: float):
@@ -210,22 +200,36 @@ def _ball_window(grid: Grid, eps: float):
             lambda d1: _chord(eps, d1, h[0], h[-1]))
 
 
+def _ball_sweep(a: np.ndarray, grid: Grid, eps: float, kernel, ufunc, fill):
+    """``_sweep`` of a whole array over the eps-ball, a tile of its
+    leading items at a time."""
+    if a.shape[-grid.dim:] != grid.shape:
+        raise InvalidInputError("trailing axes do not match the grid")
+    items = np.ascontiguousarray(a).reshape((-1,) + grid.shape)
+    out = np.empty_like(items)
+    blocks = ((t, items[t])
+              for t in _tiles(len(items), grid.size * items.itemsize))
+    r1, halfwidth = _ball_window(grid, eps)
+    for t, res in _sweep(blocks, grid, r1, halfwidth, kernel, ufunc, fill):
+        out[t] = res
+    return out.reshape(a.shape)
+
+
 def ball_min_filter(vals: np.ndarray, grid: Grid, eps: float) -> np.ndarray:
     """min over the eps-ball of the trailing grid axes.
 
     out[..., y] = min{ vals[..., y + d] : ||d * h|| <= eps }, windows clipped
     at the box boundary. Leading axes are batched.
     """
-    r1, halfwidth = _ball_window(grid, eps)
-    return _sweep(vals, grid, r1, halfwidth, _kernels.sliding_min,
-                  np.minimum, np.inf)
+    return _ball_sweep(vals, grid, eps, _kernels.sliding_min, np.minimum,
+                       np.inf)
 
 
 def ball_dilate(mask: np.ndarray, grid: Grid, eps: float) -> np.ndarray:
     """Binary dilation of the trailing grid axes by the eps-ball."""
-    r1, halfwidth = _ball_window(grid, eps)
-    return _sweep(mask.astype(np.uint8), grid, r1, halfwidth,
-                  _kernels.sliding_max_u8, np.maximum, 0).astype(bool)
+    u8 = np.ascontiguousarray(mask, dtype=bool).view(np.uint8)
+    return _ball_sweep(u8, grid, eps, _kernels.sliding_max_u8, np.maximum,
+                       0).view(bool)
 
 
 def chebyshev_dilate(mask: np.ndarray, grid: Grid, nodes: int) -> np.ndarray:

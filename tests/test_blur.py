@@ -449,6 +449,11 @@ class TestBlurSpecRealization:
                                 else (combo[:k], combo[k:]))
             got = BlurSpec(eps, "product", p).product_offsets(xg, yg)
             assert got == want
+        # h = 1, eps = 1.5: the x-offset (1, 1) has ||x||_2 = 1.41 but an
+        # lp norm of 2^(1/p), over 1.5 for p < 2, so the ball leaves it out
+        unit = Grid.box(-2, 2, 5)
+        got = BlurSpec(1.5, "product", p).product_offsets(unit, unit)
+        assert (((1, 1), (0, 0)) in got) == (p >= 2)
 
     def test_huge_p_gives_the_max_norm_box(self, line_grid):
         eps = 0.3
@@ -576,6 +581,20 @@ def test_blurred_law_tiles_keep_every_bit(monkeypatch, name, phi, spec,
         for a, b in zip(got[:-1], whole[:-1]):
             assert np.array_equal(a, b)
         assert got[-1] == whole[-1]
+
+
+def test_one_chord_plan_per_yball_sweep(monkeypatch):
+    # 35 x-nodes in x-tiles of 3: the c_A / b_A min-filter and the M + A
+    # dilation are one sweep each over all 12 x-tiles
+    _, phi, spec, ygrid = _x_tiled_laws()[1]
+    monkeypatch.setattr(windows, "_TILE_BYTES", 3 * ygrid.size * 8)
+    assert len(windows._tiles(phi.grid.size, ygrid.size * 8)) >= 3
+    plans = []
+    real = windows._chord_plan
+    monkeypatch.setattr(windows, "_chord_plan",
+                        lambda *a: plans.append(a) or real(*a))
+    blur_law(phi, spec, ygrid)
+    assert len(plans) == 2
 
 
 @pytest.mark.parametrize("name, phi, spec, ygrid", _x_tiled_laws(),

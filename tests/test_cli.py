@@ -378,6 +378,25 @@ def test_explore_refuses_a_negative_seed(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+def test_explore_refuses_a_negative_sample_count(tmp_path, capsys):
+    # -1 ran no sample and reported violations = 0 with exit 0
+    report = tmp_path / "d.txt"
+    code = main(["explore", "darboux", "--samples", "-1",
+                 "--report", str(report)])
+    assert code == 2
+    assert "samples must be >= 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_conjugate_refuses_a_nan_cap(tmp_path, quad_csv, capsys):
+    # every `value > nan` is false, so a NaN cap reported no +inf at all
+    code = main(["conjugate", "--input", str(quad_csv), "--cap", "nan",
+                 "--out", str(tmp_path / "star.csv"),
+                 "--report", str(tmp_path / "rep.txt")])
+    assert code == 2
+    assert "cap must not be NaN" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checker", ["newc", "implicit"])
 @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
 def test_check_refuses_a_non_finite_y(quad_csv, capsys, checker, y):

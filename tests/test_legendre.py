@@ -59,6 +59,11 @@ class TestConjugateClosedForms:
         with pytest.raises(InvalidInputError):
             conjugate(phi, fine_grid)
 
+    def test_nan_cap_rejected(self, fine_grid):
+        phi = SampledFunction.from_callable(fine_grid, lambda x: 0.5 * x * x)
+        with pytest.raises(InvalidInputError, match="cap must not be NaN"):
+            conjugate(phi, fine_grid, cap=np.nan)
+
     def test_conjugate_output_is_convex(self, fine_grid):
         # conjugates are convex regardless of the input
         rng = np.random.default_rng(3)

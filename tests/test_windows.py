@@ -78,18 +78,24 @@ def test_sweeps_equal_the_offset_window(monkeypatch, grid, radii, lead):
 
 def test_two_node_rows():
     # no Grid has 2 nodes on an axis; the sweep itself takes any shape,
-    # and its chords (half-width 5 here) clamp at n2 - 1 = 1
+    # and its chords (half-width 5 here) clamp at n2 - 1 = 1. Two blocks
+    # of 3 and 2 items, the second ragged in buffers sized by the first;
+    # each result is compared before the next block overwrites it
     grid = SimpleNamespace(dim=2, n=(6, 2), shape=(6, 2))
     rng = np.random.default_rng(2)
-    vals = _values(rng, (3,), grid.shape)
-    mask = _mask(rng, (3,), grid.shape).astype(np.uint8)
+    vals = _values(rng, (5,), grid.shape)
+    mask = _mask(rng, (5,), grid.shape).astype(np.uint8)
+    tiles = [slice(0, 3), slice(3, 5)]
     for r1 in (0, 1, 2, 7):
         offs = [(d1, d2) for d1 in range(-r1, r1 + 1) for d2 in range(-5, 6)]
-        got = windows._sweep(vals, grid, r1, lambda d1: 5.0,
-                             _kernels.sliding_min, np.minimum, np.inf)
-        assert np.array_equal(
-            got, shifted_window_reduce(vals, offs, np.minimum, np.inf)), r1
-        got = windows._sweep(mask, grid, r1, lambda d1: 5.0,
-                             _kernels.sliding_max_u8, np.maximum, 0)
-        assert np.array_equal(
-            got, shifted_window_reduce(mask, offs, np.maximum, 0)), r1
+        for a, kernel, ufunc, fill in (
+                (vals, _kernels.sliding_min, np.minimum, np.inf),
+                (mask, _kernels.sliding_max_u8, np.maximum, 0)):
+            want = shifted_window_reduce(a, offs, ufunc, fill)
+            seen = []
+            for t, got in windows._sweep(((t, a[t]) for t in tiles), grid,
+                                         r1, lambda d1: 5.0, kernel, ufunc,
+                                         fill):
+                assert np.array_equal(got, want[t]), (r1, t)
+                seen.append(t)
+            assert seen == tiles
