@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import _set_scan, first_nonconvex, is_convex
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError, require_tol
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
 from .legendre import conjugate
@@ -200,8 +200,7 @@ def _sync_tiles(b: SampledBivariate):
 def graph_of(b: SampledBivariate, tol: float) -> GraphSet:
     """All node pairs with b(x, y) - <x, y> <= tol, a tile of x-nodes
     at a time."""
-    if not tol >= 0:
-        raise InvalidInputError(f"tol must be >= 0, got {tol}")
+    require_tol(tol)
     mask = np.empty((b.xgrid.size, b.ygrid.size), dtype=bool)
     with np.errstate(invalid="ignore"):
         for t, c in _sync_tiles(b):
@@ -257,40 +256,6 @@ def _slice_convexity(b: SampledBivariate, tol: float) -> CheckReport:
     return passing("slice-convex")
 
 
-def _interior_cut(shape, axes):
-    """Slice tuple removing the boundary ring of the given axes."""
-    cut = [slice(None)] * len(shape)
-    for ax in axes:
-        cut[ax] = slice(1, -1)
-    return tuple(cut)
-
-
-def _slice_conjugate_at_self(b: SampledBivariate, P: np.ndarray):
-    """g*(y) for every y-slice g = b(., y), the x-slice analogue, and
-    escape flags; P is the pairing <x, y>.
-
-    g*(y) = max_x (<x, y> - b(x, y)) is the slice conjugate evaluated at the
-    slice's own dual point, the only value the Fenchel-Young membership test
-    needs. Empty slices give -inf. A slice whose maximum is attained only on
-    the box boundary has a sup that (plausibly) escapes the box; its flag is
-    set and the membership it feeds is treated as borderline, mirroring the
-    attained-minimum guard of the sync axioms.
-    """
-    with np.errstate(invalid="ignore"):
-        gap = np.where(np.isposinf(b.vals), -INF, P - b.vals)
-    xdim = b.xgrid.dim
-    xaxes = tuple(range(xdim))
-    yaxes = tuple(range(xdim, gap.ndim))
-    g_y = gap.max(axis=xaxes)   # (yshape): conjugate of b(., y) at y
-    g_x = gap.max(axis=yaxes)   # (xshape): conjugate of b(x, .) at x
-    ftol = 1e-12 * (1.0 + abs(b.finite_max))
-    inner_y = gap[_interior_cut(gap.shape, xaxes)].max(axis=xaxes)
-    inner_x = gap[_interior_cut(gap.shape, yaxes)].max(axis=yaxes)
-    esc_y = np.isfinite(g_y) & (inner_y < g_y - ftol)
-    esc_x = np.isfinite(g_x) & (inner_x < g_x - ftol)
-    return g_y, g_x, esc_y, esc_x
-
-
 def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckReport:
     """Decide the three bipotential axioms, reporting the first failure.
 
@@ -303,42 +268,68 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
 
     tol defaults to 3h(1 + |<x, y>|) per node pair. Residuals between tol
     and 3*tol are borderline and never fail (c) on their own.
+
+    (b) and (c) read c = b - <x, y> an x-tile of ``windows._pair_tiles`` at
+    a time, in two passes. The conjugate of the slice b(., y) at y is
+    -m_y, m_y = min_x c, so the Fenchel-Young residuals are c - m_y and
+    c - m_x. A slice minimum attained only on the box boundary escapes the
+    box; the membership it feeds is borderline, and counted in a note.
     """
+    require_tol(tol)
     rep = _slice_convexity(b, 1e-9 * (1.0 + abs(b.finite_max)))
     if not rep.ok:
         return rep
 
-    P = b.pairing()
     h = max(max(b.xgrid.h), max(b.ygrid.h))
-    tolc = (3.0 * h * (1.0 + np.abs(P))) if tol is None else np.full(P.shape, float(tol))
+    vals = b.vals.reshape(b.xgrid.size, -1)
 
-    with np.errstate(invalid="ignore"):
-        diff = np.where(np.isposinf(b.vals), INF, b.vals - P)
-    bad = diff < -tolc
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return failing("duality-lower-bound", tuple(int(i) for i in idx),
-                       float(diff[idx]), "b(x, y) < <x, y> - tol")
+    def tiles():
+        """(t, c, the tolerance of each pair) over the x-tiles t."""
+        for t, P in _pair_tiles(b.xgrid, b.ygrid):
+            tolc = 3.0 * h * (1.0 + np.abs(P)) if tol is None else float(tol)
+            c = np.subtract(vals[t], P, out=P)
+            c[np.isposinf(vals[t])] = INF
+            yield t, c, tolc
 
-    g_y, g_x, esc_y, esc_x = _slice_conjugate_at_self(b, P)
-    xdim = b.xgrid.dim
-    gy = g_y.reshape((1,) * xdim + b.ygrid.shape)
-    gx = g_x.reshape(b.xgrid.shape + (1,) * b.ygrid.dim)
-    ey = esc_y.reshape(gy.shape)
-    ex = esc_x.reshape(gx.shape)
+    def node(t, k):
+        """The (x, y) index of flat pair k of tile t."""
+        return tuple(int(i) for i in np.unravel_index(
+            t.start * vals.shape[1] + k, b.vals.shape))
+
+    # flat masks of the nodes off the box boundary
+    xin, yin = (np.pad(np.ones([n - 2 for n in g.n], bool), 1).reshape(-1)
+                for g in (b.xgrid, b.ygrid))
+    m_x, inner_x = [], []
+    m_y = inner_y = np.full(vals.shape[1], INF)
     with np.errstate(invalid="ignore"):
-        r1 = np.where(np.isposinf(diff), INF, diff + gy)
-        r2 = np.where(np.isposinf(diff), INF, diff + gx)
-    member = np.stack([(r1 <= tolc) & ~ey, (r2 <= tolc) & ~ex, diff <= tolc])
-    nonmember = np.stack([(r1 >= _BAND * tolc) & ~ey,
-                          (r2 >= _BAND * tolc) & ~ex,
-                          diff >= _BAND * tolc])
-    viol = member.any(axis=0) & nonmember.any(axis=0)
-    if viol.any():
-        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        rs = (float(r1[idx]), float(r2[idx]), float(diff[idx]))
-        return failing("three-way-equivalence", tuple(int(i) for i in idx),
-                       min(rs), f"residuals (del_y, del_x, eq) = {rs}")
+        for t, c, tolc in tiles():
+            bad = c < -tolc
+            if bad.any():
+                k = int(np.argmax(bad))
+                return failing("duality-lower-bound", node(t, k),
+                               float(c.flat[k]), "b(x, y) < <x, y> - tol")
+            m_x.append(c.min(axis=1))
+            inner_x.append(c.min(axis=1, where=yin, initial=INF))
+            m_y = np.minimum(m_y, c.min(axis=0))
+            inner_y = np.minimum(inner_y, c.min(axis=0, where=xin[t, None],
+                                                initial=INF))
+    m_x, inner_x = np.concatenate(m_x), np.concatenate(inner_x)
+    ftol = 1e-12 * (1.0 + abs(b.finite_max))
+    esc_y = np.isfinite(m_y) & (inner_y > m_y + ftol)
+    esc_x = np.isfinite(m_x) & (inner_x > m_x + ftol)
+    with np.errstate(invalid="ignore"):
+        for t, c, tolc in tiles():
+            r1 = np.where(np.isposinf(c), INF, c - m_y)
+            r2 = np.where(np.isposinf(c), INF, c - m_x[t, None])
+            ex, band = esc_x[t, None], _BAND * tolc
+            member = ((r1 <= tolc) & ~esc_y) | ((r2 <= tolc) & ~ex) | (c <= tolc)
+            viol = member & (((r1 >= band) & ~esc_y) | ((r2 >= band) & ~ex)
+                             | (c >= band))
+            if viol.any():
+                k = int(np.argmax(viol))
+                rs = (float(r1.flat[k]), float(r2.flat[k]), float(c.flat[k]))
+                return failing("three-way-equivalence", node(t, k), min(rs),
+                               f"residuals (del_y, del_x, eq) = {rs}")
     notes = [CLOSEDNESS_NOTE]
     n_esc = int(esc_y.sum() + esc_x.sum())
     if n_esc:
@@ -355,6 +346,7 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     inward neighbor are counted as not attained (the true minimum escapes
     the box).
     """
+    require_tol(tol)
     scale = 1.0 + abs(c.finite_max)
     neg_tol = 1e-9 * scale if tol is None else tol
     neg = c.vals < -neg_tol
@@ -397,8 +389,11 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
             return failing("attained-min-zero", (tag, _unflatten(grid, s)), m,
                            f"slice minimum {m!r} exceeds {t!r}")
 
-    # c + <x, y> directly: c may dip below 0 within neg_tol
-    rep_b = check_bipotential(SampledBivariate(c.xgrid, c.ygrid, c.vals + P), tol)
+    # c + <x, y> directly (c may dip below 0 within neg_tol), read-only so
+    # that SampledBivariate takes it without a copy
+    b = np.add(c.vals, P, out=P)
+    b.flags.writeable = False
+    rep_b = check_bipotential(SampledBivariate(c.xgrid, c.ygrid, b), tol)
     if not rep_b.ok:
         return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
                        rep_b.residual,
@@ -439,6 +434,7 @@ def check_cyclically_monotone(points, n_max: int,
     satisfy <x_n - x_0, y_n> + sum <x_{k-1} - x_k, y_{k-1}> >= -tol.
     Exhaustive by design; meant for point sets of desk scale (<= 8).
     """
+    require_tol(tol)
     pts = list(points)
     if not pts:
         raise InvalidInputError("need at least one point")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_tol
 from .grids import Grid, SampledFunction
 from .report import CheckReport, failing, passing
 from .windows import _tiles
@@ -121,8 +121,7 @@ def is_convex(f: SampledFunction, tol: float) -> CheckReport:
     An identically +inf function passes vacuously. tol >= 0 bounds how
     negative an interior second difference may be.
     """
-    if tol < 0:
-        raise InvalidInputError("tol must be >= 0")
+    require_tol(tol)
     hit = _first_fault(f.vals, f.grid.dim, tol)
     if hit is None:
         return passing("convex")

@@ -31,9 +31,9 @@ from .bipotentials import (GraphSet, _unflatten, _yslice_stack,
 from .blur import (BlurSpec, Y_BALL, _blurred_mask, _yball_blur,
                    _yball_conjugate)
 from .convexity import batch_is_convex
-from .errors import InvalidInputError, ResolutionError
+from .errors import InvalidInputError, ResolutionError, require_tol
 from .extreal import INF
-from .grids import Grid, SampledBivariate, SampledFunction
+from .grids import Grid, SampledBivariate, SampledFunction, _pair_points
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
 from .windows import _tiles, ball_offsets, radius_nodes
@@ -72,28 +72,20 @@ class CoverFamily:
             return np.array([off * h[0]])
         return np.array([off[0] * h[0], off[1] * h[1]])
 
-    def _lead(self, off) -> np.ndarray:
-        """phi(x) + <x, a> on the x-grid."""
-        a = self.offset_coords(off)
-        if self.xgrid.dim == 1:
-            xa = self.xgrid.axis(0) * a[0]
-        else:
-            g1, g2 = self.xgrid.meshgrid()
-            xa = g1 * a[0] + g2 * a[1]
-        return self.phi.vals + xa
-
     def values_at(self, y_idx) -> np.ndarray:
         """f(a, x) = b_a(x, y) = phi(x) + phi*(y - a) + <x, a> at the
         y-node y_idx, stacked over the offsets; phi*(y - a) is +inf where
         y - a leaves the box."""
         y = self.ygrid.node_index(y_idx)
-        star = self.phistar.vals
-        rows = []
-        for off in self.offsets:
-            src = y - off
-            inside = ((src >= 0) & (src < star.shape)).all()
-            rows.append(self._lead(off) + (star[tuple(src)] if inside else INF))
-        return np.stack(rows)
+        offs = np.asarray(self.offsets).reshape(len(self.offsets), -1)
+        out = _pair_points(offs * self.ygrid.h, self.xgrid.points)
+        out += self.phi.vals.reshape(-1)
+        src = y - offs
+        inside = ((src >= 0) & (src < self.ygrid.n)).all(axis=1)
+        star = np.full(len(offs), INF)
+        star[inside] = self.phistar.vals[tuple(src[inside].T)]
+        out += star[:, None]
+        return out.reshape((len(offs),) + self.xgrid.shape)
 
 
 def build_cover(phi: SampledFunction, eps: float,
@@ -326,6 +318,7 @@ def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
     (l1, l2) -- decided through the lower envelope (see module docstring).
     The witness carries the violating pair with its argmin lambdas.
     """
+    require_tol(tol)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (2, 3):
         raise InvalidInputError("values must have shape (n_lambda, *zshape)")
@@ -379,6 +372,7 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     verdicts coincide; witness is the first y-node where the per-slice
     verdicts disagree.
     """
+    require_tol(tol)
     _require_sampling(pair_cap, seed)
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
                             "check_maithm_equivalence")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checkers' guard
+on a tolerance argument.
 
 The CLI maps these onto exit codes: any :class:`BipotError` is an
 operational/input problem (exit 2), as opposed to a mathematical check
@@ -29,3 +30,9 @@ class FormatError(BipotError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_tol(tol) -> None:
+    """Refuse a NaN or negative tolerance; None (a default) passes."""
+    if tol is not None and not tol >= 0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol}")

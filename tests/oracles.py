@@ -7,8 +7,10 @@ of every dual-route check. They include the exhaustive conjugate
 the library replaces by one conjugate kernel, one min-filter and one
 dilation, the whole y-major Fenchel-Young set ``fenchel_young_mask``
 behind the x-tiled one that M + A and newc read, the offset-by-offset
-window ``shifted_window_reduce`` behind the padded chord sweeps, and the
-slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan.
+window ``shifted_window_reduce`` behind the padded chord sweeps, the
+slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan,
+and ``check_bipotential_whole``, axioms (b) and (c) on whole product
+arrays behind the x-tiled sync of ``check_bipotential``.
 The helpers at the end are the exception: test-only conveniences built
 on the library, namely the constructions ``bipotential_from_sync`` and
 ``b_infinity``, the random generators ``random_convex_2d_separable`` and
@@ -21,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bipot.bipotentials import GraphSet
+from bipot.bipotentials import (_BAND, CLOSEDNESS_NOTE, GraphSet,
+                                _slice_convexity)
 from bipot.covers import CoverFamily
 from bipot.errors import InvalidInputError
 from bipot.extreal import INF
 from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 from bipot.legendre import (DEFAULT_CAP, _cap_to_inf, conjugate,
                             default_dual_grid, default_subdiff_tol, x_tol)
+from bipot.report import failing, passing
 from bipot.sampling import random_convex_1d
 from bipot.windows import ball_min_filter
 
@@ -194,6 +198,87 @@ def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
         if not escapes and mn > h * (1.0 + abs(float(pv[at]))):
             return tag, idx[0] if xdim == 1 else idx, mn
     return None
+
+
+def _interior_cut(shape, axes):
+    """Slice tuple removing the boundary ring of the given axes."""
+    cut = [slice(None)] * len(shape)
+    for ax in axes:
+        cut[ax] = slice(1, -1)
+    return tuple(cut)
+
+
+def _slice_conjugate_at_self(b: SampledBivariate, P: np.ndarray):
+    """g*(y) for every y-slice g = b(., y), the x-slice analogue, and
+    escape flags; P is the pairing <x, y>.
+
+    g*(y) = max_x (<x, y> - b(x, y)) is the slice conjugate evaluated at the
+    slice's own dual point, the only value the Fenchel-Young membership test
+    needs. Empty slices give -inf. A slice whose maximum is attained only on
+    the box boundary has a sup that (plausibly) escapes the box; its flag is
+    set and the membership it feeds is treated as borderline, mirroring the
+    attained-minimum guard of the sync axioms.
+    """
+    with np.errstate(invalid="ignore"):
+        gap = np.where(np.isposinf(b.vals), -INF, P - b.vals)
+    xdim = b.xgrid.dim
+    xaxes = tuple(range(xdim))
+    yaxes = tuple(range(xdim, gap.ndim))
+    g_y = gap.max(axis=xaxes)   # (yshape): conjugate of b(., y) at y
+    g_x = gap.max(axis=yaxes)   # (xshape): conjugate of b(x, .) at x
+    ftol = 1e-12 * (1.0 + abs(b.finite_max))
+    inner_y = gap[_interior_cut(gap.shape, xaxes)].max(axis=xaxes)
+    inner_x = gap[_interior_cut(gap.shape, yaxes)].max(axis=yaxes)
+    esc_y = np.isfinite(g_y) & (inner_y < g_y - ftol)
+    esc_x = np.isfinite(g_x) & (inner_x < g_x - ftol)
+    return g_y, g_x, esc_y, esc_x
+
+
+def check_bipotential_whole(b: SampledBivariate, tol: float | None = None):
+    """``check_bipotential`` with axioms (b) and (c) decided on whole
+    product arrays: the pairing, the tolerance, b - <x, y>, the slice
+    conjugates at self from <x, y> - b, both Fenchel-Young residuals and
+    the stacked membership masks."""
+    rep = _slice_convexity(b, 1e-9 * (1.0 + abs(b.finite_max)))
+    if not rep.ok:
+        return rep
+
+    P = b.pairing()
+    h = max(max(b.xgrid.h), max(b.ygrid.h))
+    tolc = (3.0 * h * (1.0 + np.abs(P))) if tol is None else np.full(P.shape, float(tol))
+
+    with np.errstate(invalid="ignore"):
+        diff = np.where(np.isposinf(b.vals), INF, b.vals - P)
+    bad = diff < -tolc
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return failing("duality-lower-bound", tuple(int(i) for i in idx),
+                       float(diff[idx]), "b(x, y) < <x, y> - tol")
+
+    g_y, g_x, esc_y, esc_x = _slice_conjugate_at_self(b, P)
+    xdim = b.xgrid.dim
+    gy = g_y.reshape((1,) * xdim + b.ygrid.shape)
+    gx = g_x.reshape(b.xgrid.shape + (1,) * b.ygrid.dim)
+    ey = esc_y.reshape(gy.shape)
+    ex = esc_x.reshape(gx.shape)
+    with np.errstate(invalid="ignore"):
+        r1 = np.where(np.isposinf(diff), INF, diff + gy)
+        r2 = np.where(np.isposinf(diff), INF, diff + gx)
+    member = np.stack([(r1 <= tolc) & ~ey, (r2 <= tolc) & ~ex, diff <= tolc])
+    nonmember = np.stack([(r1 >= _BAND * tolc) & ~ey,
+                          (r2 >= _BAND * tolc) & ~ex,
+                          diff >= _BAND * tolc])
+    viol = member.any(axis=0) & nonmember.any(axis=0)
+    if viol.any():
+        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        rs = (float(r1[idx]), float(r2[idx]), float(diff[idx]))
+        return failing("three-way-equivalence", tuple(int(i) for i in idx),
+                       min(rs), f"residuals (del_y, del_x, eq) = {rs}")
+    notes = [CLOSEDNESS_NOTE]
+    n_esc = int(esc_y.sum() + esc_x.sum())
+    if n_esc:
+        notes.append(f"box-escaping slice suprema treated as borderline: {n_esc}")
+    return passing("bipotential", *notes)
 
 
 def _cover_members(phi_vals, phistar_vals, offsets, xgrid, ygrid):

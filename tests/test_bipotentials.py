@@ -9,10 +9,14 @@ from bipot.bipotentials import (GraphSet, check_bbgraph, check_bipotential,
                                 graphs_match_within, separable,
                                 sync_from_bipotential)
 from bipot import windows
+from bipot.convexity import is_convex
+from bipot.covers import (build_cover, check_implicitly_convex,
+                          check_maithm_equivalence)
 from bipot.errors import FormatError, InvalidInputError
-from bipot.grids import Grid, SampledBivariate, SampledFunction
+from bipot.grids import Grid, SampledBivariate, SampledFunction, pairing
 
-from oracles import (b_infinity, bipotential_from_sync, conjugate_pair,
+from oracles import (b_infinity, bipotential_from_sync,
+                     check_bipotential_whole, conjugate_pair,
                      first_high_slice_minimum)
 
 
@@ -171,6 +175,95 @@ class TestCheckBipotential:
         for slices in (1, 3):
             monkeypatch.setattr(windows, "_TILE_BYTES", slices * grid.size * 8)
             assert check_bipotential(b).to_lines() == whole.to_lines()
+
+
+def _sync_oracle_cases():
+    """(b, tol, axiom, escape note?) cases for the tiled (b) + (c)."""
+    line = Grid.line(-2.0, 2.0, 21)
+    box = Grid.box(-1.0, 1.0, 7)
+    quad = SampledFunction.from_callable(line, lambda x: 0.5 * x * x)
+    chi = SampledFunction.from_callable(
+        line, lambda x: np.where(np.abs(x) <= 1.0, 0.0, math.inf))
+    holes = separable(chi, line).vals.copy()
+    holes[2:5, 9:14] = math.inf
+    holes[15, :] = math.inf
+    holes = SampledBivariate(line, line, holes)
+    quad2 = SampledFunction.from_callable(box, lambda a, b: 0.5 * (a * a + b * b))
+    raised2 = SampledBivariate(box, box, separable(quad2, box).vals + 0.2)
+    # <x, y> overflows to +-inf on these boxes, so c holds -inf and +inf
+    huge1 = Grid.line(-1e160, 1e160, 9)
+    huge2 = Grid.box(-1e154, 1e154, 5)
+    zeros1 = SampledBivariate(huge1, huge1, np.zeros((9, 9)))
+    # b = <x, y> where that is finite, +inf where it overflows: b - <x, y>
+    # is inf - inf there
+    P1 = pairing(huge1, huge1)
+    cross = SampledBivariate(huge1, huge1, np.where(np.isfinite(P1), P1, math.inf))
+    return [
+        pytest.param(separable(quad, line), None, "bipotential", True,
+                     id="pass-with-escapes"),
+        pytest.param(separable(quad, line), 0.05, "bipotential", True,
+                     id="pass-at-tol"),
+        pytest.param(SampledBivariate(line, line, np.zeros((21, 21))), None,
+                     "duality-lower-bound", False, id="lower-bound"),
+        pytest.param(holes, None, "bipotential", False, id="holes"),
+        pytest.param(holes, 0.05, "three-way-equivalence", False,
+                     id="holes-three-way-at-tol"),
+        pytest.param(separable(quad2, box), None, "bipotential", True,
+                     id="2d-pass"),
+        pytest.param(raised2, 0.05, "three-way-equivalence", False,
+                     id="2d-three-way"),
+        pytest.param(zeros1, None, "three-way-equivalence", False,
+                     id="overflow-1d"),
+        pytest.param(SampledBivariate(huge2, huge2, np.zeros((5,) * 4)), None,
+                     "three-way-equivalence", False, id="overflow-2d"),
+        pytest.param(zeros1, 1e-3, "duality-lower-bound", False,
+                     id="overflow-at-tol"),
+        pytest.param(cross, None, "three-way-equivalence", False,
+                     id="overflow-inf-over-inf"),
+    ]
+
+
+@pytest.mark.parametrize("b, tol, axiom, escapes", _sync_oracle_cases())
+def test_tiled_sync_matches_whole_array_oracle(monkeypatch, b, tol, axiom,
+                                               escapes):
+    # axioms (b) and (c) read c = b - <x, y> an x-tile at a time; the
+    # reports equal the whole-array route's at x-tiles of 1 and 3 rows and
+    # of the whole grid
+    want = check_bipotential_whole(b, tol)
+    assert want.axiom == axiom
+    assert any("box-escaping" in n for n in want.notes) == escapes
+    for rows in (1, 3, b.xgrid.size):
+        monkeypatch.setattr(windows, "_TILE_BYTES", rows * b.ygrid.size * 8)
+        assert check_bipotential(b, tol).to_lines() == want.to_lines(), rows
+
+
+def _tol_checkers():
+    """Each checker that takes a scalar tol, as a function of it."""
+    line = Grid.line(-1.0, 1.0, 11)
+    quad = SampledFunction.from_callable(line, lambda x: 0.5 * x * x)
+    b = separable(quad, line)
+    values = build_cover(quad, 0.4, line).values_at(5)
+    return [
+        pytest.param(lambda tol: is_convex(quad, tol), id="is_convex"),
+        pytest.param(lambda tol: check_bipotential(b, tol),
+                     id="check_bipotential"),
+        pytest.param(lambda tol: check_sync(sync_from_bipotential(b), tol),
+                     id="check_sync"),
+        pytest.param(lambda tol: check_implicitly_convex(values, tol=tol),
+                     id="check_implicitly_convex"),
+        pytest.param(lambda tol: check_maithm_equivalence(quad, 0.4, tol),
+                     id="check_maithm_equivalence"),
+        pytest.param(lambda tol: check_cyclically_monotone(
+            [(0.0, 1.0), (1.0, 0.0)], 2, tol), id="check_cyclically_monotone"),
+    ]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("check", _tol_checkers())
+def test_checkers_refuse_a_nan_or_negative_tol(check, tol):
+    # every comparison with a NaN tol is false, so failing checks passed
+    with pytest.raises(InvalidInputError, match="tol must be >= 0"):
+        check(tol)
 
 
 class TestCheckSync:

@@ -228,6 +228,47 @@ def test_blur_rejects_unusable_tol(run_cli, tmp_path, quad_csv, tol):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["quad.csv"]
 
 
+@pytest.fixture()
+def tol_inputs(tmp_path):
+    """Inputs of each checker that takes --tol; the first three fail
+    their check at the default tolerance."""
+    g = Grid.line(-2.0, 2.0, 41)
+    SampledBivariate(g, g, np.zeros((41, 41))).to_csv(tmp_path / "zero.csv")
+    SampledFunction.from_callable(g, lambda x: -x * x).to_csv(
+        tmp_path / "concave.csv")
+    (tmp_path / "pts.csv").write_text("x,y\n0,1\n1,0\n")
+    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
+        tmp_path / "quad.csv")
+    SampledBivariate.from_callable(
+        g, g, lambda x, y: 0.5 * (x - y) ** 2).to_csv(tmp_path / "sync.csv")
+    return tmp_path
+
+
+TOL_CHECKS = [
+    ["bipotential", "--input", "zero.csv"],
+    ["convex", "--input", "concave.csv"],
+    ["cyclic", "--points", "pts.csv", "--n-max", "2"],
+    ["sync", "--input", "sync.csv"],
+    ["implicit", "--phi", "quad.csv", "--eps", "0.5", "--y", "0.0"],
+    ["maithm", "--phi", "quad.csv", "--eps", "0.5"],
+    ["blurring", "--sync", "sync.csv", "--eps", "0.5"]]
+
+
+@pytest.mark.parametrize("args", TOL_CHECKS, ids=lambda a: a[0])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_checks_refuse_an_unusable_tol(tol_inputs, capsys, monkeypatch,
+                                       args, tol):
+    # with --tol nan every comparison was false: zero.csv, concave.csv and
+    # pts.csv, which fail their checks, passed with exit 0
+    monkeypatch.chdir(tol_inputs)
+    if args in TOL_CHECKS[:3]:
+        assert main(["check", *args]) == 1
+    capsys.readouterr()
+    assert main(["check", *args, f"--tol={tol}", "--report", "r.txt"]) == 2
+    assert "bipot: error: tol must be >= 0" in capsys.readouterr().err
+    assert not (tol_inputs / "r.txt").exists()
+
+
 def test_blur_huge_eps_equals_box_width(run_cli, tmp_path):
     g = Grid.line(-1.0, 1.0, 3)
     SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(

@@ -9,10 +9,11 @@ was allocated when it started.
 import tracemalloc
 
 from bipot import windows
-from bipot.bipotentials import check_sync
+from bipot.bipotentials import check_bipotential, check_sync, separable
 from bipot.blur import blur_law, blurred_graph
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_fixture, elasticity_phi)
+from bipot.grids import Grid, SampledFunction
 
 
 def traced_peak(fn):
@@ -56,3 +57,15 @@ def test_failing_check_sync_allocates_less_than_one_product_array():
     assert rep.axiom == "slice-convex[second-difference]"
     assert rep.witness[0] == ("y", (0, 0))
     assert peak < cA.vals.nbytes
+
+
+def test_passing_check_bipotential_allocates_less_than_one_product_array():
+    # 2-D separable x^2/2 at n = 25 passes all three axioms; (b) and (c)
+    # read b - <x, y> an x-tile at a time, and the line battery a chunk of
+    # slices at a time
+    g = Grid.box(-2.0, 2.0, 25)
+    b = separable(SampledFunction.from_callable(
+        g, lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2)), g)
+    rep, peak = traced_peak(lambda: check_bipotential(b))
+    assert rep.ok
+    assert peak < b.vals.nbytes

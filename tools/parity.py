@@ -12,6 +12,12 @@ separated by " | ":
   cA, bA, MA      sha256 prefixes of the bytes of ``blur_law``'s c_A, b_A
                   and M + A;
   inf             the same digest of ``infimum_bipotential`` of the cover;
+  bip-bA, sync-cA, bbgraph-MA
+                  the report lines of ``check_bipotential(b_A)``,
+                  ``check_sync(c_A)`` and ``check_bbgraph(M + A)``;
+  bip-separable   those of ``check_bipotential(separable(phi, ygrid))``,
+                  a law that reaches the three-way equivalence where most
+                  b_A fail slice convexity first;
   implicit@Y      ``check_implicitly_convex``'s report lines on the
                   cover's ``values_at(Y)``, at the first, middle and last
                   y-node of the diagonal;
@@ -76,7 +82,13 @@ def _corpus():
                fix.eps, fix.ygrid)
 
 
+def _lines(tag, rep) -> str:
+    return f"{tag}: " + "; ".join(rep.to_lines())
+
+
 def _fields(phi, eps, ygrid):
+    from bipot.bipotentials import (check_bbgraph, check_bipotential,
+                                    check_sync, separable)
     from bipot.blur import BlurSpec, blur_law
     from bipot.covers import (build_cover, check_implicitly_convex,
                               check_maithm_equivalence, infimum_bipotential)
@@ -85,16 +97,20 @@ def _fields(phi, eps, ygrid):
     yield f"cA={_digest(law.cA.vals)}"
     yield f"bA={_digest(law.bA.vals)}"
     yield f"MA={_digest(law.MplusA.mask)}"
+    checks = [_lines("bip-bA", check_bipotential(law.bA)),
+              _lines("sync-cA", check_sync(law.cA)),
+              _lines("bbgraph-MA", check_bbgraph(law.MplusA))]
     del law
     fam = build_cover(phi, eps, ygrid)
     yield f"inf={_digest(infimum_bipotential(fam).vals)}"
+    yield from checks
+    yield _lines("bip-separable", check_bipotential(separable(phi, ygrid)))
     for k in (0, ygrid.n[0] // 2, ygrid.n[0] - 1):
         y = k if ygrid.dim == 1 else (k, k)
-        rep = check_implicitly_convex(fam.values_at(y))
-        yield f"implicit@{y}: " + "; ".join(rep.to_lines())
-    rep = check_maithm_equivalence(phi, eps, ygrid=ygrid, pair_cap=20000,
-                                   seed=1)
-    yield "maithm: " + "; ".join(rep.to_lines())
+        yield _lines(f"implicit@{y}",
+                     check_implicitly_convex(fam.values_at(y)))
+    yield _lines("maithm", check_maithm_equivalence(
+        phi, eps, ygrid=ygrid, pair_cap=20000, seed=1))
 
 
 def corpus_lines():
