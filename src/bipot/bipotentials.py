@@ -268,18 +268,24 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
 
     tol defaults to 3h(1 + |<x, y>|) per node pair. Residuals between tol
     and 3*tol are borderline and never fail (c) on their own.
-
-    (b) and (c) read c = b - <x, y> an x-tile of ``windows._pair_tiles`` at
-    a time, in two passes. The conjugate of the slice b(., y) at y is
-    -m_y, m_y = min_x c, so the Fenchel-Young residuals are c - m_y and
-    c - m_x. A slice minimum attained only on the box boundary escapes the
-    box; the membership it feeds is borderline, and counted in a note.
     """
     require_tol(tol)
     rep = _slice_convexity(b, 1e-9 * (1.0 + abs(b.finite_max)))
     if not rep.ok:
         return rep
+    return _sync_axioms(b, tol)
 
+
+def _sync_axioms(b: SampledBivariate, tol: float | None) -> CheckReport:
+    """Axioms (b) and (c) of ``check_bipotential``.
+
+    They read c = b - <x, y> an x-tile of ``windows._pair_tiles`` at a
+    time, in two passes. The conjugate of the slice b(., y) at y is -m_y,
+    m_y = min_x c, so the Fenchel-Young residuals are c - m_y and c - m_x.
+    A slice minimum attained only on the box boundary escapes the box; the
+    membership it feeds is borderline, and counted in a note. A pairing or
+    tolerance that overflows is +-inf, as are the residuals built on it.
+    """
     h = max(max(b.xgrid.h), max(b.ygrid.h))
     vals = b.vals.reshape(b.xgrid.size, -1)
 
@@ -301,7 +307,7 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
                 for g in (b.xgrid, b.ygrid))
     m_x, inner_x = [], []
     m_y = inner_y = np.full(vals.shape[1], INF)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for t, c, tolc in tiles():
             bad = c < -tolc
             if bad.any():
@@ -317,7 +323,7 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
     ftol = 1e-12 * (1.0 + abs(b.finite_max))
     esc_y = np.isfinite(m_y) & (inner_y > m_y + ftol)
     esc_x = np.isfinite(m_x) & (inner_x > m_x + ftol)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for t, c, tolc in tiles():
             r1 = np.where(np.isposinf(c), INF, c - m_y)
             r2 = np.where(np.isposinf(c), INF, c - m_x[t, None])
@@ -340,11 +346,13 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
 def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     """Decide the sync axioms: c >= 0, separate convexity, attained slice
     minima equal to 0 (within a resolution tolerance), then cross-check
-    against ``check_bipotential(c + <x, y>)``.
+    c + <x, y> against the bipotential axioms (b) and (c).
 
     Slice minima that sit on the box edge with a strictly larger (or +inf)
     inward neighbor are counted as not attained (the true minimum escapes
-    the box).
+    the box). Axiom (a) of c + <x, y> is not run again: each of its slices
+    is c's slice plus a function linear along every grid line, so the
+    second differences are c's.
     """
     require_tol(tol)
     scale = 1.0 + abs(c.finite_max)
@@ -393,7 +401,7 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     # that SampledBivariate takes it without a copy
     b = np.add(c.vals, P, out=P)
     b.flags.writeable = False
-    rep_b = check_bipotential(SampledBivariate(c.xgrid, c.ygrid, b), tol)
+    rep_b = _sync_axioms(SampledBivariate(c.xgrid, c.ygrid, b), tol)
     if not rep_b.ok:
         return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
                        rep_b.residual,

@@ -7,11 +7,13 @@ necessary set of conditions that is sufficient for the smooth and polyhedral
 functions this package works with; an exhaustive midpoint oracle cross-checks
 it in the test suite. One vectorized scan (``_faults``) is the whole
 battery: ``is_convex`` reads the first faulting line, ``batch_is_convex``
-keeps verdicts only, and 1-D sets are decided by its gap test. Stacks of
-functions are scanned a chunk of about ``windows._TILE_BYTES`` at a time:
-``first_nonconvex`` stops at the chunk holding the first failure, and
-``batch_is_convex`` scans the diagonals last, once, over the slices that
-pass the rows and columns.
+keeps verdicts only, and 1-D sets are decided by its gap test. Each
+family of lines is one stack: the rows, the columns, and each diagonal
+direction sheared into a +inf-padded stack, so a chunk costs four scans
+whatever the grid size. Stacks of functions are scanned a chunk of about
+``windows._TILE_BYTES`` at a time, the diagonals only over the chunk's
+slices that pass its rows and columns; ``first_nonconvex`` stops at the
+chunk holding the first failure.
 
 Set convexity (``is_set_convex``) is decided per the hull-margin rule: every
 grid node lying deeper than max(h)/2 inside the convex hull of the member
@@ -25,7 +27,10 @@ bi-closedness is vacuously true wherever it is quoted.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidInputError, require_tol
 from .grids import Grid, SampledFunction
@@ -39,20 +44,27 @@ from .windows import _tiles
 def _lines(vals: np.ndarray, dim: int):
     """The grid lines of a (B, *shape) stack of functions, in scan order.
 
-    Yields (family, line indices, (B, L, m) view): all rows, all columns,
-    then each diagonal of the two directions on its own. A row or column
-    index is its node index along the other axis, a diagonal's is its
-    offset. Diagonals shorter than 3 nodes cannot fault and are skipped.
+    Yields (family, (B, L, m) lines) for the rows, the columns, then the
+    diag-down and diag-up diagonals; a row or column's line index is its
+    node index along the other axis. Each diagonal family is one view of
+    a +inf-padded buffer, sheared so that line off + n1 - 1 holds node
+    (i, i + off) (diag-up: of the column-flipped stack) at position i.
+    The padding lies past both ends of each line's run of grid nodes, so
+    it makes no gap, and every triple touching it gives +inf or NaN.
     """
     if dim == 1:
-        yield "row", (0,), vals[:, None, :]
+        yield "row", vals[:, None, :]
         return
-    _, n1, n2 = vals.shape
-    yield "row", range(n1), vals
-    yield "col", range(n2), vals.transpose(0, 2, 1)
-    for family, flipped in (("diag-down", vals), ("diag-up", vals[:, :, ::-1])):
-        for off in range(3 - n1, n2 - 2):
-            yield family, (off,), np.diagonal(flipped, off, 1, 2)[:, None, :]
+    b, n1, n2 = vals.shape
+    yield "row", vals
+    yield "col", vals.transpose(0, 2, 1)
+    buf = np.full((b, n1, n2 + 2 * (n1 - 1)), np.inf)
+    s0, s1, s2 = buf.strides
+    sheared = as_strided(buf, (b, n1 + n2 - 1, n1), (s0, s2, s1 + s2),
+                         writeable=False)
+    for family, src in (("diag-down", vals), ("diag-up", vals[:, :, ::-1])):
+        buf[:, :, n1 - 1:n1 + n2 - 1] = src
+        yield family, sheared
 
 
 def _faults(lines: np.ndarray, tol: float, locate: bool = False):
@@ -65,19 +77,26 @@ def _faults(lines: np.ndarray, tol: float, locate: bool = False):
     center of the first low triple) and the (B, L, m - 2) second
     differences, so that the one centered at position p is [..., p - 1].
     Values are never NaN or -inf, so a triple holding +inf gives +inf or
-    NaN unless its center alone is missing, which is a gap anyway.
+    NaN unless its center alone is missing, which is a gap anyway. A
+    finite triple whose -2b overflows to -inf is recomputed as
+    (a - b) + (c - b).
     """
     fin = np.isfinite(lines)
     cnt = fin.sum(axis=2)
     first = np.argmax(fin, axis=2)
     last = lines.shape[2] - 1 - np.argmax(fin[:, :, ::-1], axis=2)
     gap = (cnt > 0) & (last - first + 1 != cnt)
-    # rounds as a - 2b + c does, in one buffer
-    second = -2.0 * lines[:, :, 1:-1]
-    with np.errstate(invalid="ignore"):
-        second += lines[:, :, :-2]
-        second += lines[:, :, 2:]
-    low = second < -tol
+    a, b, c = lines[:, :, :-2], lines[:, :, 1:-1], lines[:, :, 2:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # rounds as a - 2b + c does, in one buffer
+        second = -2.0 * b
+        second += a
+        second += c
+        low = second < -tol
+        if low.any() and np.fmin.reduce(second, axis=None) == -np.inf:
+            big = np.isneginf(second) & fin[:, :, 1:-1]
+            second[big] = (a[big] - b[big]) + (c[big] - b[big])
+            low = second < -tol
     bad = gap | low.any(axis=2)
     if not locate:
         return bad
@@ -87,74 +106,51 @@ def _faults(lines: np.ndarray, tol: float, locate: bool = False):
     return bad, gap, 1 + np.where(gap, hole, np.argmax(low, axis=2)), second
 
 
-def _first_fault(vals: np.ndarray, dim: int, tol: float):
-    """(family, line index, axiom, position, residual) of the first
-    faulting line of one function, or None."""
-    for family, ids, lines in _lines(vals[None], dim):
-        bad, gap, pos, second = (a[0] for a in _faults(lines, tol, locate=True))
-        hit = np.flatnonzero(bad)
-        if hit.size:
-            k, p = hit[0], int(pos[hit[0]])
-            if gap[k]:
-                return family, ids[k], "domain-contiguous", p, None
-            return family, ids[k], "second-difference", p, float(second[k, p - 1])
-    return None
-
-
 def _line_witness(family, line_index, pos, shape):
-    """Map a 1-D line position back to 2-D node indices."""
-    n1, n2 = shape
+    """Map a line position back to 2-D node indices."""
     if family == "row":
         return (line_index, pos)
     if family == "col":
         return (pos, line_index)
-    i0 = max(-line_index, 0)
-    j0 = max(line_index, 0)
-    if family == "diag-down":
-        return (i0 + pos, j0 + pos)
-    return (i0 + pos, n2 - 1 - (j0 + pos))
+    j = pos + line_index
+    return (pos, j if family == "diag-down" else shape[1] - 1 - j)
 
 
 def is_convex(f: SampledFunction, tol: float) -> CheckReport:
     """Discrete convexity of a sampled function (see module docstring).
 
     An identically +inf function passes vacuously. tol >= 0 bounds how
-    negative an interior second difference may be.
+    negative an interior second difference may be. A failure names the
+    first faulting line in scan order, a diagonal by its offset.
     """
     require_tol(tol)
-    hit = _first_fault(f.vals, f.grid.dim, tol)
-    if hit is None:
-        return passing("convex")
-    family, li, axiom, pos, residual = hit
-    if f.grid.dim == 1:
-        return failing(axiom, (pos,), residual)
-    return failing(axiom, _line_witness(family, li, pos, f.vals.shape),
-                   residual, f"line = {family} {li}")
+    for family, lines in _lines(f.vals[None], f.grid.dim):
+        bad, gap, pos, second = (a[0] for a in _faults(lines, tol, locate=True))
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            k, p = int(hit[0]), int(pos[hit[0]])
+            axiom, residual = (("domain-contiguous", None) if gap[k] else
+                               ("second-difference", float(second[k, p - 1])))
+            if f.grid.dim == 1:
+                return failing(axiom, (p,), residual)
+            if family.startswith("diag"):
+                k -= f.grid.n[0] - 1
+            return failing(axiom, _line_witness(family, k, p, f.vals.shape),
+                           residual, f"line = {family} {k}")
+    return passing("convex")
 
 
-def _straight_ok(chunk: np.ndarray, dim: int, tol: float) -> np.ndarray:
-    """(B,) verdicts of a contiguous (B, *shape) chunk over its rows and
-    columns."""
+def _chunk_ok(chunk: np.ndarray, dim: int, tol: float) -> np.ndarray:
+    """(B,) verdicts of a contiguous (B, *shape) chunk: its rows and
+    columns, then its two diagonal families over the slices that pass
+    them."""
     ok = np.ones(len(chunk), dtype=bool)
-    for family, _, lines in _lines(chunk, dim):
-        if family not in ("row", "col"):
-            break
+    for _, lines in itertools.islice(_lines(chunk, dim), 2):
         ok &= ~_faults(lines, tol).any(axis=1)
-    return ok
-
-
-def _diagonal_ok(chunk: np.ndarray, dim: int, tol: float,
-                 ok: np.ndarray) -> np.ndarray:
-    """Narrow ok, the (B,) verdicts of a contiguous chunk's rows and
-    columns, by its diagonals, in place; each diagonal is scanned only
-    over the slices that still pass."""
-    for family, _, lines in _lines(chunk, dim):
-        if family in ("row", "col"):
-            continue
-        sub = np.flatnonzero(ok)
-        if sub.size == 0:
-            break
-        ok[sub] = ~_faults(lines[sub], tol)[:, 0]
+    keep = np.flatnonzero(ok)
+    if dim == 2 and keep.size:
+        for _, lines in itertools.islice(_lines(chunk[keep], dim), 2, None):
+            ok[keep] &= ~_faults(lines, tol).any(axis=1)
     return ok
 
 
@@ -166,32 +162,22 @@ def batch_is_convex(vals: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     Each slice is decided alone, so the battery runs on chunks of about
     ``windows._TILE_BYTES``, each copied contiguous (a chunk of a
     transposed stack, such as the y-slices of a product array, is
-    scattered in memory): rows and columns chunk by chunk, then the
-    diagonals once, over the slices that pass them, gathered into chunks.
+    scattered in memory).
     """
     ok = np.empty(len(vals), dtype=bool)
-    item = grid.size * vals.itemsize
-    for t in _tiles(len(vals), item):
-        ok[t] = _straight_ok(np.ascontiguousarray(vals[t]), grid.dim, tol)
-    if grid.dim == 2:
-        keep = np.flatnonzero(ok)
-        for u in _tiles(len(keep), item):
-            rows = keep[u]
-            ok[rows] = _diagonal_ok(np.ascontiguousarray(vals[rows]),
-                                    grid.dim, tol, np.ones(len(rows), bool))
+    for t in _tiles(len(vals), grid.size * vals.itemsize):
+        ok[t] = _chunk_ok(np.ascontiguousarray(vals[t]), grid.dim, tol)
     return ok
 
 
 def first_nonconvex(vals: np.ndarray, grid: Grid, tol: float) -> int | None:
     """Index of the first slice of a (B, *grid.shape) stack that fails the
-    line battery, or None. The whole battery runs one contiguous chunk of
-    about ``windows._TILE_BYTES`` at a time, so no chunk past the one
-    holding the first failure is scanned."""
+    line battery, or None. The battery runs one contiguous chunk of about
+    ``windows._TILE_BYTES`` at a time, so no chunk past the one holding
+    the first failure is scanned."""
     for t in _tiles(len(vals), grid.size * vals.itemsize):
-        chunk = np.ascontiguousarray(vals[t])
-        flags = _diagonal_ok(chunk, grid.dim, tol,
-                             _straight_ok(chunk, grid.dim, tol))
-        bad = np.flatnonzero(~flags)
+        bad = np.flatnonzero(~_chunk_ok(np.ascontiguousarray(vals[t]),
+                                        grid.dim, tol))
         if bad.size:
             return t.start + int(bad[0])
     return None

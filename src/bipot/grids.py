@@ -166,11 +166,13 @@ def pairing(xgrid: Grid, ygrid: Grid) -> np.ndarray:
 
 
 def _pair_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_i, b_j> for (size, dim) point arrays, summed over k in order."""
+    """<a_i, b_j> for (size, dim) point arrays, summed over k in order;
+    +-inf where it overflows."""
     bt = np.ascontiguousarray(b.T)   # the inner loop runs over b
-    out = np.multiply.outer(a[:, 0], bt[0])
-    if a.shape[1] == 2:
-        out += np.multiply.outer(a[:, 1], bt[1])
+    with np.errstate(over="ignore"):
+        out = np.multiply.outer(a[:, 0], bt[0])
+        if a.shape[1] == 2:
+            out += np.multiply.outer(a[:, 1], bt[1])
     return out
 
 

@@ -9,8 +9,10 @@ dilation, the whole y-major Fenchel-Young set ``fenchel_young_mask``
 behind the x-tiled one that M + A and newc read, the offset-by-offset
 window ``shifted_window_reduce`` behind the padded chord sweeps, the
 slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan,
-and ``check_bipotential_whole``, axioms (b) and (c) on whole product
-arrays behind the x-tiled sync of ``check_bipotential``.
+``check_bipotential_whole``, axioms (b) and (c) on whole product arrays
+behind the x-tiled sync of ``check_bipotential``, and
+``per_diagonal_is_convex``, the line battery with one scan per diagonal
+behind the sheared diagonal stacks of ``is_convex``.
 The helpers at the end are the exception: test-only conveniences built
 on the library, namely the constructions ``bipotential_from_sync`` and
 ``b_infinity``, the random generators ``random_convex_2d_separable`` and
@@ -25,6 +27,7 @@ import numpy as np
 
 from bipot.bipotentials import (_BAND, CLOSEDNESS_NOTE, GraphSet,
                                 _slice_convexity)
+from bipot.convexity import _faults
 from bipot.covers import CoverFamily
 from bipot.errors import InvalidInputError
 from bipot.extreal import INF
@@ -110,6 +113,65 @@ def brute_midpoint_convex(vals, tol):
             if m > 0.5 * (arr[i1, j1] + arr[i2, j2]) + tol:
                 return False
     return True
+
+
+def per_diagonal_lines(vals: np.ndarray, dim: int):
+    """The grid lines of a (B, *shape) stack of functions, in scan order.
+
+    Yields (family, line indices, (B, L, m) view): all rows, all columns,
+    then each diagonal of the two directions on its own. A row or column
+    index is its node index along the other axis, a diagonal's is its
+    offset. Diagonals shorter than 3 nodes cannot fault and are skipped.
+    """
+    if dim == 1:
+        yield "row", (0,), vals[:, None, :]
+        return
+    _, n1, n2 = vals.shape
+    yield "row", range(n1), vals
+    yield "col", range(n2), vals.transpose(0, 2, 1)
+    for family, flipped in (("diag-down", vals), ("diag-up", vals[:, :, ::-1])):
+        for off in range(3 - n1, n2 - 2):
+            yield family, (off,), np.diagonal(flipped, off, 1, 2)[:, None, :]
+
+
+def per_diagonal_first_fault(vals: np.ndarray, dim: int, tol: float):
+    """(family, line index, axiom, position, residual) of the first
+    faulting line of one function, or None."""
+    for family, ids, lines in per_diagonal_lines(vals[None], dim):
+        bad, gap, pos, second = (a[0] for a in _faults(lines, tol, locate=True))
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            k, p = hit[0], int(pos[hit[0]])
+            if gap[k]:
+                return family, ids[k], "domain-contiguous", p, None
+            return family, ids[k], "second-difference", p, float(second[k, p - 1])
+    return None
+
+
+def per_diagonal_witness(family, line_index, pos, shape):
+    """Map a 1-D line position back to 2-D node indices."""
+    n1, n2 = shape
+    if family == "row":
+        return (line_index, pos)
+    if family == "col":
+        return (pos, line_index)
+    i0 = max(-line_index, 0)
+    j0 = max(line_index, 0)
+    if family == "diag-down":
+        return (i0 + pos, j0 + pos)
+    return (i0 + pos, n2 - 1 - (j0 + pos))
+
+
+def per_diagonal_is_convex(f: SampledFunction, tol: float):
+    """``is_convex`` with each diagonal scanned as its own view."""
+    hit = per_diagonal_first_fault(f.vals, f.grid.dim, tol)
+    if hit is None:
+        return passing("convex")
+    family, li, axiom, pos, residual = hit
+    if f.grid.dim == 1:
+        return failing(axiom, (pos,), residual)
+    return failing(axiom, per_diagonal_witness(family, li, pos, f.vals.shape),
+                   residual, f"line = {family} {li}")
 
 
 def shifted_window_reduce(vals, offsets, ufunc, fill):
@@ -245,7 +307,8 @@ def check_bipotential_whole(b: SampledBivariate, tol: float | None = None):
 
     P = b.pairing()
     h = max(max(b.xgrid.h), max(b.ygrid.h))
-    tolc = (3.0 * h * (1.0 + np.abs(P))) if tol is None else np.full(P.shape, float(tol))
+    with np.errstate(over="ignore"):   # +inf where the pairing is huge
+        tolc = (3.0 * h * (1.0 + np.abs(P))) if tol is None else np.full(P.shape, float(tol))
 
     with np.errstate(invalid="ignore"):
         diff = np.where(np.isposinf(b.vals), INF, b.vals - P)
@@ -261,7 +324,7 @@ def check_bipotential_whole(b: SampledBivariate, tol: float | None = None):
     gx = g_x.reshape(b.xgrid.shape + (1,) * b.ygrid.dim)
     ey = esc_y.reshape(gy.shape)
     ex = esc_x.reshape(gx.shape)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         r1 = np.where(np.isposinf(diff), INF, diff + gy)
         r2 = np.where(np.isposinf(diff), INF, diff + gx)
     member = np.stack([(r1 <= tolc) & ~ey, (r2 <= tolc) & ~ex, diff <= tolc])

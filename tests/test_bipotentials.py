@@ -8,7 +8,7 @@ from bipot.bipotentials import (GraphSet, check_bbgraph, check_bipotential,
                                 default_graph_tol, graph_of,
                                 graphs_match_within, separable,
                                 sync_from_bipotential)
-from bipot import windows
+from bipot import bipotentials, windows
 from bipot.convexity import is_convex
 from bipot.covers import (build_cover, check_implicitly_convex,
                           check_maithm_equivalence)
@@ -318,6 +318,19 @@ class TestCheckSync:
                 assert (rep.axiom, rep.witness, rep.residual) == \
                     ("attained-min-zero", want[:2], want[2])
         assert 0 < failures < 40
+
+    def test_slice_battery_runs_once(self, monkeypatch):
+        # the slices of c + <x, y> are c's plus functions linear along every
+        # grid line, so the cross-check decides axioms (b) and (c) only
+        box = Grid.box(-1.0, 1.0, 7)
+        phi = SampledFunction.from_callable(box, lambda a, b: a * a + b * b)
+        scanned = []
+        battery = bipotentials._slice_convexity
+        monkeypatch.setattr(bipotentials, "_slice_convexity",
+                            lambda b, tol: scanned.append(b) or battery(b, tol))
+        c = sync_from_bipotential(separable(phi, box))
+        assert check_sync(c).ok
+        assert len(scanned) == 1 and scanned[0] is c
 
     def test_psync_equivalence_on_corpus(self, convex_corpus, line_grid):
         for name, phi in convex_corpus.items():

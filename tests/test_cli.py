@@ -126,6 +126,16 @@ def test_check_convex_pass_and_fail(run_cli, tmp_path, quad_csv):
     assert "witness" in r.stdout
 
 
+def test_check_convex_passes_a_huge_constant(run_cli, tmp_path):
+    # -2 * 1e308 overflows; the battery must not call the constant concave
+    p = tmp_path / "big.csv"
+    p.write_text("x,value\n" + "".join(f"{x},1e308\n"
+                                       for x in (-1, -0.5, 0, 0.5, 1)))
+    r = run_cli(["check", "convex", "--input", str(p)], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "verdict = pass" in r.stdout.splitlines()
+
+
 def test_blur_and_check_pipeline(run_cli, tmp_path, quad_csv):
     r = run_cli(["blur", "--phi", str(quad_csv), "--eps", "0.5",
                  "--out-ca", "ca.csv", "--out-ba", "ba.csv",

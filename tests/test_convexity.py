@@ -12,7 +12,8 @@ from bipot.windows import ball_dilate
 
 from oracles import (brute_midpoint_convex, brute_min_filter,
                      convex_1d_oracle, hull_margin_set_convex, min_filter,
-                     monotone_chain, random_piecewise_linear_1d)
+                     monotone_chain, per_diagonal_is_convex,
+                     random_piecewise_linear_1d)
 
 
 class TestIsConvex1D:
@@ -56,6 +57,26 @@ class TestIsConvex1D:
         with pytest.raises(InvalidInputError):
             is_convex(f, -1.0)
 
+    def test_huge_values_keep_their_sign(self):
+        # -2b overflows to -inf on a triple of finite values; the triple
+        # is then (a - b) + (c - b)
+        g = Grid.line(-1.0, 1.0, 5)
+        flat = SampledFunction(g, np.full(5, 1e308))
+        assert is_convex(flat, 0.0).ok
+        assert batch_is_convex(flat.vals[None], g, 0.0).tolist() == [True]
+        cave = SampledFunction(g, np.array([-1e308, 1e308, -1e308, 0.0, 1e308]))
+        rep = is_convex(cave, 0.0)
+        assert (rep.axiom, rep.witness, rep.residual) == \
+            ("second-difference", (1,), -np.inf)
+        lean = SampledFunction(g, np.array([0.0, 0.9e308, 1.7e308, 1.7e308,
+                                            1.7e308]))
+        rep = is_convex(lean, 0.0)
+        assert rep.witness == (1,)
+        assert rep.residual == (0.0 - 0.9e308) + (1.7e308 - 0.9e308)
+        tilt = SampledFunction(g, np.array([1.7e308, 1e308, 0.5e308, 0.5e308,
+                                            0.5e308]))
+        assert is_convex(tilt, 0.0).ok
+
     def test_agrees_with_hull_oracle_on_random_samples(self):
         g = Grid.line(-2.0, 2.0, 57)
         xs = g.axis(0)
@@ -90,6 +111,15 @@ class TestIsConvex2D:
         rep = is_convex(f, 1e-12)
         assert not rep.ok
         assert "diag" in rep.notes[0]
+
+    def test_huge_values_on_the_sheared_diagonals(self):
+        # the sheared diagonals put +inf next to each huge end node
+        g = Grid((-1.0, -1.0), (1.0, 1.0), (4, 6))
+        assert is_convex(SampledFunction(g, np.full(g.shape, 1e308)), 0.0).ok
+        vals = np.full(g.shape, 1e308)
+        vals[1, 1] = -1e308
+        rep = is_convex(SampledFunction(g, vals), 0.0)
+        assert (rep.witness, rep.residual) == ((1, 2), -np.inf)
 
     def test_battery_agrees_with_exhaustive_midpoint_oracle(self):
         # the line battery is a necessary set of conditions; on the smooth
@@ -180,13 +210,59 @@ class TestBatchIsConvex:
             assert first_nonconvex(vals[first:], g, 1e-9) == 0
 
 
+    @staticmethod
+    def oracle_corpus(rng):
+        """300 stacks of 8 slices on grids of 3-11 nodes per axis: tilted
+        quadratics (some concave along one diagonal only), some noisy,
+        some with +inf holes, a half-plane or a disc as their domain."""
+        for _ in range(300):
+            g = Grid((-1.0, -1.0), (1.0, 1.0), tuple(rng.integers(3, 12, 2)))
+            a, b = g.meshgrid()
+            stack = []
+            for k in range(8):
+                p, q = rng.uniform(0.0, 2.0, 2)
+                v = p * a * a + q * b * b + rng.uniform(-3, 3) * a * b + a
+                if k % 3 == 0:
+                    v += rng.normal(scale=10.0 ** rng.uniform(-6, -1),
+                                    size=g.shape)
+                if k % 4 == 0:
+                    v[rng.random(g.shape) < 0.1] = np.inf
+                elif k % 4 == 1:
+                    v[a + rng.uniform(-1, 1) * b > rng.uniform(-1, 1)] = np.inf
+                elif k % 4 == 2:
+                    v[a * a + b * b > rng.uniform(0.2, 1.5)] = np.inf
+                stack.append(v)
+            yield g, np.stack(stack)
+
+    def test_sheared_battery_matches_per_diagonal_oracle(self, monkeypatch):
+        # every report equals the one-view-per-diagonal scan's, and the
+        # verdicts hold at the default chunk and at chunks of 1 and 3
+        seen = {"pass": 0, "domain-contiguous": 0, "second-difference": 0}
+        diagonal = 0
+        default = windows._TILE_BYTES
+        for g, stack in self.oracle_corpus(np.random.default_rng(21)):
+            want = [per_diagonal_is_convex(SampledFunction(g, v), 1e-9)
+                    for v in stack]
+            for v, rep in zip(stack, want):
+                got = is_convex(SampledFunction(g, v), 1e-9)
+                assert got.to_lines() == rep.to_lines()
+                seen["pass" if rep.ok else rep.axiom] += 1
+                diagonal += any("diag" in n for n in rep.notes)
+            ok = [rep.ok for rep in want]
+            first = ok.index(False) if False in ok else None
+            for tile in (default, g.size * 8, 3 * g.size * 8):
+                monkeypatch.setattr(windows, "_TILE_BYTES", tile)
+                assert batch_is_convex(stack, g, 1e-9).tolist() == ok
+                assert first_nonconvex(stack, g, 1e-9) == first
+        assert min(seen.values()) > 100 and diagonal > 100
+
     @pytest.mark.parametrize("shape", [(9,), (5, 6), (7, 4)])
     def test_scattered_survivors_across_chunks(self, monkeypatch, shape):
         # noise fails the rows; every seventh slice is a bowl, and those
         # with |c| = 4 fail a diagonal only (a row in 1-D, where they are
-        # concave), so the diagonals see survivors from several chunks at
-        # once; the stack is a transposed view, as the y-slices of a
-        # product array are
+        # concave), so each chunk scans its diagonals over the few slices
+        # that pass its rows and columns; the stack is a transposed view,
+        # as the y-slices of a product array are
         rng = np.random.default_rng(len(shape) + shape[0])
         g = Grid((-1.0,) * len(shape), (1.0,) * len(shape), shape)
         cs = (0.0, 4.0, -1.0, -4.0, 1.0, 4.0, 0.5)

@@ -28,8 +28,9 @@ An outcome that raises ends with "error = <class>: <message>" instead.
 
 The corpus: ``random_convex_1d`` seeds 1-6, plain and truncated, on 101
 nodes of [-1, 1] with eps in {0.04, 0.1, 0.3, 0.5, 1.0}; the cone of the
-worked example at n in {9, 17, 25}; 2-D elasticity (k = 1, eps = 0.5) at
-n in {11, 21}.
+worked example at n in {9, 17, 25, 41}; 2-D elasticity (k = 1,
+eps = 0.5) at n in {11, 21, 25}. The two largest pin 2-D battery
+witnesses on larger grids.
 
 ``--against REV`` unpacks ``git archive REV`` into a temporary directory,
 runs the same corpus on that tree's ``src/``, and prints, for each outcome
@@ -73,10 +74,10 @@ def _corpus():
         law = f"convex1d-{seed}{'-trunc' if truncate else ''}-n101"
         for eps in (0.04, 0.1, 0.3, 0.5, 1.0):
             yield f"{law} eps={eps}", phi, eps, line
-    for n in (9, 17, 25):
+    for n in (9, 17, 25, 41):
         fix = cone_fixture_params(n=n)
         yield f"cone-n{n} eps={fix.eps}", cone_fixture(fix).phi, fix.eps, fix.ygrid
-    for n in (11, 21):
+    for n in (11, 21, 25):
         fix = elasticity_fixture(n=n, dim=2)
         yield (f"elasticity2d-n{n} eps={fix.eps}", elasticity_phi(fix),
                fix.eps, fix.ygrid)
