@@ -276,7 +276,8 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
     return _sync_axioms(b, tol)
 
 
-def _sync_axioms(b: SampledBivariate, tol: float | None) -> CheckReport:
+def _sync_axioms(b: SampledBivariate, tol: float | None,
+                 shifted: bool = False) -> CheckReport:
     """Axioms (b) and (c) of ``check_bipotential``.
 
     They read c = b - <x, y> an x-tile of ``windows._pair_tiles`` at a
@@ -285,16 +286,27 @@ def _sync_axioms(b: SampledBivariate, tol: float | None) -> CheckReport:
     A slice minimum attained only on the box boundary escapes the box; the
     membership it feeds is borderline, and counted in a note. A pairing or
     tolerance that overflows is +-inf, as are the residuals built on it.
+    With shifted, b holds a sync c and the axioms are those of c + <x, y>:
+    each tile reads (c + <x, y>) - <x, y>, the bits an array of
+    c + <x, y> would give, and c itself where <x, y> overflows.
     """
     h = max(max(b.xgrid.h), max(b.ygrid.h))
     vals = b.vals.reshape(b.xgrid.size, -1)
+    tops = []   # the finite maxima of the tiles of c + <x, y>
 
     def tiles():
         """(t, c, the tolerance of each pair) over the x-tiles t."""
         for t, P in _pair_tiles(b.xgrid, b.ygrid):
             tolc = 3.0 * h * (1.0 + np.abs(P)) if tol is None else float(tol)
-            c = np.subtract(vals[t], P, out=P)
-            c[np.isposinf(vals[t])] = INF
+            if not shifted:
+                c = np.subtract(vals[t], P, out=P)
+                c[np.isposinf(vals[t])] = INF
+            else:
+                bt, off = vals[t] + P, ~np.isfinite(P)
+                tops.append(np.max(bt, where=np.isfinite(bt), initial=-INF))
+                c = np.subtract(bt, P, out=P)
+                c[np.isposinf(bt)] = INF
+                np.copyto(c, vals[t], where=off)
             yield t, c, tolc
 
     def node(t, k):
@@ -320,7 +332,8 @@ def _sync_axioms(b: SampledBivariate, tol: float | None) -> CheckReport:
             inner_y = np.minimum(inner_y, c.min(axis=0, where=xin[t, None],
                                                 initial=INF))
     m_x, inner_x = np.concatenate(m_x), np.concatenate(inner_x)
-    ftol = 1e-12 * (1.0 + abs(b.finite_max))
+    top = max(tops, default=-INF) if shifted else b.finite_max
+    ftol = 1e-12 * (1.0 + abs(top if top > -INF else 0.0))
     esc_y = np.isfinite(m_y) & (inner_y > m_y + ftol)
     esc_x = np.isfinite(m_x) & (inner_x > m_x + ftol)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -388,8 +401,9 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
             inward = at[:ax] + (at[ax] + step,) + at[ax + 1:]
             attained &= vals[rows, np.ravel_multi_index(inward, shape)] \
                 <= mn + flat_tol
-        mtol = (h * (1.0 + np.abs(pq[rows, arg])) if tol is None
-                else np.full(len(rows), float(tol)))
+        with np.errstate(over="ignore"):
+            mtol = (h * (1.0 + np.abs(pq[rows, arg])) if tol is None
+                    else np.full(len(rows), float(tol)))
         bad = np.flatnonzero(attained & (mn > mtol))
         if bad.size:
             s = int(bad[0])
@@ -397,11 +411,10 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
             return failing("attained-min-zero", (tag, _unflatten(grid, s)), m,
                            f"slice minimum {m!r} exceeds {t!r}")
 
-    # c + <x, y> directly (c may dip below 0 within neg_tol), read-only so
-    # that SampledBivariate takes it without a copy
-    b = np.add(c.vals, P, out=P)
-    b.flags.writeable = False
-    rep_b = _sync_axioms(SampledBivariate(c.xgrid, c.ygrid, b), tol)
+    # the cross-check reads c + <x, y> a tile at a time (c may dip below 0
+    # within neg_tol), so the whole pairing goes first
+    del P, Q, pq
+    rep_b = _sync_axioms(c, tol, shifted=True)
     if not rep_b.ok:
         return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
                        rep_b.residual,

@@ -21,6 +21,10 @@ nodes must itself be a member. The margin keeps boundary rasterization from
 being flagged. One scan (``_set_scan``) decides a whole stack of sets in
 order: ``is_set_convex`` is a stack of one, ``check_bbgraph`` scans its y-
 and then its x-sections as two stacks, and ``check_newc_all`` its 2-D U(y).
+A 2-D set that is digitally convex in index space (one run of rows, each
+row one run, every row end within one node of the envelope of the row
+ends) has no non-member inside its hull, so integer tests over its row
+ends pass it; only the other sets have their hull built, in Python.
 On finite grids every set is closed, so the closedness half of
 bi-closedness is vacuously true wherever it is quoted.
 """
@@ -187,7 +191,10 @@ def first_nonconvex(vals: np.ndarray, grid: Grid, tol: float) -> int | None:
 
 # Sets per pass of ``_set_scan``'s row-end search. Stacks are often views
 # with the set index fastest in memory, so a pass reads whole cache lines,
-# and a scan that stops at its first failure reads little past it.
+# and a scan that stops at its first failure reads little past it. Each
+# chunk is copied C-ordered first: for the 6,561 U(y) of the 81x81 cone,
+# the row-end reductions took 0.79 s on the strided views and 0.45 s on
+# the copies, copying included (2-core x86 VM).
 _SCAN_CHUNK = 64
 
 
@@ -218,6 +225,50 @@ def _hull(pts: list) -> list:
     return lower[:-1] + upper[:-1]
 
 
+def _above_chords(v: np.ndarray, live: np.ndarray):
+    """How far each position i of the rows of v lies above the chord of
+    its nearest live positions p < i < q, times q - p, exact in integers;
+    returns (that height, q - p), both 0 where p or q is missing."""
+    s, n = v.shape
+    idx = np.arange(n)
+    p = np.full((s, n), -1)
+    q = np.full((s, n), n)
+    p[:, 1:] = np.maximum.accumulate(np.where(live, idx, -1), axis=1)[:, :-1]
+    q[:, :-1] = np.minimum.accumulate(
+        np.where(live, idx, n)[:, ::-1], axis=1)[:, -2::-1]
+    span = np.where((p >= 0) & (q < n), q - p, 0)
+    flat = v.ravel()
+    base = np.arange(0, s * n, n)[:, None]
+    vp = flat[base + np.maximum(p, 0)]
+    vq = flat[base + np.minimum(q, n - 1)]
+    return np.where(span > 0, (v - vp) * span - (vq - vp) * (idx - p), 0), span
+
+
+def _near_envelope(v: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """(S,) whether every live point (i, v[s, i]) of each row s lies less
+    than 1 above the lower convex envelope of the row's live points.
+
+    A point strictly above the chord of its live neighbours is not on the
+    envelope, so each round drops every such point, until the live points
+    are the envelope's vertices. A point lying 1 or more above the chord
+    of its nearest live points, dropped or not, is 1 or more above the
+    envelope, which lies below every chord, and rejects its row at once.
+    """
+    ok = np.zeros(len(v), dtype=bool)
+    act = np.arange(len(v))
+    cur = live
+    while act.size:
+        height, span = _above_chords(v, cur)
+        far = (live & (height >= span) & (span > 0)).any(axis=1)
+        above = cur & (height > 0)
+        moved = above.any(axis=1)
+        ok[act[~far & ~moved]] = True
+        keep = np.flatnonzero(~far & moved)
+        act, v, live = act[keep], v[keep], live[keep]
+        cur = cur[keep] & ~above[keep]
+    return ok
+
+
 def _set_scan(masks: np.ndarray, grid: Grid):
     """Hull-margin verdicts of a (B, *grid.shape) stack of node sets.
 
@@ -225,14 +276,29 @@ def _set_scan(masks: np.ndarray, grid: Grid):
     that wants the first failure stops there. 1-D sets are decided by one
     contiguity scan of the stack (``_faults``). In 2-D the hull of a union
     of row runs is the hull of the runs' ends, which one pass finds for
-    ``_SCAN_CHUNK`` sets at a time; they arrive sorted by row, then column,
-    so the chain needs no sort. The depth of every bounding-box node below
-    every hull edge is then one broadcast.
+    ``_SCAN_CHUNK`` sets at a time.
+
+    A 2-D set passes on integer tests of its row ends when its rows form
+    one run of at least 2, each row is one run, some row holds 2 nodes or
+    more, and, in index space, every left end lies less than 1 above the
+    lower convex envelope of the left ends and every right end less than 1
+    below the upper envelope of the right ends (``_near_envelope``). The
+    hull's section at each row then holds no node outside the row's run,
+    so no non-member lies in the hull. The float hull agrees where the
+    coordinates lie within 1e6 steps of 0 and neither they nor the steps
+    are tiny or huge (``exact``): a depth there errs by under 1e-3 steps,
+    far below the margin, and no orientation test flattens three
+    non-collinear nodes. On other grids every set takes the hull.
+
+    Every other set has its hull chain built from its row ends, which
+    arrive sorted by row, then column, so the chain needs no sort; the
+    depth of every bounding-box node below every hull edge is then one
+    broadcast.
     """
+    ok = passing("set-convex")   # frozen, so one serves every set
     if grid.dim == 1:
         lines = np.where(masks, 0.0, np.inf)[:, None, :]
         bad, _, pos, _ = (a[:, 0] for a in _faults(lines, 0.0, locate=True))
-        ok = passing("set-convex")   # frozen, so one serves every set
         for b in np.flatnonzero(masks.any(axis=1)).tolist():
             yield b, failing("set-convex", (int(pos[b]),), None,
                              "missing interior node") if bad[b] else ok
@@ -241,12 +307,31 @@ def _set_scan(masks: np.ndarray, grid: Grid):
     ax0, ax1 = grid.axes
     xs, ys = ax0.tolist(), ax1.tolist()
     margin = max(grid.h) / 2.0
+    scale, step = max(map(abs, grid.lo + grid.hi)), min(grid.h)
+    exact = 1e-140 < step and scale < min(1e140, 1e6 * step)
     for c in range(0, len(masks), _SCAN_CHUNK):
-        chunk = masks[c:c + _SCAN_CHUNK]
+        chunk = np.ascontiguousarray(masks[c:c + _SCAN_CHUNK])
         rowany = chunk.any(axis=2)
         first = chunk.argmax(axis=2)
         last = grid.n[1] - 1 - chunk[:, :, ::-1].argmax(axis=2)
+        accept = np.zeros(len(chunk), dtype=bool)
+        if exact:
+            nrows = rowany.sum(axis=1)
+            r0 = rowany.argmax(axis=1)
+            r1 = grid.n[0] - 1 - rowany[:, ::-1].argmax(axis=1)
+            runs = ~rowany | (chunk.sum(axis=2) == last - first + 1)
+            cand = np.flatnonzero((nrows >= 2) & (r1 - r0 + 1 == nrows)
+                                  & runs.all(axis=1)
+                                  & (rowany & (last > first)).any(axis=1))
+            if cand.size:
+                near = _near_envelope(
+                    np.concatenate([first[cand], -last[cand]]),
+                    np.concatenate([rowany[cand], rowany[cand]]))
+                accept[cand] = near.reshape(2, -1).all(axis=0)
         for b in np.flatnonzero(rowany.any(axis=1)).tolist():
+            if accept[b]:
+                yield c + b, ok
+                continue
             rows = np.flatnonzero(rowany[b])
             left, right = first[b, rows], last[b, rows]
             pts = []
@@ -270,7 +355,7 @@ def _set_scan(masks: np.ndarray, grid: Grid):
             depth = ((ex * gy - ey * gx) / norm).min(axis=0)
             missing = (depth > margin) & ~chunk[b, i0:i1 + 1, j0:j1 + 1]
             if not missing.any():
-                yield c + b, passing("set-convex")
+                yield c + b, ok
                 continue
             wi, wj = divmod(int(np.argmax(missing)), j1 - j0 + 1)
             yield c + b, failing("set-convex", (wi + i0, wj + j0),

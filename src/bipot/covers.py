@@ -30,7 +30,7 @@ from .bipotentials import (GraphSet, _unflatten, _yslice_stack,
                            default_graph_tol, graph_of, graphs_match_within)
 from .blur import (BlurSpec, Y_BALL, _blurred_mask, _yball_blur,
                    _yball_conjugate)
-from .convexity import batch_is_convex
+from .convexity import _chunk_ok
 from .errors import InvalidInputError, ResolutionError, require_tol
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, _pair_points
@@ -267,26 +267,30 @@ def _scan_envelope(gflat, triples, alpha, tol):
     return z1, z2, resid
 
 
-def _implicit_verdicts(ystack, sampled, tol):
-    """Per-slice midpoint convexity (alpha = 0.5) of a (B, *zshape) stack
-    of envelopes: no +-1-step triple along any line direction and none of
-    the sampled (z1, z2, mid) triples violated.
+def _slice_verdicts(ystack, grid: Grid, sampled, tol):
+    """(battery, implicit) verdicts of each slice of a (B, *grid.shape)
+    stack of envelopes: the line battery of ``convexity.batch_is_convex``,
+    and midpoint convexity (alpha = 0.5): no +-1-step triple along any
+    line direction and none of the sampled (z1, z2, mid) triples violated.
 
     The stack is scanned a chunk of about ``windows._TILE_BYTES`` at a
-    time, each chunk copied contiguous. The adjacent triples of a whole
-    chunk are decided at once, one flat shift per line direction, and a
-    triple counts only where its mid is a valid mid of its own slice.
-    The sampled triples are gathered only for the slices that pass.
+    time, each chunk copied contiguous once for both deciders. The
+    adjacent triples of a whole chunk are decided at once, one flat shift
+    per line direction, and a triple counts only where its mid is a valid
+    mid of its own slice. The sampled triples are gathered only for the
+    slices that pass.
     """
-    zshape = ystack.shape[1:]
-    n = int(np.prod(zshape))
+    n = grid.size
     tiles = _tiles(len(ystack), n * ystack.itemsize)
     size = len(ystack[tiles[0]]) if tiles else 0
     steps = [(o, np.tile(valid, size))
-             for o, valid in _mandatory_steps(zshape)]
+             for o, valid in _mandatory_steps(grid.shape)]
+    battery = np.empty(len(ystack), dtype=bool)
     out = np.empty(len(ystack), dtype=bool)
     for t in tiles:
-        chunk = np.ascontiguousarray(ystack[t]).reshape(-1, n)
+        chunk = np.ascontiguousarray(ystack[t])
+        battery[t] = _chunk_ok(chunk, grid.dim, tol)
+        chunk = chunk.reshape(-1, n)
         g = chunk.reshape(-1)
         bad = np.zeros(len(g), dtype=bool)
         for o, valid in steps:
@@ -303,7 +307,7 @@ def _implicit_verdicts(ystack, sampled, tol):
             ends = (np.take(chunk[rows], z, axis=1) for z in sampled)
             ok[rows] = ~_violations(*ends, 0.5, tol).any(axis=1)
         out[t] = ok
-    return out
+    return battery, out
 
 
 def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
@@ -380,9 +384,6 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     ygrid = bA.ygrid
     xgrid = bA.xgrid
     stol = 1e-9 * (1.0 + abs(bA.finite_max)) if tol is None else tol
-    ystack = _yslice_stack(bA.vals, xgrid.dim)
-    v1 = batch_is_convex(ystack, xgrid, stol)
-
     gtol = default_graph_tol(xgrid, ygrid)
     graph_eq = graphs_match_within(
         graph_of(bA, gtol),
@@ -390,7 +391,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
 
     rng = np.random.default_rng(seed)
     s1, s2, smid, meta = _pair_sample(xgrid.shape, 0.5, pair_cap, rng)
-    v2 = _implicit_verdicts(ystack, (s1, s2, smid), stol)
+    v1, v2 = _slice_verdicts(_yslice_stack(bA.vals, xgrid.dim), xgrid,
+                             (s1, s2, smid), stol)
 
     verdict1 = bool(v1.all() and graph_eq)
     verdict2 = bool(v2.all())

@@ -319,6 +319,20 @@ class TestCheckSync:
                     ("attained-min-zero", want[:2], want[2])
         assert 0 < failures < 40
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", [Grid.line(-1e160, 1e160, 9),
+                                      Grid.box(-1e154, 1e154, 5)])
+    def test_overflowing_pairing_keeps_a_verdict(self, grid):
+        # c = 0 is the sync of <x, y>, which overflows to +-inf at the box
+        # corners; there the cross-check reads c itself
+        assert np.isinf(pairing(grid, grid)).any()
+        c = SampledBivariate(grid, grid, np.zeros(grid.shape * 2))
+        for tol in (None, 1.0):
+            assert check_sync(c, tol).to_lines()[:2] == ["verdict = pass",
+                                                     "axiom = sync"]
+        c = SampledBivariate(grid, grid, np.full(grid.shape * 2, 2.0))
+        assert check_sync(c, 1.0).axiom == "attained-min-zero"
+
     def test_slice_battery_runs_once(self, monkeypatch):
         # the slices of c + <x, y> are c's plus functions linear along every
         # grid line, so the cross-check decides axioms (b) and (c) only

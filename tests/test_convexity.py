@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipot import windows
+from bipot import convexity, windows
+from bipot.bipotentials import check_bbgraph
+from bipot.blur import blur_law
 from bipot.convexity import (_set_scan, batch_is_convex, first_nonconvex,
                              is_convex, is_set_convex)
 from bipot.errors import InvalidInputError
+from bipot.fixtures import (cone_fixture, cone_fixture_params,
+                            elasticity_fixture, elasticity_phi)
 from bipot.grids import Grid, SampledFunction
 from bipot.windows import ball_dilate
 
@@ -385,6 +389,111 @@ class TestSetScan:
         masks = rng.random((200, 9)) < 0.6
         reps = self.check(masks, g)
         assert {r.ok for r in reps} == {True, False}
+
+    @staticmethod
+    def shapes(grid, rng, count):
+        """Digitized discs, ellipses, rotated boxes and diamonds at random
+        centres, strips and one-node-wide lines; each plain, with a random
+        member removed or with a random node added."""
+        a0, a1 = grid.meshgrid()
+        lo, hi = np.array(grid.lo), np.array(grid.hi)
+        span = (hi - lo).max()
+        out = []
+        for k in range(count):
+            c0, c1 = rng.uniform(lo, hi)
+            r = rng.uniform(0.05, 0.6) * span
+            th = rng.uniform(0.0, np.pi)
+            u = (a0 - c0) * np.cos(th) + (a1 - c1) * np.sin(th)
+            w = (a1 - c1) * np.cos(th) - (a0 - c0) * np.sin(th)
+            aspect = rng.uniform(0.1, 1.0)
+            m = [u * u + w * w <= r * r,
+                 (u / r) ** 2 + (w / (aspect * r)) ** 2 <= 1.0,
+                 (np.abs(u) <= r) & (np.abs(w) <= aspect * r),
+                 np.abs(a0 - c0) + np.abs(a1 - c1) / aspect <= r,
+                 np.abs(w) <= rng.uniform(0.0, 0.05) * span,
+                 (a0 == grid.axis(0)[rng.integers(grid.n[0])])
+                 | (a1 == grid.axis(1)[rng.integers(grid.n[1])])][k % 6]
+            m = m.copy()
+            if k % 3 == 1 and m.sum() > 1:
+                m.flat[rng.choice(np.flatnonzero(m))] = False
+            elif k % 3 == 2:
+                m.flat[rng.integers(m.size)] = True
+            if k % 12 == 10:          # a one-node-wide row
+                m[:] = False
+                m[rng.integers(grid.n[0]), :rng.integers(1, grid.n[1])] = True
+            out.append(m)
+        return np.array(out)
+
+    @pytest.mark.parametrize("grid", [Grid.box(-1.0, 1.0, 21),
+                                      Grid.box((-1.0, -2.0), (1.0, 3.0),
+                                               (19, 31)),
+                                      Grid.box((-1.0, -2.0), (1.0, 3.0),
+                                               (27, 9))])
+    def test_digitized_shapes(self, grid):
+        # convex shapes pass the integer accept test or the hull, damaged
+        # ones fail with the hull's witness; C-ordered and transposed-view
+        # stacks (set index fastest in memory) give the same reports
+        masks = self.shapes(grid, np.random.default_rng(grid.n[1]), 300)
+        reps = self.check(masks, grid)
+        view = np.ascontiguousarray(masks.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert self.check(view, grid) == reps
+        assert {r.ok for r in reps} == {True, False}
+        assert any(r.notes for r in reps if r.ok)   # degenerate hulls
+
+    @pytest.mark.parametrize("grid", [Grid.box(0.0, 1e-200, 9),
+                                      Grid.box(1e7, 1e7 + 1.0, 11),
+                                      Grid.box(-1e150, 1e150, 9)])
+    def test_extreme_grids_build_every_hull(self, monkeypatch, grid):
+        # where float depths could stray (tiny steps, coordinates far from
+        # 0 in steps, huge boxes), every set goes through the hull
+        built = []
+        hull = convexity._hull
+        monkeypatch.setattr(convexity, "_hull",
+                            lambda pts: built.append(1) or hull(pts))
+        masks = self.shapes(grid, np.random.default_rng(9), 60)
+        self.check(masks, grid)
+        built.clear()
+        list(_set_scan(masks, grid))
+        assert len(built) == np.count_nonzero(masks.any(axis=(1, 2)))
+
+    def test_convex_sections_build_no_hull(self, monkeypatch):
+        # every section of elasticity's M + A passes without a hull; the
+        # cone's first failing y-section keeps its report
+        built = []
+        hull = convexity._hull
+        monkeypatch.setattr(convexity, "_hull",
+                            lambda pts: built.append(1) or hull(pts))
+        efix = elasticity_fixture(n=25, dim=2)
+        elaw = blur_law(elasticity_phi(efix), efix.spec, efix.ygrid)
+        assert check_bbgraph(elaw.MplusA).ok
+        assert built == []
+        fix = cone_fixture_params(n=25)
+        law = blur_law(cone_fixture(fix).phi, fix.spec, fix.ygrid)
+        assert check_bbgraph(law.MplusA).to_lines() == [
+            "verdict = fail", "axiom = y-section-convex",
+            "witness = (('y', (6, 6)), (1, 1))",
+            "residual = 0.08333333333333341",
+            "note.0 = missing hull-interior node"]
+
+
+def test_near_envelope_matches_every_chord():
+    # a point lies less than 1 above the lower convex envelope iff it lies
+    # less than 1 above every chord over it; 400 runs of 2-12 live points
+    # decided in one call, half of them near-convex
+    rng = np.random.default_rng(8)
+    v = rng.integers(-3, 4, size=(400, 12))
+    v[::2] = v[::2] // 3 + (np.arange(12) - rng.integers(12, size=(200, 1))) ** 2 // 4
+    live = np.zeros(v.shape, dtype=bool)
+    want = []
+    for s in range(len(v)):
+        a = int(rng.integers(0, 11))
+        live[s, a:int(rng.integers(a + 2, 13))] = True
+        pts = np.flatnonzero(live[s])
+        want.append(all(
+            (v[s, i] - v[s, p]) * (q - p) - (v[s, q] - v[s, p]) * (i - p) < q - p
+            for p in pts for q in pts for i in pts if p < i < q))
+    assert 50 < sum(want) < 350
+    assert convexity._near_envelope(v, live).tolist() == want
 
 
 class TestMinFilter:

@@ -8,6 +8,7 @@ from bipot.blur import BlurSpec, blurred_bipotential, blurred_graph
 from bipot.covers import (CoverFamily, build_cover, check_implicitly_convex,
                           check_maithm_equivalence, infimum_bipotential,
                           member_graph_union)
+from bipot.convexity import batch_is_convex
 from bipot.errors import InvalidInputError, ResolutionError
 from bipot.grids import Grid, SampledBivariate, SampledFunction
 from bipot.fixtures import cone_fixture, cone_fixture_params
@@ -290,13 +291,17 @@ class TestFlatMandatoryScan:
     @pytest.mark.parametrize("zshape", [(13,), (7, 10), (10, 7)])
     def test_verdicts_equal_the_slice_loop(self, monkeypatch, zshape):
         # 60 slices in chunks of 1, of 7 (ragged) and whole; exhaustive
-        # aligned pairs, and a strided sample of them
+        # aligned pairs, and a strided sample of them; the line battery of
+        # the same chunks is batch_is_convex's
         rng = np.random.default_rng(sum(zshape))
         stack = _envelope_stack(zshape, rng)
+        grid = Grid(np.zeros(len(zshape)), np.subtract(zshape, 1), zshape)
+        battery = batch_is_convex(stack, grid, 1e-9)
         empty = (np.zeros(0, dtype=np.int64),) * 3
         mandatory_only = envelope_verdicts(stack, empty, 1e-9)
-        assert np.array_equal(
-            covers._implicit_verdicts(stack, empty, 1e-9), mandatory_only)
+        got = covers._slice_verdicts(stack, grid, empty, 1e-9)
+        assert np.array_equal(got[0], battery)
+        assert np.array_equal(got[1], mandatory_only)
         for cap in (10 ** 6, 97):
             z1, z2, mid, _ = covers._pair_sample(
                 zshape, 0.5, cap, np.random.default_rng(3))
@@ -308,5 +313,6 @@ class TestFlatMandatoryScan:
             for slices in (1, 7, len(stack)):
                 monkeypatch.setattr(windows, "_TILE_BYTES",
                                     slices * stack[0].nbytes)
-                got = covers._implicit_verdicts(stack, (z1, z2, mid), 1e-9)
-                assert np.array_equal(got, want), (cap, slices)
+                got = covers._slice_verdicts(stack, grid, (z1, z2, mid), 1e-9)
+                assert np.array_equal(got[0], battery), (cap, slices)
+                assert np.array_equal(got[1], want), (cap, slices)

@@ -17,9 +17,10 @@ def test_first_outcome_line():
     assert list(digests) == ["cA", "bA", "MA", "inf"]
     # the cover's infimum is b_A bit for bit
     assert digests["inf"] == digests["bA"]
-    assert [f.split(":")[0] for f in fields[4:]] == [
+    assert [f.split(":")[0] for f in fields[4:-1]] == [
         "bip-bA", "sync-cA", "bbgraph-MA", "bip-separable",
         "implicit@0", "implicit@50", "implicit@100", "maithm"]
+    assert fields[-1].startswith("newc-all=")
     # the separable law phi + phi* reaches the three-way equivalence
     assert fields[7].startswith("bip-separable: verdict = pass")
     assert "error =" not in line

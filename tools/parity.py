@@ -22,7 +22,9 @@ separated by " | ":
                   cover's ``values_at(Y)``, at the first, middle and last
                   y-node of the diagonal;
   maithm          ``check_maithm_equivalence``'s report lines (cap 20000,
-                  seed 1).
+                  seed 1);
+  newc-all        the sha256 prefix of the bytes of ``check_newc_all``'s
+                  verdicts, which pins the set scan where most U(y) fail.
 
 An outcome that raises ends with "error = <class>: <message>" instead.
 
@@ -90,7 +92,7 @@ def _lines(tag, rep) -> str:
 def _fields(phi, eps, ygrid):
     from bipot.bipotentials import (check_bbgraph, check_bipotential,
                                     check_sync, separable)
-    from bipot.blur import BlurSpec, blur_law
+    from bipot.blur import BlurSpec, blur_law, check_newc_all
     from bipot.covers import (build_cover, check_implicitly_convex,
                               check_maithm_equivalence, infimum_bipotential)
 
@@ -112,6 +114,7 @@ def _fields(phi, eps, ygrid):
                      check_implicitly_convex(fam.values_at(y)))
     yield _lines("maithm", check_maithm_equivalence(
         phi, eps, ygrid=ygrid, pair_cap=20000, seed=1))
+    yield f"newc-all={_digest(check_newc_all(phi, eps, ygrid=ygrid))}"
 
 
 def corpus_lines():
