@@ -22,6 +22,7 @@ larger pair sets are capped by seeded stratified subsampling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,9 +184,37 @@ def _require_seed(seed) -> None:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
+def _aligned_pairs(z1, mg, zshape, alpha):
+    """Flat (z1, z2, mid) triples of the pairs from the nodes z1 to every
+    other node whose alpha-point is a node (within 1e-9), z1-major; mg
+    holds each node's index along every axis."""
+    n = int(np.prod(zshape))
+    i1 = np.repeat(z1, n)
+    i2 = np.tile(np.arange(n), len(z1))
+    keep = i1 != i2
+    i1, i2 = i1[keep], i2[keep]
+    mids = []
+    ok = np.ones(len(i1), dtype=bool)
+    for d in range(len(zshape)):
+        m = alpha * mg[d][i1] + (1.0 - alpha) * mg[d][i2]
+        r = np.rint(m)
+        ok &= np.abs(m - r) <= 1e-9
+        mids.append(r.astype(np.int64))
+    mid = np.ravel_multi_index(tuple(m[ok] for m in mids), zshape)
+    return i1[ok], i2[ok], mid
+
+
 def _pair_sample(zshape, alpha, cap, rng):
     """Aligned (z1, z2, mid) triples for one alpha: exhaustive when the
-    pair count fits the cap, otherwise seeded stratified subsampling."""
+    pair count fits the cap, otherwise seeded stratified subsampling.
+
+    rng is a zero-argument callable giving the seeded numpy Generator. It
+    is called only when the sample draws (a strided phase, or sampled
+    mode), so the exhaustive mode makes none. The exhaustive pairs are
+    listed z1-major, the candidates of a tile of z1 nodes (about
+    ``windows._TILE_BYTES`` of them) at a time, so only the aligned pairs
+    are ever held whole.
+    """
     dims = len(zshape)
     n = int(np.prod(zshape))
     beta = 1.0 - alpha
@@ -193,40 +222,30 @@ def _pair_sample(zshape, alpha, cap, rng):
     if n * n <= max(cap, 4 * n):
         flat = np.arange(n)
         mg = np.unravel_index(flat, zshape)
-        i1 = np.repeat(flat, n)
-        i2 = np.tile(flat, n)
-        keep = i1 != i2
-        i1, i2 = i1[keep], i2[keep]
-        mids = []
-        ok = np.ones(len(i1), dtype=bool)
-        for d in range(dims):
-            a1 = mg[d][i1]
-            a2 = mg[d][i2]
-            m = alpha * a1 + beta * a2
-            r = np.rint(m)
-            ok &= np.abs(m - r) <= 1e-9
-            mids.append(r.astype(np.int64))
-        i1, i2 = i1[ok], i2[ok]
-        mid = np.ravel_multi_index(tuple(m[ok] for m in mids), zshape)
+        pieces = [_aligned_pairs(flat[t], mg, zshape, alpha)
+                  for t in _tiles(n, n * flat.itemsize)]
+        i1, i2, mid = map(np.concatenate, zip(*pieces))
+        del pieces
         if len(i1) == 0:
             raise InvalidInputError("grid too coarse for alpha set")
         if len(i1) <= cap:
             return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
         step = -(-len(i1) // cap)
-        phase = int(rng.integers(0, step))
+        phase = int(rng().integers(0, step))
         sel = np.arange(phase, len(i1), step)
         return (i1[sel], i2[sel], mid[sel],
                 f"mode=strided pairs={len(sel)} stride={step} phase={phase}")
 
     # large z-grid: draw z1 uniformly, z2 from the aligned lattice around it
+    gen = rng()
     tries = 0
     got1, got2 = [], []
     want = cap
     while sum(len(g) for g in got1) < want and tries < 30:
         tries += 1
         k = want
-        c1 = [rng.integers(0, s, size=k) for s in zshape]
-        c2 = [rng.integers(0, s, size=k) for s in zshape]
+        c1 = [gen.integers(0, s, size=k) for s in zshape]
+        c2 = [gen.integers(0, s, size=k) for s in zshape]
         ok = np.ones(k, dtype=bool)
         for d in range(dims):
             m = alpha * c1[d] + beta * c2[d]
@@ -278,7 +297,9 @@ def _slice_verdicts(ystack, grid: Grid, sampled, tol):
     adjacent triples of a whole chunk are decided at once, one flat shift
     per line direction, and a triple counts only where its mid is a valid
     mid of its own slice. The sampled triples are gathered only for the
-    slices that pass.
+    slices that pass, in (slices x triples) tiles of about
+    ``windows._TILE_BYTES`` each: one slice's triples are split into
+    several tiles when they are more than that.
     """
     n = grid.size
     tiles = _tiles(len(ystack), n * ystack.itemsize)
@@ -287,6 +308,7 @@ def _slice_verdicts(ystack, grid: Grid, sampled, tol):
              for o, valid in _mandatory_steps(grid.shape)]
     battery = np.empty(len(ystack), dtype=bool)
     out = np.empty(len(ystack), dtype=bool)
+    ends = np.empty((3, 0))   # gathered end values, reused by every tile
     for t in tiles:
         chunk = np.ascontiguousarray(ystack[t])
         battery[t] = _chunk_ok(chunk, grid.dim, tol)
@@ -304,10 +326,37 @@ def _slice_verdicts(ystack, grid: Grid, sampled, tol):
         keep = np.flatnonzero(ok)
         for u in _tiles(len(keep), len(sampled[0]) * ystack.itemsize):
             rows = keep[u]
-            ends = (np.take(chunk[rows], z, axis=1) for z in sampled)
-            ok[rows] = ~_violations(*ends, 0.5, tol).any(axis=1)
+            sub = chunk[rows]
+            for v in _tiles(len(sampled[0]), len(rows) * ystack.itemsize):
+                trip = [z[v] for z in sampled]
+                if ends.shape[1] < len(rows) * len(trip[0]):
+                    ends = np.empty((3, len(rows) * len(trip[0])))
+                ok[rows] &= ~_sampled_violations(sub, trip, tol, ends)
         out[t] = ok
     return battery, out
+
+
+def _sampled_violations(sub, triples, tol, ends):
+    """Per row of sub, is some (z1, z2, mid) of triples violated, as
+    ``_violations`` decides at alpha = 0.5?
+
+    The end values are gathered into ends, a float array of shape (3, at
+    least rows x triples) that the caller reuses from tile to tile, and
+    the chord is formed there in place, so that a tile allocates only its
+    flags (``take`` in mode "clip": in mode "raise" it buffers its out;
+    the indices are in range). ``_violations``' isfinite test is left
+    out: sub holds extended reals, and an infinite end makes the chord
+    +inf, which no mid value exceeds.
+    """
+    shape = (len(sub), len(triples[0]))
+    g1, g2, gm = (np.take(sub, z, axis=1, mode="clip",
+                          out=e[:shape[0] * shape[1]].reshape(shape))
+                  for z, e in zip(triples, ends))
+    g1 *= 0.5
+    g2 *= 0.5
+    g1 += g2
+    g1 += tol
+    return (gm > g1).any(axis=1)
 
 
 def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
@@ -338,7 +387,8 @@ def check_implicitly_convex(values: np.ndarray, alphas=(0.5,),
     if tol is None:
         fin = np.isfinite(gflat)
         tol = 1e-9 * (1.0 + (np.abs(gflat[fin]).max() if fin.any() else 0.0))
-    rng = np.random.default_rng(seed)
+    # one generator for every alpha, made at the first draw
+    rng = functools.cache(lambda: np.random.default_rng(seed))
 
     notes = [f"seed = {seed}", f"cap = {pair_cap}"]
     for alpha in alphas:
@@ -389,8 +439,8 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
         graph_of(bA, gtol),
         GraphSet(xgrid, ygrid, _blurred_mask(phi, star, eps, gtol)), 1)
 
-    rng = np.random.default_rng(seed)
-    s1, s2, smid, meta = _pair_sample(xgrid.shape, 0.5, pair_cap, rng)
+    s1, s2, smid, meta = _pair_sample(xgrid.shape, 0.5, pair_cap,
+                                      lambda: np.random.default_rng(seed))
     v1, v2 = _slice_verdicts(_yslice_stack(bA.vals, xgrid.dim), xgrid,
                              (s1, s2, smid), stol)
 

@@ -283,11 +283,15 @@ class SampledBivariate:
 
 # --- CSV plumbing -----------------------------------------------------------
 
-# Both codecs work on blocks of rows, so their working memory is O(block)
-# plus the arrays they read or write. The writer's block is one run of the
-# last axis; the reader's is a readlines hint in characters, about 24k rows
-# of a 1-D bivariate file.
-_BLOCK_CHARS = 1 << 20
+# Both codecs work on blocks of rows. The writer's block is one run of the
+# last axis, so beyond the array it writes it holds O(block). The reader's
+# block is a readlines hint in characters, about 6k rows of a 1-D
+# bivariate file; as str objects its lines take about 2.5 bytes a
+# character. The grid reader keeps the parsed blocks without joining them,
+# takes the axes and checks the row order block by block and copies the
+# value column out once, so it holds the parsed rows, the values and a
+# block of text.
+_BLOCK_CHARS = 1 << 18
 
 
 def _tokens(a: np.ndarray) -> list[str]:
@@ -326,27 +330,37 @@ def _open_csv(path):
         raise FormatError(f"{path}: not valid UTF-8 text") from None
 
 
-def _read_rows(fh, ncoord: int, value_col: bool = True) -> np.ndarray:
-    """The rows after FH's one-line header as an (nrows, ncoord + value_col)
-    float array, a block of lines at a time.
+def _row_blocks(fh, ncoord: int, value_col: bool = True):
+    """The rows after FH's one-line header as (nrows, ncoord + value_col)
+    float arrays, one per block of lines read; a block of blank lines
+    gives none.
 
     Blank lines are skipped. Every field is a real or +inf (token ``inf``);
     the first ``ncoord`` fields of a row are coordinates and must be
     finite. The first bad line raises a FormatError with its number.
     """
     nfields = ncoord + value_col
-    blocks = []
     lineno = 2
     while lines := fh.readlines(_BLOCK_CHARS):
+        count = len(lines)
         rows = [ln for ln in lines if not ln.isspace()]
+        block = None
         if rows:
             block = _parse_block(rows, nfields, ncoord)
             if block is None:
                 block = _parse_lines(lines, lineno, nfields, ncoord)
-            blocks.append(block)
-        lineno += len(lines)
+        del lines, rows   # the text is freed before the caller works
+        if block is not None:
+            yield block
+        lineno += count
+
+
+def _read_rows(fh, ncoord: int, value_col: bool = True) -> np.ndarray:
+    """The rows of ``_row_blocks`` as one (nrows, ncoord + value_col)
+    array."""
+    blocks = list(_row_blocks(fh, ncoord, value_col))
     if not blocks:
-        return np.empty((0, nfields))
+        return np.empty((0, ncoord + value_col))
     return np.concatenate(blocks)
 
 
@@ -417,13 +431,15 @@ def _read_grid_csv(path, n_coord_groups: int):
             raise FormatError("expected 1 or 2 coordinate columns", line=1)
         if n_coord_groups == 2 and ncoord not in (2, 4):
             raise FormatError("expected 2 or 4 coordinate columns", line=1)
-        data = _read_rows(fh, ncoord)
+        blocks, uniqs = [], [[] for _ in range(ncoord)]
+        for block in _row_blocks(fh, ncoord):
+            blocks.append(block)
+            for k in range(ncoord):
+                uniqs[k].append(np.unique(block[:, k]))
 
-    coords = [data[:, k] for k in range(ncoord)]
-    values = data[:, -1]
     axes, his = [], []
     for k in range(ncoord):
-        uniq = np.unique(coords[k])
+        uniq = _column_axis([b[:, k] for b in blocks], uniqs[k])
         if len(uniq) < 3:
             raise FormatError(f"column {k}: fewer than 3 distinct coordinates")
         hi = _node_hi(uniq)
@@ -432,17 +448,28 @@ def _read_grid_csv(path, n_coord_groups: int):
         axes.append(uniq)
         his.append(hi)
     shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != len(values):
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    if int(np.prod(shape)) != starts[-1]:
         raise FormatError(
-            f"got {len(values)} rows, expected {int(np.prod(shape))} "
+            f"got {starts[-1]} rows, expected {int(np.prod(shape))} "
             "(full row-major product grid)")
 
-    # verify row-major ordering of the coordinate columns
+    # verify row-major ordering of the coordinate columns: row r holds
+    # node (r // rep_right) % n_k of axis k
     for k, ax in enumerate(axes):
         rep_right = int(np.prod(shape[k + 1:], dtype=np.int64))
-        expected = np.tile(np.repeat(ax, rep_right), int(np.prod(shape[:k], dtype=np.int64)))
-        if not np.array_equal(coords[k], expected):
-            raise FormatError(f"column {k}: rows are not in row-major node order")
+        for r0, b in zip(starts, blocks):
+            node = np.arange(r0, r0 + len(b)) // rep_right % shape[k]
+            if not np.array_equal(b[:, k], ax[node]):
+                raise FormatError(
+                    f"column {k}: rows are not in row-major node order")
+
+    # read-only, so that as_ext_array keeps it; each block goes once copied
+    values = np.empty(starts[-1])
+    for r0 in starts[:-1]:
+        b = blocks.pop(0)
+        values[r0:r0 + len(b)] = b[:, -1]
+    values.flags.writeable = False
 
     def make_grid(ks):
         return Grid(tuple(axes[k][0] for k in ks), tuple(his[k] for k in ks),
@@ -451,6 +478,27 @@ def _read_grid_csv(path, n_coord_groups: int):
     half = ncoord // n_coord_groups
     grids = tuple(make_grid(range(s, s + half)) for s in range(0, ncoord, half))
     return grids, values.reshape(shape)
+
+
+def _column_axis(cols, uniqs) -> np.ndarray:
+    """``np.unique`` of a column given as blocks COLS, from the blocks' own
+    uniques UNIQS.
+
+    Equal finite floats differ in their bits only as -0.0 and 0.0, so the
+    merged uniques are the column's own unless the column holds both
+    zeros. Which zero ``np.unique`` then keeps depends on the order of
+    the whole column, so that column is joined and passed to it.
+    """
+    axis = np.unique(np.concatenate(uniqs)) if uniqs else np.empty(0)
+    if (axis == 0).any():
+        neg = pos = False
+        for col in cols:
+            sign = np.signbit(col[col == 0])
+            neg |= bool(sign.any())
+            pos |= not sign.all()
+        if neg and pos:
+            axis = np.unique(np.concatenate(cols))
+    return axis
 
 
 def _on_axis(nodes: np.ndarray, hi: float) -> bool:

@@ -9,6 +9,8 @@ dilation, the whole y-major Fenchel-Young set ``fenchel_young_mask``
 behind the x-tiled one that M + A and newc read, the offset-by-offset
 window ``shifted_window_reduce`` behind the padded chord sweeps, the
 slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan,
+``pair_sample_whole``, every candidate pair in one array behind the
+z1-tiled exhaustive pairs of ``covers._pair_sample``,
 ``check_bipotential_whole``, axioms (b) and (c) on whole product arrays
 behind the x-tiled sync of ``check_bipotential``, and
 ``per_diagonal_is_convex``, the line battery with one scan per diagonal
@@ -230,6 +232,64 @@ def envelope_verdicts(ystack, sampled, tol):
                     out[s] = False
                     break
     return out
+
+
+def pair_sample_whole(zshape, alpha, cap, rng):
+    """``covers._pair_sample`` listing every candidate pair of the z-grid
+    in one n^2 array; rng is the numpy Generator itself, drawn from only
+    in the strided and sampled modes."""
+    dims = len(zshape)
+    n = int(np.prod(zshape))
+    beta = 1.0 - alpha
+
+    if n * n <= max(cap, 4 * n):
+        flat = np.arange(n)
+        mg = np.unravel_index(flat, zshape)
+        i1 = np.repeat(flat, n)
+        i2 = np.tile(flat, n)
+        keep = i1 != i2
+        i1, i2 = i1[keep], i2[keep]
+        mids = []
+        ok = np.ones(len(i1), dtype=bool)
+        for d in range(dims):
+            m = alpha * mg[d][i1] + beta * mg[d][i2]
+            r = np.rint(m)
+            ok &= np.abs(m - r) <= 1e-9
+            mids.append(r.astype(np.int64))
+        i1, i2 = i1[ok], i2[ok]
+        mid = np.ravel_multi_index(tuple(m[ok] for m in mids), zshape)
+        if len(i1) == 0:
+            raise InvalidInputError("grid too coarse for alpha set")
+        if len(i1) <= cap:
+            return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
+        step = -(-len(i1) // cap)
+        phase = int(rng.integers(0, step))
+        sel = np.arange(phase, len(i1), step)
+        return (i1[sel], i2[sel], mid[sel],
+                f"mode=strided pairs={len(sel)} stride={step} phase={phase}")
+
+    tries = 0
+    got1, got2 = [], []
+    while sum(len(g) for g in got1) < cap and tries < 30:
+        tries += 1
+        c1 = [rng.integers(0, s, size=cap) for s in zshape]
+        c2 = [rng.integers(0, s, size=cap) for s in zshape]
+        ok = np.ones(cap, dtype=bool)
+        for d in range(dims):
+            m = alpha * c1[d] + beta * c2[d]
+            ok &= np.abs(m - np.rint(m)) <= 1e-9
+        ok &= ~np.all([c1[d] == c2[d] for d in range(dims)], axis=0)
+        if ok.any():
+            got1.append(np.stack([c[ok] for c in c1], axis=-1))
+            got2.append(np.stack([c[ok] for c in c2], axis=-1))
+    if not got1:
+        raise InvalidInputError("grid too coarse for alpha set")
+    a1 = np.concatenate(got1)[:cap]
+    a2 = np.concatenate(got2)[:cap]
+    mid = np.rint(alpha * a1 + beta * a2).astype(np.int64)
+    flat = lambda ix: np.ravel_multi_index(tuple(ix.T), zshape)
+    return (flat(a1), flat(a2), flat(mid),
+            f"mode=sampled pairs={len(a1)} cap={cap}")
 
 
 def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):

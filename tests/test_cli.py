@@ -101,6 +101,37 @@ def test_conjugate_roundtrip(run_cli, tmp_path, quad_csv):
     assert np.abs(star.vals[core] - 0.5 * ys[core] ** 2).max() <= 0.01
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "bipotential"],
+    ["conjugate", "--out", "star.csv"],
+])
+def test_input_piped_through_dev_stdin(run_cli, cli_env, tmp_path, command):
+    # the grid readers read a pipe front to back and never seek
+    g = Grid.line(-2.0, 2.0, 41)
+    if command[0] == "check":
+        src = SampledBivariate.from_callable(
+            g, g, lambda x, y: 0.5 * (x * x + y * y))
+    else:
+        src = SampledFunction.from_callable(g, lambda x: 0.5 * x * x)
+    src.to_csv(tmp_path / "in.csv")
+    text = (tmp_path / "in.csv").read_text()
+    (tmp_path / "path").mkdir()
+    (tmp_path / "pipe").mkdir()
+    args = [*command, "--report", "rep.txt", "--input"]
+    r = run_cli([*args, str(tmp_path / "in.csv")], tmp_path / "path")
+    assert r.returncode == 0, r.stdout + r.stderr
+    r = subprocess.run([sys.executable, "-m", "bipot.cli", *args, "/dev/stdin"],
+                       cwd=tmp_path / "pipe", env=cli_env, input=text,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+    for name in ["rep.txt"] + (["star.csv"] if "--out" in command else []):
+        got = (tmp_path / "pipe" / name).read_text()
+        want = (tmp_path / "path" / name).read_text()
+        assert got == want.replace(f"input = {tmp_path / 'in.csv'}\n",
+                                   "input = /dev/stdin\n")
+    assert "input = /dev/stdin\n" in (tmp_path / "pipe" / "rep.txt").read_text()
+
+
 def test_conjugate_missing_file_exits_2(run_cli, tmp_path):
     r = run_cli(["conjugate", "--input", "nope.csv"], tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr

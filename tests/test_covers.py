@@ -15,7 +15,8 @@ from bipot.fixtures import cone_fixture, cone_fixture_params
 from bipot.sampling import random_convex_1d
 
 from oracles import (adjacent_triples, cover_member, envelope_verdicts,
-                     explicit_graph_union, explicit_infimum, reparameterize)
+                     explicit_graph_union, explicit_infimum, pair_sample_whole,
+                     reparameterize)
 
 
 def member(fam, off):
@@ -304,7 +305,7 @@ class TestFlatMandatoryScan:
         assert np.array_equal(got[1], mandatory_only)
         for cap in (10 ** 6, 97):
             z1, z2, mid, _ = covers._pair_sample(
-                zshape, 0.5, cap, np.random.default_rng(3))
+                zshape, 0.5, cap, lambda: np.random.default_rng(3))
             want = envelope_verdicts(stack, (z1, z2, mid), 1e-9)
             # slices that pass every +-1-step triple but fail a wider pair
             if cap > 10 ** 5:
@@ -316,3 +317,54 @@ class TestFlatMandatoryScan:
                 got = covers._slice_verdicts(stack, grid, (z1, z2, mid), 1e-9)
                 assert np.array_equal(got[0], battery), (cap, slices)
                 assert np.array_equal(got[1], want), (cap, slices)
+
+
+class TestPairSampleTiles:
+    # (zshape, cap, a mode some alpha reaches): the strided mode needs
+    # n^2 <= 4n, so n <= 4
+    CASES = [((13,), 10 ** 6, "exhaustive"), ((6, 5), 10 ** 6, "exhaustive"),
+             ((4,), 3, "strided"), ((1, 4), 3, "strided"),
+             ((3,), 1, "strided"), ((13,), 60, "sampled"),
+             ((6, 5), 300, "sampled")]
+
+    @pytest.mark.parametrize("tile_bytes", [8, 100, windows._TILE_BYTES])
+    @pytest.mark.parametrize("zshape, cap, mode", CASES)
+    def test_tiles_list_the_whole_arrays_pairs(self, monkeypatch, tile_bytes,
+                                               zshape, cap, mode):
+        # one z1 node, a few, or all of them per tile
+        monkeypatch.setattr(windows, "_TILE_BYTES", tile_bytes)
+        modes = set()
+        for alpha in (0.5, 1 / 3, 0.25):
+            for seed in range(4):
+                try:
+                    want = pair_sample_whole(zshape, alpha, cap,
+                                             np.random.default_rng(seed))
+                except InvalidInputError as err:
+                    with pytest.raises(InvalidInputError, match=str(err)):
+                        covers._pair_sample(
+                            zshape, alpha, cap,
+                            lambda: np.random.default_rng(seed))
+                    continue
+                got = covers._pair_sample(zshape, alpha, cap,
+                                          lambda: np.random.default_rng(seed))
+                for a, b in zip(got[:3], want[:3]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert got[3] == want[3]
+                modes.add(got[3].split()[0])
+        assert f"mode={mode}" in modes
+
+    @pytest.mark.parametrize("zshape", [(13,), (7, 10)])
+    def test_one_slices_triples_split_over_tiles(self, monkeypatch, zshape):
+        # tiles of 1, 3 and 8 triples, far fewer than one slice has
+        rng = np.random.default_rng(sum(zshape) + 1)
+        stack = _envelope_stack(zshape, rng)
+        grid = Grid(np.zeros(len(zshape)), np.subtract(zshape, 1), zshape)
+        z1, z2, mid, _ = covers._pair_sample(
+            zshape, 0.5, 10 ** 6, lambda: np.random.default_rng(0))
+        want = envelope_verdicts(stack, (z1, z2, mid), 1e-9)
+        assert 0 < want.sum() < len(stack)
+        for tile_bytes in (8, 24, 64):
+            assert len(z1) * 8 > tile_bytes
+            monkeypatch.setattr(windows, "_TILE_BYTES", tile_bytes)
+            got = covers._slice_verdicts(stack, grid, (z1, z2, mid), 1e-9)
+            assert np.array_equal(got[1], want), tile_bytes

@@ -237,6 +237,68 @@ class TestCsvCodecs:
         assert back.vals.tobytes() == expected.vals.tobytes()
         assert back.xgrid == expected.xgrid and back.ygrid == expected.ygrid
 
+    def _message(self, p, text):
+        p.write_text(text)
+        with pytest.raises(FormatError) as err:
+            SampledBivariate.read_csv(p)
+        return str(err.value)
+
+    def test_reader_errors_in_file_order(self, tmp_path, blocks):
+        # the grid checks run on the blocks as they were read, and refuse
+        # a file with the messages a whole-file check gives
+        p, lines = self._bivariate_file(tmp_path, n=9)
+        rows = lines[1:-1]
+        head = lines[0] + "\n"
+
+        def text(body):
+            return head + "".join(r + "\n" for r in body)
+
+        swapped = rows.copy()   # (x0, y3) and (x3, y2): x out of order
+        swapped[3], swapped[29] = swapped[29], swapped[3]
+        assert self._message(p, text(swapped)) == (
+            "column 0: rows are not in row-major node order")
+        swapped = rows.copy()   # two y-nodes of x8, in the last block
+        swapped[75], swapped[77] = swapped[77], swapped[75]
+        assert self._message(p, text(swapped)) == (
+            "column 1: rows are not in row-major node order")
+        assert self._message(p, text(rows[:40] + rows[41:])) == (
+            "got 80 rows, expected 81 (full row-major product grid)")
+        # a tenth y-coordinate, 0.3 off the y-nodes' 0.5 spacing
+        bent = rows.copy()
+        bent[60] = ",".join(bent[60].split(",")[:1] + ["0.3", "1.0"])
+        assert self._message(p, text(bent)) == (
+            "column 1: coordinates are not uniformly spaced")
+        narrow = [f"{x},{y},0.0" for x in (0.0, 1.0) for y in range(9)]
+        assert self._message(p, text(narrow)) == (
+            "column 0: fewer than 3 distinct coordinates")
+        # blocks (at _BLOCK_CHARS = 64) of blank lines alone, then a bad
+        # token: its line number counts every blank line
+        p.write_text(text(rows))
+        clean = SampledBivariate.read_csv(p).vals.tobytes()
+        spaced = rows[:20] + [""] * 140 + rows[20:]
+        p.write_text(text(spaced))
+        assert SampledBivariate.read_csv(p).vals.tobytes() == clean
+        spaced[165] = spaced[165].rsplit(",", 1)[0] + ",zardoz"
+        assert self._message(p, text(spaced)) == (
+            "line 167: not an extended real: 'zardoz'")
+
+    @pytest.mark.parametrize("first", ["-0.0", "0.0"])
+    def test_mixed_zero_axis_keeps_uniques_zero(self, tmp_path, blocks,
+                                                first):
+        # x-node 0 typed as both zeros: the grid starts at the zero that
+        # np.unique keeps for the whole column
+        other = "0.0" if first == "-0.0" else "-0.0"
+        xs = [first] * 2 + [other] * 3 + ["0.5"] * 5 + ["1.0"] * 5
+        body = "".join(f"{x},{y},{v}\n" for x, (y, v) in zip(
+            xs, itertools.cycle([(0.0, 1.0), (0.25, 2.0), (0.5, 3.0),
+                                 (0.75, 4.0), (1.0, 5.0)])))
+        p = tmp_path / "b.csv"
+        p.write_text("x,y,value\n" + body)
+        b = SampledBivariate.read_csv(p)
+        zero = np.unique(np.array([float(x) for x in xs]))[0]
+        assert math.copysign(1.0, b.xgrid.lo[0]) == math.copysign(1.0, zero)
+        assert b.xgrid.n == (3,) and b.vals.shape == (3, 5)
+
 
 def _read_outcome(path, ncoord):
     """What ``_read_rows`` makes of PATH: the array's bytes, or the

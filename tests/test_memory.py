@@ -8,12 +8,16 @@ was allocated when it started.
 
 import tracemalloc
 
-from bipot import windows
+import numpy as np
+import pytest
+
+from bipot import grids, windows
 from bipot.bipotentials import check_bipotential, check_sync, separable
 from bipot.blur import blur_law, blurred_graph
+from bipot.covers import check_implicitly_convex, check_maithm_equivalence
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_fixture, elasticity_phi)
-from bipot.grids import Grid, SampledFunction
+from bipot.grids import Grid, SampledBivariate, SampledFunction
 
 
 def traced_peak(fn):
@@ -69,3 +73,55 @@ def test_passing_check_bipotential_allocates_less_than_one_product_array():
     rep, peak = traced_peak(lambda: check_bipotential(b))
     assert rep.ok
     assert peak < b.vals.nbytes
+
+
+def test_grid_csv_read_holds_its_rows_values_and_a_block(tmp_path,
+                                                        monkeypatch):
+    # 401 x 401 nodes: the parsed rows are 3.9 MB and the values 1.3 MB;
+    # the blocks are never joined, and a block of text takes about 2.5
+    # times _BLOCK_CHARS bytes as str objects
+    monkeypatch.setattr(grids, "_BLOCK_CHARS", 1 << 18)
+    g = Grid.line(-2.0, 2.0, 401)
+    b = SampledBivariate.from_callable(g, g, lambda x, y: x * x + y)
+    b.to_csv(tmp_path / "b.csv")
+    small = Grid.line(-2.0, 2.0, 5)
+    SampledBivariate.from_callable(small, small, lambda x, y: x * y).to_csv(
+        tmp_path / "small.csv")
+    SampledBivariate.read_csv(tmp_path / "small.csv")   # one-time set-up
+    back, peak = traced_peak(lambda: SampledBivariate.read_csv(
+        tmp_path / "b.csv"))
+    assert back.vals.tobytes() == b.vals.tobytes()
+    rows = b.vals.size * 3 * 8
+    assert peak <= rows + b.vals.nbytes + 4 * grids._BLOCK_CHARS
+
+
+def test_exhaustive_maithm_holds_its_triples_and_a_few_tiles():
+    # n = 401 at the default cap lists all 80,000 aligned pairs (1.9 MB of
+    # triples) a tile of candidates at a time, never the 160,801 of them
+    # whole; b_A is 1.3 MB
+    g = Grid.line(-2.0, 2.0, 401)
+    phi = SampledFunction.from_callable(g, lambda x: 0.5 * x * x)
+    check_maithm_equivalence(SampledFunction.from_callable(
+        Grid.line(-2.0, 2.0, 41), lambda x: 0.5 * x * x), 0.5)
+    rep, peak = traced_peak(lambda: check_maithm_equivalence(phi, 0.45))
+    assert rep.ok
+    assert "alpha = 0.5: mode=exhaustive pairs=80000" in rep.notes
+    triples = 3 * 80_000 * 8
+    assert peak <= triples + g.size ** 2 * 8 + 10 * windows._TILE_BYTES
+
+
+def test_exhaustive_pairs_build_no_generator(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a generator was built")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    g = Grid.line(-2.0, 2.0, 101)
+    phi = SampledFunction.from_callable(g, lambda x: 0.5 * x * x)
+    rep = check_maithm_equivalence(phi, 0.5)
+    assert "alpha = 0.5: mode=exhaustive pairs=5000" in rep.notes
+    values = np.stack([g.axis(0) ** 2, g.axis(0) ** 2 + 1.0])[:, ::5]
+    rep = check_implicitly_convex(values, alphas=(0.5, 1 / 3))
+    assert rep.ok and all("mode=exhaustive" in note or "mode=adjacent" in note
+                          for note in rep.notes[2:])
+    # a draw does build one
+    with pytest.raises(AssertionError, match="a generator was built"):
+        check_implicitly_convex(values, pair_cap=10)
