@@ -26,7 +26,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _pair_tiles, chebyshev_dilate
+from .windows import _pair_tiles, _tiles, chebyshev_dilate
 
 CLOSEDNESS_NOTE = "bi-closed: vacuously true on a finite grid"
 
@@ -239,20 +239,17 @@ def _unflatten(grid: Grid, flat: int):
 
 def _slice_convexity(b: SampledBivariate, tol: float) -> CheckReport:
     """Axiom (a): every nonempty slice passes the convexity battery."""
-    bad = first_nonconvex(_yslice_stack(b.vals, b.xgrid.dim), b.xgrid, tol)
-    if bad is not None:
-        iy = _unflatten(b.ygrid, bad)
-        detail = is_convex(b.y_slice(iy), tol)
-        return failing(f"slice-convex[{detail.axiom}]",
-                       (("y", iy), detail.witness), detail.residual,
-                       "slice b(., y) fails the line battery")
-    bad = first_nonconvex(_xslice_stack(b.vals, b.xgrid.dim), b.ygrid, tol)
-    if bad is not None:
-        ix = _unflatten(b.xgrid, bad)
-        detail = is_convex(b.x_slice(ix), tol)
-        return failing(f"slice-convex[{detail.axiom}]",
-                       (("x", ix), detail.witness), detail.residual,
-                       "slice b(x, .) fails the line battery")
+    xd = b.xgrid.dim
+    for tag, stack, dom, grid, name in (
+            ("y", _yslice_stack(b.vals, xd), b.xgrid, b.ygrid, "b(., y)"),
+            ("x", _xslice_stack(b.vals, xd), b.ygrid, b.xgrid, "b(x, .)")):
+        bad = first_nonconvex(stack, dom, tol)
+        if bad is not None:
+            detail = is_convex(SampledFunction(dom, stack[bad]), tol)
+            return failing(f"slice-convex[{detail.axiom}]",
+                           ((tag, _unflatten(grid, bad)), detail.witness),
+                           detail.residual,
+                           f"slice {name} fails the line battery")
     return passing("slice-convex")
 
 
@@ -366,12 +363,17 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     the box). Axiom (a) of c + <x, y> is not run again: each of its slices
     is c's slice plus a function linear along every grid line, so the
     second differences are c's.
+
+    No product array is held whole. The slice minima are taken a tile of
+    slices at a time (``windows._tiles``), with <x, y> formed only at each
+    slice's first argmin, in the bits of ``grids.pairing``; the
+    cross-check reads c + <x, y> an x-tile at a time (``_sync_axioms``).
     """
     require_tol(tol)
     scale = 1.0 + abs(c.finite_max)
     neg_tol = 1e-9 * scale if tol is None else tol
-    neg = c.vals < -neg_tol
-    if neg.any():
+    if c.vals.min() < -neg_tol:
+        neg = c.vals < -neg_tol   # only to locate the first failure
         idx = np.unravel_index(int(np.argmax(neg)), neg.shape)
         return failing("nonnegative", tuple(int(i) for i in idx),
                        float(c.vals[idx]))
@@ -380,40 +382,40 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     if not rep.ok:
         return rep
 
-    P = c.pairing()
     h = max(max(c.xgrid.h), max(c.ygrid.h))
     flat_tol = 1e-12 * scale
-    # (x-node, y-node) views: y-slices are the columns, x-slices the rows
+    # (x-node, y-node) views: y-slices are the columns, x-slices the rows;
+    # each slice lives on dom and is indexed by a node of grid
     V = c.vals.reshape(c.xgrid.size, -1)
-    Q = P.reshape(V.shape)
-    for tag, grid, vals, pq, shape in (
-            ("y", c.ygrid, V.T, Q.T, c.xgrid.shape),
-            ("x", c.xgrid, V, Q, c.ygrid.shape)):
-        rows = np.arange(len(vals))
-        arg = vals.argmin(axis=1)   # +inf never wins over a finite value
-        mn = vals[rows, arg]
-        at = np.unravel_index(arg, shape)
-        attained = np.isfinite(mn)
-        for ax, n in enumerate(shape):
-            # the inward neighbor of a minimum on the box edge; off the edge
-            # the step is 0 and the minimum is compared with itself
-            step = (at[ax] == 0).astype(np.intp) - (at[ax] == n - 1)
-            inward = at[:ax] + (at[ax] + step,) + at[ax + 1:]
-            attained &= vals[rows, np.ravel_multi_index(inward, shape)] \
-                <= mn + flat_tol
-        with np.errstate(over="ignore"):
-            mtol = (h * (1.0 + np.abs(pq[rows, arg])) if tol is None
-                    else np.full(len(rows), float(tol)))
-        bad = np.flatnonzero(attained & (mn > mtol))
-        if bad.size:
-            s = int(bad[0])
-            m, t = float(mn[s]), float(mtol[s])
-            return failing("attained-min-zero", (tag, _unflatten(grid, s)), m,
-                           f"slice minimum {m!r} exceeds {t!r}")
+    for tag, grid, vals, dom in (("y", c.ygrid, V.T, c.xgrid),
+                                 ("x", c.xgrid, V, c.ygrid)):
+        for t in _tiles(len(vals), vals.shape[1] * 8):
+            tile = vals[t]
+            rows = np.arange(len(tile))
+            arg = tile.argmin(axis=1)   # +inf never wins over a finite value
+            mn = tile[rows, arg]
+            at = np.unravel_index(arg, dom.shape)
+            attained = np.isfinite(mn)
+            for ax, n in enumerate(dom.shape):
+                # the inward neighbor of a minimum on the box edge; off the
+                # edge the step is 0 and the minimum is compared with itself
+                step = (at[ax] == 0).astype(np.intp) - (at[ax] == n - 1)
+                inward = at[:ax] + (at[ax] + step,) + at[ax + 1:]
+                near = tile[rows, np.ravel_multi_index(inward, dom.shape)]
+                attained &= near <= mn + flat_tol
+            with np.errstate(over="ignore"):
+                # <x, y> at the minima, with the bits of grids.pairing
+                pq = (dom.points[arg] * grid.points[t]).sum(axis=1)
+                mtol = (h * (1.0 + np.abs(pq)) if tol is None
+                        else np.full(len(rows), float(tol)))
+            bad = np.flatnonzero(attained & (mn > mtol))
+            if bad.size:
+                s = int(bad[0])
+                m, tl = float(mn[s]), float(mtol[s])
+                return failing("attained-min-zero",
+                               (tag, _unflatten(grid, t.start + s)), m,
+                               f"slice minimum {m!r} exceeds {tl!r}")
 
-    # the cross-check reads c + <x, y> a tile at a time (c may dip below 0
-    # within neg_tol), so the whole pairing goes first
-    del P, Q, pq
     rep_b = _sync_axioms(c, tol, shifted=True)
     if not rep_b.ok:
         return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
@@ -433,16 +435,15 @@ def check_bbgraph(M: GraphSet) -> CheckReport:
     """
     if M.is_empty:
         raise InvalidInputError("check_bbgraph needs a nonempty graph")
-    flat = M.mask.reshape(M.xgrid.size, M.ygrid.size)
-    for tag, stack, grid, shape in (
-            ("y", flat.T.reshape(-1, *M.xgrid.shape), M.xgrid, M.ygrid.shape),
-            ("x", flat.reshape(-1, *M.ygrid.shape), M.ygrid, M.xgrid.shape)):
-        for b, rep in _set_scan(stack, grid):
+    xd = M.xgrid.dim
+    for tag, stack, dom, grid in (
+            ("y", _yslice_stack(M.mask, xd), M.xgrid, M.ygrid),
+            ("x", _xslice_stack(M.mask, xd), M.ygrid, M.xgrid)):
+        for b, rep in _set_scan(stack, dom):
             if not rep.ok:
-                idx = b if len(shape) == 1 else divmod(b, shape[1])
                 return failing(f"{tag}-section-convex",
-                               ((tag, idx), rep.witness), rep.residual,
-                               *rep.notes)
+                               ((tag, _unflatten(grid, b)), rep.witness),
+                               rep.residual, *rep.notes)
     return passing("bbgraph", CLOSEDNESS_NOTE)
 
 

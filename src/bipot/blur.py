@@ -33,8 +33,8 @@ from typing import Union
 import numpy as np
 
 from . import _kernels
-from .bipotentials import (GraphSet, _sync_tiles, check_bbgraph, check_sync,
-                           default_graph_tol, graphs_match_within)
+from .bipotentials import (GraphSet, _sync_tiles, _yslice_stack, check_bbgraph,
+                           check_sync, default_graph_tol, graphs_match_within)
 from .convexity import _set_scan, is_set_convex
 from .errors import InvalidInputError
 from .extreal import INF
@@ -342,12 +342,11 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
     stack by ``is_set_convex``'s scan.
     """
     star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
-    ygrid = star.grid
-    U = _blurred_mask(phi, star, eps, tol).reshape(phi.grid.size, ygrid.size).T
-    ok = np.ones(ygrid.size, dtype=bool)
-    for j, rep in _set_scan(U.reshape(-1, *phi.grid.shape), phi.grid):
+    U = _yslice_stack(_blurred_mask(phi, star, eps, tol), phi.grid.dim)
+    ok = np.ones(star.grid.size, dtype=bool)
+    for j, rep in _set_scan(U, phi.grid):
         ok[j] = rep.ok
-    return ok.reshape(ygrid.shape)
+    return ok.reshape(star.grid.shape)
 
 
 def minkowski_blur(M: GraphSet, spec: BlurSpec):

@@ -35,9 +35,8 @@ from .convexity import _chunk_ok
 from .errors import InvalidInputError, ResolutionError, require_tol
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, _pair_points
-from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _tiles, ball_offsets, radius_nodes
+from .windows import _tiles, ball_offsets
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -92,15 +91,11 @@ class CoverFamily:
 def build_cover(phi: SampledFunction, eps: float,
                 ygrid: Grid | None = None) -> CoverFamily:
     """Cover of the eps-blur of Graph(d phi); needs eps >= h."""
-    phi.require_domain("build_cover")
-    if ygrid is None:
-        ygrid = phi.grid   # node-aligned dual box by default
-    star = conjugate(phi, ygrid)
-    if radius_nodes(eps, max(star.grid.h)) < 1:
+    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "build_cover")
+    if eps == 0:   # a blur may have radius 0, a cover may not
         raise ResolutionError(
             f"blur radius below grid resolution (eps={eps}, h={max(star.grid.h)})")
-    offsets = tuple(ball_offsets(star.grid, eps))
-    return CoverFamily(phi, star, offsets)
+    return CoverFamily(phi, star, tuple(ball_offsets(star.grid, eps)))
 
 
 def _ball_radius(family: CoverFamily) -> float:

@@ -253,16 +253,6 @@ class SampledBivariate:
         y1, y2 = (m[None, None, :, :] for m in ygrid.meshgrid())
         return cls(xgrid, ygrid, fn(x1, x2, y1, y2))
 
-    def x_slice(self, ix) -> SampledFunction:
-        """The function y -> b(x, y) at a fixed x-node."""
-        return SampledFunction(self.ygrid, self.vals[ix])
-
-    def y_slice(self, iy) -> SampledFunction:
-        """The function x -> b(x, y) at a fixed y-node."""
-        if self.ygrid.dim == 1:
-            return SampledFunction(self.xgrid, self.vals[..., iy])
-        return SampledFunction(self.xgrid, self.vals[..., iy[0], iy[1]])
-
     def pairing(self) -> np.ndarray:
         return pairing(self.xgrid, self.ygrid)
 

@@ -91,8 +91,6 @@ def require_resolvable(eps: float, grid: Grid) -> None:
     """Blur radii must be 0 or at least one node spacing."""
     if eps == 0:
         return
-    if eps < 0:
-        raise InvalidInputError("blur radius must be >= 0")
     if radius_nodes(eps, max(grid.h)) < 1:
         raise ResolutionError(
             f"blur radius below grid resolution (eps={eps}, h={max(grid.h)})")

@@ -176,6 +176,27 @@ class TestCheckBipotential:
             monkeypatch.setattr(windows, "_TILE_BYTES", slices * grid.size * 8)
             assert check_bipotential(b).to_lines() == whole.to_lines()
 
+    @pytest.mark.parametrize("ygrid, witness, residual", [
+        (Grid.line(-1.0, 1.0, 7), (("x", 4), (1,)), -0.07407407407407396),
+        (Grid.box(-1.0, 1.0, 5), (("x", (4, 0)), (0, 1)),
+         -0.16666666666666696)])
+    def test_x_slice_failure_names_its_node(self, ygrid, witness, residual):
+        # b = 3|x|^2 - x1 |y|^2: every y-slice is convex, and the x-slices
+        # with x1 > 0 are concave; unequal grids in 2-D keep the x-node
+        # index apart from the y-node index
+        xgrid = Grid.line(-1.0, 1.0, 7) if ygrid.dim == 1 \
+            else Grid.box(-1.0, 1.0, 7)
+        if xgrid.dim == 1:
+            b = SampledBivariate.from_callable(
+                xgrid, ygrid, lambda x, y: 3 * x * x - x * y * y)
+        else:
+            b = SampledBivariate.from_callable(
+                xgrid, ygrid, lambda x1, x2, y1, y2:
+                3 * (x1 * x1 + x2 * x2) - x1 * (y1 * y1 + y2 * y2))
+        rep = check_bipotential(b)
+        assert (rep.axiom, rep.witness, rep.residual) == \
+            ("slice-convex[second-difference]", witness, residual)
+
 
 def _sync_oracle_cases():
     """(b, tol, axiom, escape note?) cases for the tiled (b) + (c)."""
@@ -286,7 +307,7 @@ class TestCheckSync:
         assert not rep.ok and rep.axiom == "nonnegative"
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_slice_minima_match_loop_reference(self, dim):
+    def test_slice_minima_match_loop_reference(self, dim, monkeypatch):
         # separately convex syncs on a band |x1 - y1 - t| <= w, raised by
         # delta + kappa (x1 - s)^2: some slice minima escape the box at
         # either end, some are +inf-bounded, and some exceed the tolerance
@@ -311,6 +332,10 @@ class TestCheckSync:
                 c.vals, c.pairing(), dim, max(g.h),
                 1e-12 * (1.0 + abs(c.finite_max)))
             rep = check_sync(c)
+            with monkeypatch.context() as m:
+                # 3 slices a tile: most slices lie past the first tile
+                m.setattr(windows, "_TILE_BYTES", 3 * g.size * 8)
+                assert check_sync(c).to_lines() == rep.to_lines()
             if want is None:
                 assert rep.axiom != "attained-min-zero"
             else:
@@ -345,6 +370,16 @@ class TestCheckSync:
         c = sync_from_bipotential(separable(phi, box))
         assert check_sync(c).ok
         assert len(scanned) == 1 and scanned[0] is c
+
+    def test_crosscheck_failure_below_the_tolerance(self):
+        # c = -1e-16 passes c >= -tol and its slice minima, but rounding
+        # (c + <x, y>) - <x, y> takes some pairs below -tol
+        g = Grid.line(-1.0, 1.0, 5)
+        c = SampledBivariate(g, g, np.full((5, 5), -1e-16))
+        rep = check_sync(c, 1e-16)
+        assert (rep.axiom, rep.witness, rep.residual) == \
+            ("psync-crosscheck[duality-lower-bound]", (0, 0),
+             -1.1102230246251565e-16)
 
     def test_psync_equivalence_on_corpus(self, convex_corpus, line_grid):
         for name, phi in convex_corpus.items():

@@ -74,8 +74,9 @@ class TestBuildCover:
 
     def test_sub_resolution_eps_rejected(self, line_grid):
         phi = SampledFunction.from_callable(line_grid, lambda x: 0.5 * x * x)
-        with pytest.raises(ResolutionError):
-            build_cover(phi, line_grid.h[0] / 3, line_grid)
+        for eps in (line_grid.h[0] / 3, 0.0):
+            with pytest.raises(ResolutionError):
+                build_cover(phi, eps, line_grid)
 
 
 class TestInfimum:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from bipot import grids, windows
-from bipot.bipotentials import check_bipotential, check_sync, separable
+from bipot.bipotentials import (check_bipotential, check_sync, separable,
+                                sync_from_bipotential)
 from bipot.blur import blur_law, blurred_graph
 from bipot.covers import check_implicitly_convex, check_maithm_equivalence
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
@@ -74,6 +75,17 @@ def test_passing_check_bipotential_allocates_less_than_one_product_array():
     assert rep.ok
     assert peak < b.vals.nbytes
 
+
+def test_passing_check_sync_allocates_a_quarter_product_array():
+    # 2-D separable x^2/2 at n = 41 passes every sync axiom; the slice
+    # minima are taken a tile of slices at a time, <x, y> is formed only at
+    # the minima, and the cross-check reads c + <x, y> an x-tile at a time
+    g = Grid.box(-2.0, 2.0, 41)
+    c = sync_from_bipotential(separable(SampledFunction.from_callable(
+        g, lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2)), g))
+    rep, peak = traced_peak(lambda: check_sync(c))
+    assert rep.ok
+    assert peak <= 0.25 * c.vals.nbytes
 
 def test_grid_csv_read_holds_its_rows_values_and_a_block(tmp_path,
                                                         monkeypatch):
