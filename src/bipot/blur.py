@@ -3,11 +3,10 @@
 An indeterminacy set A (a BB-graph containing (0, 0)) spreads a
 constitutive law over a tolerance region: the blurred sync is the
 inf-convolution c_A = c (inf-conv) chi_A, the blurred law is
-b_A = c_A + <x, y>, and the blurred graph is M + A. Two shapes of A are
-supported: {0} x (ball of radius eps in Y), realized as a min-filter in y,
-and the product ball ||(x, y)||_p <= eps, realized by an offset sweep.
+b_A = c_A + <x, y>, and the blurred graph is M + A. A is the paper's
+{0} x (closed ball of radius eps in Y), realized as a min-filter in y.
 
-For the y-ball, c_A and b_A share one min-filter in y,
+c_A and b_A share one min-filter in y,
 v(x, y) = min over ||a - y|| <= eps of phi*(a) - <x, a>: c_A = phi(x) + v,
 and b_A = phi(x) + (<x, y> + v) is the direct form
 b_A(x, y) = phi(x) + inf_{||a|| <= eps} [phi*(y - a) + <x, a>] after the
@@ -26,9 +25,7 @@ x-tiles, so each builds its chord plan once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -41,103 +38,40 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate, default_subdiff_tol, x_tol
 from .report import CheckReport, failing, passing
-from .windows import (_ball_window, _pair_tiles, _shift_reduce, _sweep,
-                      ball_dilate, ball_min_filter, ball_offsets,
-                      radius_nodes, require_resolvable)
-
-Y_BALL = "yball"
-PRODUCT_BALL = "product"
+from .windows import (_ball_window, _pair_tiles, _sweep, ball_dilate,
+                      ball_min_filter, ball_offsets, require_resolvable)
 
 
 @dataclass(frozen=True)
 class BlurSpec:
-    """Shape of the indeterminacy set A.
-
-    kind 'yball':  A = {0} x closed ball of radius eps in Y (Euclidean);
-    kind 'product': A = {(x, y) : ||(x, y)||_p <= eps}, the lp norm of all
-    2 * dim coordinates: (||x||_p^p + ||y||_p^p)^(1/p), with lp norms (not
-    Euclidean ones) on X and Y too.
-    Both contain (0, 0) and are BB-graphs by construction.
-    """
+    """The indeterminacy set A = {0} x closed ball of radius eps in Y
+    (Euclidean); it contains (0, 0) and is a BB-graph by construction."""
 
     eps: float
-    kind: str = Y_BALL
-    p: float = 2.0
 
     def __post_init__(self):
         if not self.eps >= 0:   # NaN fails too, as in radius_nodes
             raise InvalidInputError(f"radius must be >= 0, got {self.eps}")
-        if self.kind not in (Y_BALL, PRODUCT_BALL):
-            raise InvalidInputError(f"unknown blur kind {self.kind!r}")
-        if not 1 <= self.p < INF:
-            raise InvalidInputError(f"p must be finite and >= 1, got {self.p}")
-
-    def require_resolvable(self, xgrid: Grid, ygrid: Grid) -> None:
-        if self.kind == Y_BALL:
-            require_resolvable(self.eps, ygrid)
-        else:
-            require_resolvable(self.eps, xgrid)
-            require_resolvable(self.eps, ygrid)
-
-    def product_offsets(self, xgrid: Grid, ygrid: Grid):
-        """(x-offset, y-offset) index pairs inside the product ball."""
-        hs = list(xgrid.h) + list(ygrid.h)
-        ranges = [range(-radius_nodes(self.eps, h), radius_nodes(self.eps, h) + 1)
-                  for h in hs]
-        out = []
-        slack = self.eps * (1.0 + 1e-9)
-        for combo in itertools.product(*ranges):
-            # scaled by the largest term, so no power overflows for a
-            # large p: the norm then tends to the max-norm
-            terms = [abs(d * h) for d, h in zip(combo, hs)]
-            top = max(terms) or 1.0
-            norm = top * sum((t / top) ** self.p
-                             for t in terms) ** (1.0 / self.p)
-            if norm <= slack:
-                d = xgrid.dim
-                xoff = combo[0] if d == 1 else combo[:d]
-                yoff = combo[d] if d == 1 else combo[d:]
-                out.append((xoff, yoff))
-        return out
-
-
-def _product_shifts(spec: BlurSpec, xgrid: Grid, ygrid: Grid):
-    """The product ball's offsets as flat (x..., y...) index shifts."""
-    def flat(off):
-        return (off,) if np.isscalar(off) else tuple(off)
-    return [flat(xoff) + flat(yoff)
-            for xoff, yoff in spec.product_offsets(xgrid, ygrid)]
 
 
 def inf_convolve_blur(c: SampledBivariate, spec: BlurSpec) -> SampledBivariate:
-    """c_A = c (inf-conv) chi_A on the grid.
-
-    y-ball: a per-x min-filter over the eps-ball in y. Product ball:
-    minimum over all node offsets of A, windows clipped at the box.
-    c >= 0 gives c_A >= 0.
-    """
-    spec.require_resolvable(c.xgrid, c.ygrid)
+    """c_A = c (inf-conv) chi_A on the grid: a per-x min-filter over the
+    eps-ball in y, windows clipped at the box. c >= 0 gives c_A >= 0."""
+    require_resolvable(spec.eps, c.ygrid)
     if spec.eps == 0:
         return SampledBivariate(c.xgrid, c.ygrid, c.vals.copy())
-    if spec.kind == Y_BALL:
-        out = ball_min_filter(c.vals, c.ygrid, spec.eps)
-        return SampledBivariate(c.xgrid, c.ygrid, out)
-    out = np.full_like(c.vals, INF)
-    _shift_reduce(out, c.vals, _product_shifts(spec, c.xgrid, c.ygrid),
-                  np.minimum)
+    out = ball_min_filter(c.vals, c.ygrid, spec.eps)
     return SampledBivariate(c.xgrid, c.ygrid, out)
 
 
 def _yball_conjugate(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None,
                      who: str) -> SampledFunction:
-    """phi* on the dual grid, once the y-ball blur is known to apply."""
-    if spec.kind != Y_BALL:
-        raise InvalidInputError(f"{who} is specific to y-ball blurs")
+    """phi* on the dual grid, once the blur is known to resolve on it."""
     phi.require_domain(who)
     if ygrid is None:
         ygrid = phi.grid   # node-aligned dual box by default
     star = conjugate(phi, ygrid)
-    spec.require_resolvable(phi.grid, star.grid)
+    require_resolvable(spec.eps, star.grid)
     return star
 
 
@@ -176,7 +110,7 @@ def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
 def blurred_bipotential(phi: SampledFunction, spec: BlurSpec,
                         ygrid: Grid | None = None) -> SampledBivariate:
     """b_A(x, y) = phi(x) + min over node offsets ||a|| <= eps of
-    [phi*(y - a) + <x, a>]; y-ball blurs only.
+    [phi*(y - a) + <x, a>].
 
     Evaluated as <x, y> + min-filter of phi*(a) - <x, a> over the ball
     around y, which is the same minimum after substituting a -> y - a.
@@ -247,7 +181,7 @@ def _shift_gap(bA: SampledBivariate, cA: SampledBivariate) -> float:
 
 def blur_law(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None = None,
              tol=None) -> BlurredLaw:
-    """Assemble c_A, b_A and M + A for a y-ball blur of Graph(d phi).
+    """Assemble c_A, b_A and M + A for the blur of Graph(d phi).
 
     One conjugate serves all three: one min-filter gives c_A and b_A, and
     M + A is the Fenchel-Young mask dilated in y (``_blurred_mask``), tol
@@ -308,7 +242,7 @@ def check_newc(phi: SampledFunction, eps: float, at_y, tol=None,
     section of M + A at that tolerance, and one verdict of
     ``check_newc_all``. The witness is ``is_set_convex``'s.
     """
-    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc")
+    star = _yball_conjugate(phi, BlurSpec(eps), ygrid, "check_newc")
     ygrid = star.grid
 
     at_t = ygrid.node_index(at_y)
@@ -341,7 +275,7 @@ def check_newc_all(phi: SampledFunction, eps: float, tol=None,
     (``_blurred_mask``), whose y-sections are every U(y), decided as one
     stack by ``is_set_convex``'s scan.
     """
-    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "check_newc_all")
+    star = _yball_conjugate(phi, BlurSpec(eps), ygrid, "check_newc_all")
     U = _yslice_stack(_blurred_mask(phi, star, eps, tol), phi.grid.dim)
     ok = np.ones(star.grid.size, dtype=bool)
     for j, rep in _set_scan(U, phi.grid):
@@ -353,32 +287,24 @@ def minkowski_blur(M: GraphSet, spec: BlurSpec):
     """(M + A, clipped): the nodewise Minkowski sum, and whether any
     member's ball was truncated by the box boundary. The empty set is its
     own sum, never clipped."""
-    spec.require_resolvable(M.xgrid, M.ygrid)
-    if spec.kind == Y_BALL:
-        out = ball_dilate(M.mask, M.ygrid, spec.eps)
-        clipped = _any_near_boundary(M, spec.eps, y_only=True)
-    else:
-        out = np.zeros_like(M.mask)
-        _shift_reduce(out, M.mask, _product_shifts(spec, M.xgrid, M.ygrid),
-                      np.logical_or)
-        clipped = _any_near_boundary(M, spec.eps, y_only=False)
-    return GraphSet(M.xgrid, M.ygrid, out), clipped
+    require_resolvable(spec.eps, M.ygrid)
+    out = ball_dilate(M.mask, M.ygrid, spec.eps)
+    return GraphSet(M.xgrid, M.ygrid, out), _any_near_boundary(M, spec.eps)
 
 
-def _any_near_boundary(M: GraphSet, eps: float, y_only: bool) -> bool:
-    """Does a member node lie within eps of the box on a y-axis (or, unless
-    y_only, on an x-axis)? Decided per axis on the mask's projection."""
-    axes = [(g, k) for g in (M.xgrid, M.ygrid) for k in range(g.dim)]
-    for ax in range(M.xgrid.dim if y_only else 0, len(axes)):
-        g, k = axes[ax]
-        others = tuple(a for a in range(len(axes)) if a != ax)
+def _any_near_boundary(M: GraphSet, eps: float) -> bool:
+    """Does a member node lie within eps of the box on a y-axis? Decided
+    per axis on the mask's projection."""
+    xd, g = M.xgrid.dim, M.ygrid
+    for k in range(g.dim):
+        others = tuple(a for a in range(xd + g.dim) if a != xd + k)
         c = g.lo[k] + np.flatnonzero(M.mask.any(axis=others)) * g.h[k]
         if ((c - g.lo[k] < eps) | (g.hi[k] - c < eps)).any():
             return True
     return False
 
 
-def check_admits_blurring(M_or_c: Union[GraphSet, SampledBivariate],
+def check_admits_blurring(M_or_c: GraphSet | SampledBivariate,
                           spec: BlurSpec, tol: float | None = None) -> CheckReport:
     """Does the law admit the blurring A?
 

@@ -30,10 +30,9 @@ import numpy as np
 
 from . import __version__
 from .bipotentials import (GraphSet, check_bbgraph, check_bipotential,
-                           check_cyclically_monotone, check_sync, separable,
-                           sync_from_bipotential)
+                           check_cyclically_monotone, check_sync)
 from .blur import (BlurSpec, blur_law, check_admits_blurring, check_newc,
-                   check_newc_all, inf_convolve_blur)
+                   check_newc_all, inf_convolve_blur, minkowski_blur)
 from .convexity import is_convex
 from .covers import (_require_seed, build_cover, check_implicitly_convex,
                      check_maithm_equivalence, infimum_bipotential)
@@ -99,6 +98,8 @@ def _lo_hi(text: str, flag: str) -> tuple[float, ...]:
 def _ygrid_from_flags(args, phi: SampledFunction) -> Grid | None:
     box = getattr(args, "ybox", None)
     if box is None:
+        if getattr(args, "yn", None) is not None:
+            raise InvalidInputError("--yn sets the nodes of --ybox; give --ybox too")
         return None
     lohi = _lo_hi(box, "--ybox")
     n = getattr(args, "yn", None) or phi.grid.n[0]
@@ -137,31 +138,18 @@ def _cmd_conjugate(cfg: RunConfig) -> int:
 def _cmd_blur(cfg: RunConfig) -> int:
     a = cfg.args
     phi = SampledFunction.read_csv(a.phi)
-    spec = BlurSpec(a.eps, a.kind, a.p)
-    ygrid = _ygrid_from_flags(a, phi)
+    law = blur_law(phi, BlurSpec(a.eps), _ygrid_from_flags(a, phi), a.tol)
     cfg.add("phi", a.phi)
     cfg.add("eps", a.eps)
-    cfg.add("kind", a.kind)
-    if spec.kind == "yball":
-        law = blur_law(phi, spec, ygrid, a.tol)
-        pieces = [(a.out_ca, law.cA),
-                  ("ba.csv" if a.out_ba is None else a.out_ba, law.bA),
-                  ("mg.csv" if a.out_graph is None else a.out_graph,
-                   law.MplusA)]
-        for path, piece in pieces:
-            if path:
-                piece.to_csv(path)
-                cfg.add("wrote", path)
-        cfg.add("graph_pairs", law.MplusA.count)
-    else:
-        if a.out_ba or a.out_graph:
-            raise InvalidInputError(
-                "--out-ba/--out-graph are y-ball outputs; product blurs emit c_A only")
-        c = sync_from_bipotential(separable(phi, ygrid))
-        ca = inf_convolve_blur(c, spec)
-        if a.out_ca:
-            ca.to_csv(a.out_ca)
-            cfg.add("wrote", a.out_ca)
+    cfg.add("kind", "yball")
+    pieces = [(a.out_ca, law.cA),
+              ("ba.csv" if a.out_ba is None else a.out_ba, law.bA),
+              ("mg.csv" if a.out_graph is None else a.out_graph, law.MplusA)]
+    for path, piece in pieces:
+        if path:
+            piece.to_csv(path)
+            cfg.add("wrote", path)
+    cfg.add("graph_pairs", law.MplusA.count)
     cfg.write()
     return 0
 
@@ -208,9 +196,9 @@ def _cmd_check(cfg: RunConfig) -> int:
         return _finish_check(cfg, check_newc(phi, a.eps, y_idx, a.tol, ygrid))
 
     if which == "blurring":
-        spec = BlurSpec(a.eps, a.kind, a.p)
+        spec = BlurSpec(a.eps)
         cfg.add("eps", a.eps)
-        cfg.add("kind", a.kind)
+        cfg.add("kind", "yball")
         if a.graph:
             target = GraphSet.read_csv(a.graph)
             cfg.add("graph", a.graph)
@@ -329,7 +317,6 @@ def _cmd_example(cfg: RunConfig) -> int:
         x2 = a.x2 if a.x2 is not None else defaults["two_point.x2"]
         y2 = a.y2 if a.y2 is not None else defaults["two_point.y2"]
         M, spec = two_point_fixture(x1, y1, x2, y2, eps, g, g)
-        from .blur import minkowski_blur
         MA, clipped = minkowski_blur(M, spec)
         M.to_csv(_out_path(a, "twopoint.csv"))
         MA.to_csv(_out_path(a, "twopoint_blurred.csv"))
@@ -397,8 +384,15 @@ def _cmd_explore(cfg: RunConfig) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # no option prefixes, in every subparser too: a removed or misspelt
+    # option is refused, not read as another (--p as --phi)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bipot",
         description="Convex conjugates, syncs, bipotentials and blurred "
                     "monotone laws on grids")
@@ -421,13 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("blur", help="c_A, b_A and M+A of a blurred law")
     sp.add_argument("--phi", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--kind", choices=["yball", "product"], default="yball")
-    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--ybox")
     sp.add_argument("--yn", type=int)
     sp.add_argument("--out-ca", dest="out_ca", default="ca.csv")
-    # y-ball outputs: ba.csv and mg.csv unless given; '' writes none
+    # ba.csv and mg.csv unless given; '' writes none
     sp.add_argument("--out-ba", dest="out_ba")
     sp.add_argument("--out-graph", dest="out_graph")
     add_report(sp)
@@ -450,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
             y=dict(required=True), tol=dict(type=float),
             ybox=dict(), yn=dict(type=int))
     checker("blurring", graph=dict(), sync=dict(),
-            eps=dict(type=float, required=True),
-            kind=dict(choices=["yball", "product"], default="yball"),
-            p=dict(type=float, default=2.0), tol=dict(type=float))
+            eps=dict(type=float, required=True), tol=dict(type=float))
     checker("implicit", phi=dict(required=True),
             eps=dict(type=float, required=True), y=dict(required=True),
             alphas=dict(default="0.5"), tol=dict(type=float),

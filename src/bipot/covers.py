@@ -29,8 +29,7 @@ import numpy as np
 
 from .bipotentials import (GraphSet, _unflatten, _yslice_stack,
                            default_graph_tol, graph_of, graphs_match_within)
-from .blur import (BlurSpec, Y_BALL, _blurred_mask, _yball_blur,
-                   _yball_conjugate)
+from .blur import BlurSpec, _blurred_mask, _yball_blur, _yball_conjugate
 from .convexity import _chunk_ok
 from .errors import InvalidInputError, ResolutionError, require_tol
 from .extreal import INF
@@ -91,7 +90,7 @@ class CoverFamily:
 def build_cover(phi: SampledFunction, eps: float,
                 ygrid: Grid | None = None) -> CoverFamily:
     """Cover of the eps-blur of Graph(d phi); needs eps >= h."""
-    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid, "build_cover")
+    star = _yball_conjugate(phi, BlurSpec(eps), ygrid, "build_cover")
     if eps == 0:   # a blur may have radius 0, a cover may not
         raise ResolutionError(
             f"blur radius below grid resolution (eps={eps}, h={max(star.grid.h)})")
@@ -419,11 +418,12 @@ def check_maithm_equivalence(phi: SampledFunction, eps: float,
     Side 2: the cover family f(a, x, y) is implicitly convex in (a, x) for
     every y, decided per y on the envelope b_A(., y). Passes iff the two
     verdicts coincide; witness is the first y-node where the per-slice
-    verdicts disagree.
+    verdicts disagree. Both sides read the same node-ball b_A, so this
+    checks that law against itself, not against the paper's theorem.
     """
     require_tol(tol)
     _require_sampling(pair_cap, seed)
-    star = _yball_conjugate(phi, BlurSpec(eps, Y_BALL), ygrid,
+    star = _yball_conjugate(phi, BlurSpec(eps), ygrid,
                             "check_maithm_equivalence")
     bA = _yball_blur(phi, star, eps, with_cA=False)[1]
     ygrid = bA.ygrid

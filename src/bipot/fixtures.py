@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .bipotentials import GraphSet
-from .blur import BlurSpec, Y_BALL
+from .blur import BlurSpec
 from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
@@ -60,7 +60,7 @@ class ElasticityFixture:
 
     @property
     def spec(self) -> BlurSpec:
-        return BlurSpec(self.eps, Y_BALL)
+        return BlurSpec(self.eps)
 
 
 def elasticity_fixture(k: float = 1.0, eps: float = 0.5, lo: float = -2.0,
@@ -130,7 +130,7 @@ def two_point_fixture(x1: float, y1: float, x2: float, y2: float, eps: float,
         raise InvalidInputError(
             "the two points must differ in both coordinates after snapping")
     M = GraphSet.from_pairs(xgrid, ygrid, [(i1, j1), (i2, j2)])
-    return M, BlurSpec(eps, Y_BALL)
+    return M, BlurSpec(eps)
 
 
 # --- Example 3: the cone law ------------------------------------------------
@@ -176,7 +176,7 @@ class ConeFixture:
 
     @property
     def spec(self) -> BlurSpec:
-        return BlurSpec(self.eps, Y_BALL)
+        return BlurSpec(self.eps)
 
 
 def cone_fixture_params(alpha: float = 0.5, y1: float = 1.0, eps: float = 1.0,

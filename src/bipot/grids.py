@@ -253,9 +253,6 @@ class SampledBivariate:
         y1, y2 = (m[None, None, :, :] for m in ygrid.meshgrid())
         return cls(xgrid, ygrid, fn(x1, x2, y1, y2))
 
-    def pairing(self) -> np.ndarray:
-        return pairing(self.xgrid, self.ygrid)
-
     @property
     def finite_max(self) -> float:
         return _finite_max(self.vals)

@@ -44,9 +44,9 @@ def default_dual_grid(phi: SampledFunction) -> Grid:
 
     Conjugate values at slopes outside this range are boundary-dominated
     artifacts, so it is the default evaluation window for phi*. The pad is
-    a whole number of grid steps per side (5% of them, at least one),
-    which keeps the slope range endpoints (in particular the exact slopes
-    of flat pieces) on nodes.
+    a whole number of grid steps per side (5% of them, at least one but
+    none on a 3-node axis), which keeps the slope range endpoints (in
+    particular the exact slopes of flat pieces) on nodes.
     """
     phi.require_domain("default_dual_grid")
     lo, hi = [], []
@@ -59,7 +59,7 @@ def default_dual_grid(phi: SampledFunction) -> Grid:
             lo.append(smin - w)
             hi.append(smax + w)
             continue
-        m = max(1, round(0.05 * (n - 1)))
+        m = min(max(1, round(0.05 * (n - 1))), (n - 2) // 2)
         h = span / (n - 1 - 2 * m)
         lo.append(smin - m * h)
         hi.append(smax + m * h)

@@ -96,25 +96,6 @@ def require_resolvable(eps: float, grid: Grid) -> None:
             f"blur radius below grid resolution (eps={eps}, h={max(grid.h)})")
 
 
-def _overlap(shape, offset):
-    """Index tuples (dst, src) pairing dst[i] with src[i - offset] over the
-    nodes where both lie in the box; empty slices when none do."""
-    dst, src = [], []
-    for n, d in zip(shape, offset):
-        lo = max(0, d)
-        hi = max(lo, n + min(0, d))
-        dst.append(slice(lo, hi))
-        src.append(slice(lo - d, hi - d))
-    return tuple(dst), tuple(src)
-
-
-def _shift_reduce(out: np.ndarray, src: np.ndarray, offsets, ufunc) -> None:
-    """out[i] = ufunc(out[i], src[i - d]) for each offset d, in order."""
-    for off in offsets:
-        dst, s = _overlap(out.shape, off)
-        ufunc(out[dst], src[s], out=out[dst])
-
-
 def _chord_plan(n1: int, n2: int, r1: int, halfwidth):
     """(pad, steps) of a 2-D sweep on rows of n2 + pad cells.
 

@@ -365,7 +365,7 @@ def check_bipotential_whole(b: SampledBivariate, tol: float | None = None):
     if not rep.ok:
         return rep
 
-    P = b.pairing()
+    P = pairing(b.xgrid, b.ygrid)
     h = max(max(b.xgrid.h), max(b.ygrid.h))
     with np.errstate(over="ignore"):   # +inf where the pairing is huge
         tolc = (3.0 * h * (1.0 + np.abs(P))) if tol is None else np.full(P.shape, float(tol))
@@ -612,7 +612,7 @@ def bipotential_from_sync(c: SampledBivariate) -> SampledBivariate:
         idx = np.unravel_index(int(np.argmax(c.vals < 0)), c.vals.shape)
         raise InvalidInputError(
             f"sync values must be >= 0; c{tuple(int(i) for i in idx)} < 0")
-    return SampledBivariate(c.xgrid, c.ygrid, c.vals + c.pairing())
+    return SampledBivariate(c.xgrid, c.ygrid, c.vals + pairing(c.xgrid, c.ygrid))
 
 
 def b_infinity(M: GraphSet) -> SampledBivariate:

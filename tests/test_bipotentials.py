@@ -329,7 +329,7 @@ class TestCheckSync:
                 c = SampledBivariate.from_callable(
                     g, g, lambda x1, x2, y1, y2: law(x1, y1, (x2 - y2) ** 2))
             want = first_high_slice_minimum(
-                c.vals, c.pairing(), dim, max(g.h),
+                c.vals, pairing(g, g), dim, max(g.h),
                 1e-12 * (1.0 + abs(c.finite_max)))
             rep = check_sync(c)
             with monkeypatch.context() as m:
@@ -517,3 +517,11 @@ class TestGraphSetCsv:
         c = GraphSet.from_pairs(line_grid, line_grid, [(13, 10)])
         assert graphs_match_within(a, b, 1)
         assert not graphs_match_within(a, c, 1)
+
+
+def test_cyclic_check_refuses_a_tuple_count_over_budget(monkeypatch):
+    pts = [(float(i), float(i)) for i in range(4)]
+    monkeypatch.setattr(bipotentials, "_CYCLE_TUPLES", 4 ** 2 + 4 ** 3)
+    assert check_cyclically_monotone(pts, 3).ok
+    with pytest.raises(InvalidInputError, match="^336 tuples of up to 4 "):
+        check_cyclically_monotone(pts, 4)

@@ -69,27 +69,6 @@ class TestInfConvolveBlur:
         ca2 = inf_convolve_blur(c, BlurSpec(0.5)).vals
         assert np.all(ca2 <= ca1)
 
-    def test_product_ball_small(self):
-        g = Grid.line(-1.0, 1.0, 21)
-        c = SampledBivariate.from_callable(g, g,
-                                           lambda x, y: 0.5 * (x - y) ** 2)
-        spec = BlurSpec(0.2, "product", p=2.0)
-        ca = inf_convolve_blur(c, spec)
-        # brute force over the offsets
-        h = g.h[0]
-        offs = spec.product_offsets(g, g)
-        assert (0, 0) in offs
-        want = np.full_like(c.vals, np.inf)
-        n = g.n[0]
-        for dx, dy in offs:
-            for i in range(n):
-                for j in range(n):
-                    si, sj = i - dx, j - dy
-                    if 0 <= si < n and 0 <= sj < n:
-                        want[i, j] = min(want[i, j], c.vals[si, sj])
-        assert np.array_equal(ca.vals, want)
-
-
 class TestBlurredBipotential:
     def test_zero_eps_is_separable(self, elast):
         phi = elasticity_phi(elast)
@@ -117,7 +96,7 @@ class TestBlurredBipotential:
     def test_shift_identity(self, elast):
         phi = elasticity_phi(elast)
         law = blur_law(phi, elast.spec, elast.ygrid)
-        P = law.bA.pairing()
+        P = pairing(law.bA.xgrid, law.bA.ygrid)
         assert np.abs((law.bA.vals - P) - law.cA.vals).max() <= 1e-9
 
     def test_self_check_scales_with_the_box(self):
@@ -127,7 +106,7 @@ class TestBlurredBipotential:
         phi = SampledFunction.from_callable(g, lambda x: 12.5 * np.abs(x))
         yg = default_dual_grid(phi)
         law = blur_law(phi, BlurSpec(yg.h[0]), yg)
-        gap = np.abs(law.bA.vals - law.bA.pairing() - law.cA.vals)
+        gap = np.abs(law.bA.vals - pairing(g, yg) - law.cA.vals)
         assert gap.max() > 1e-9
         cA = law.cA.vals.copy()
         cA[10, 10] += 1.0
@@ -154,12 +133,6 @@ class TestBlurredBipotential:
                       (other_x.cA, other_x.bA, other_x.MplusA)):
             with pytest.raises(InvalidInputError, match="grid"):
                 BlurredLaw(phi, law.spec, *parts)
-
-    def test_product_kind_rejected(self, elast):
-        phi = elasticity_phi(elast)
-        with pytest.raises(InvalidInputError):
-            blurred_bipotential(phi, BlurSpec(0.5, "product"), elast.ygrid)
-
 
 class TestBlurredGraph:
     def test_band_shape(self, elast):
@@ -367,28 +340,24 @@ class TestAdmitsBlurring:
                                  line_grid, line_grid)
         MA, clipped = minkowski_blur(M, BlurSpec(0.4))
         assert clipped
-        # x = 1.9 lies within eps of the x-box: only the product ball,
-        # which also spreads in x, is clipped
+        # x = 1.9 lies within eps of the x-box, but A spreads in y only
         M, _ = two_point_fixture(1.9, 0.0, 0.0, 0.5, 0.4, line_grid, line_grid)
         assert not minkowski_blur(M, BlurSpec(0.4))[1]
-        assert minkowski_blur(M, BlurSpec(0.4, "product"))[1]
         M, _ = two_point_fixture(0.0, 0.0, 1.0, 1.0, 0.4, line_grid, line_grid)
         assert not minkowski_blur(M, BlurSpec(0.4))[1]
-        assert not minkowski_blur(M, BlurSpec(0.4, "product"))[1]
 
-    @pytest.mark.parametrize("xi, yi, yball, product", [
-        ((8, 8), (8, 8), False, False),
-        ((8, 8), (8, 15), True, True),      # y2 = 1.75 near the y-box
-        ((8, 15), (8, 8), False, True),     # x2 = 1.75 near the x-box
-        ((1, 8), (8, 8), False, True),      # x1 = -1.75
+    @pytest.mark.parametrize("xi, yi, clipped", [
+        ((8, 8), (8, 8), False),
+        ((8, 8), (8, 15), True),      # y2 = 1.75 near the y-box
+        ((8, 15), (8, 8), False),     # x2 = 1.75 near the x-box only
+        ((1, 8), (8, 8), False),      # x1 = -1.75
     ])
-    def test_minkowski_clip_flag_2d(self, xi, yi, yball, product):
+    def test_minkowski_clip_flag_2d(self, xi, yi, clipped):
         g = Grid.box(-2.0, 2.0, 17)
         mask = np.zeros(g.shape + g.shape, dtype=bool)
         mask[xi + yi] = True
         M = GraphSet(g, g, mask)
-        assert minkowski_blur(M, BlurSpec(0.5))[1] == yball
-        assert minkowski_blur(M, BlurSpec(0.5, "product"))[1] == product
+        assert minkowski_blur(M, BlurSpec(0.5))[1] == clipped
 
     def test_sync_form_zero_set(self, elast):
         c = elasticity_sync(elast)
@@ -415,54 +384,6 @@ class TestBlurSpecRealization:
         for off in ball_offsets(line_grid, 0.5):
             mask[n // 2, n // 2 + off] = True
         assert check_bbgraph(GraphSet(line_grid, line_grid, mask)).ok
-
-    def test_product_offsets_form_a_bbgraph(self, line_grid):
-        from bipot.bipotentials import GraphSet
-        spec = BlurSpec(0.3, "product", p=2.0)
-        n = line_grid.n[0]
-        mask = np.zeros((n, n), dtype=bool)
-        for dx, dy in spec.product_offsets(line_grid, line_grid):
-            mask[n // 2 + dx, n // 2 + dy] = True
-        assert check_bbgraph(GraphSet(line_grid, line_grid, mask)).ok
-
-    def test_zero_offset_always_present(self, line_grid):
-        spec = BlurSpec(0.3, "product", p=1.0)
-        assert (0, 0) in spec.product_offsets(line_grid, line_grid)
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
-    def test_product_offsets_are_the_plain_p_norm_ball(self, p):
-        # the norm is scaled by its largest term; the offset sets stay
-        # those of the unscaled sum of powers
-        for xg, yg, eps in ((Grid.line(-2, 2, 101), Grid.line(-2, 2, 101), 0.2),
-                            (Grid.line(-1, 1, 21), Grid.line(-3, 3, 31), 0.5),
-                            (Grid.box(-1, 1, 11),
-                             Grid.box([-1, -2], [1, 2], [9, 13]), 0.6)):
-            hs = list(xg.h) + list(yg.h)
-            want = []
-            for combo in itertools.product(*(
-                    range(-radius_nodes(eps, h), radius_nodes(eps, h) + 1)
-                    for h in hs)):
-                norm = sum(abs(d * h) ** p for d, h in zip(combo, hs)) ** (1 / p)
-                if norm <= eps * (1.0 + 1e-9):
-                    k = xg.dim
-                    want.append((combo[0], combo[1]) if k == 1
-                                else (combo[:k], combo[k:]))
-            got = BlurSpec(eps, "product", p).product_offsets(xg, yg)
-            assert got == want
-        # h = 1, eps = 1.5: the x-offset (1, 1) has ||x||_2 = 1.41 but an
-        # lp norm of 2^(1/p), over 1.5 for p < 2, so the ball leaves it out
-        unit = Grid.box(-2, 2, 5)
-        got = BlurSpec(1.5, "product", p).product_offsets(unit, unit)
-        assert (((1, 1), (0, 0)) in got) == (p >= 2)
-
-    def test_huge_p_gives_the_max_norm_box(self, line_grid):
-        eps = 0.3
-        r = radius_nodes(eps, line_grid.h[0])
-        offs = BlurSpec(eps, "product", 1e308).product_offsets(line_grid,
-                                                              line_grid)
-        assert offs == [(dx, dy) for dx in range(-r, r + 1)
-                        for dy in range(-r, r + 1)]
-
 
 class TestNewcBBGraphEquivalence:
     """Both directions of the blur-admissibility criterion: convexity of
@@ -700,14 +621,11 @@ def test_check_newc_refuses_an_off_grid_node(dim, at_y):
         check_newc(phi, eps, at_y)
 
 
-@pytest.mark.parametrize("eps, p", [(0.2, float("nan")), (0.2, float("inf")),
-                                    (0.2, 0.5), (float("nan"), 2.0),
-                                    (-0.1, 2.0)])
-def test_blur_spec_refuses_unusable_eps_and_p(eps, p):
-    # NaN passed `p < 1` and `eps < 0`; p = nan or inf left no product
-    # offset, not even (0, 0), so c_A was +inf everywhere
-    with pytest.raises(InvalidInputError, match="radius must|p must"):
-        BlurSpec(eps, "product", p)
+@pytest.mark.parametrize("eps", [float("nan"), -0.1])
+def test_blur_spec_refuses_unusable_eps(eps):
+    # NaN passed `eps < 0`
+    with pytest.raises(InvalidInputError, match="radius must"):
+        BlurSpec(eps)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e308])

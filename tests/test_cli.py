@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -84,6 +85,80 @@ def test_version_flag(run_cli, tmp_path):
     r = run_cli(["--version"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "report schema" in r.stdout
+
+
+# every (sub)command's option strings, -h/--help aside; a new or removed
+# option shows up here as a diff
+OPTIONS = {
+    "": "--version",
+    "conjugate": "--cap --input --out --report --ybox --yn",
+    "blur": "--eps --out-ba --out-ca --out-graph --phi --report --tol --ybox "
+            "--yn",
+    "check": "",
+    "check convex": "--input --report --tol",
+    "check bbgraph": "--graph --report",
+    "check sync": "--input --report --tol",
+    "check bipotential": "--input --report --tol",
+    "check newc": "--eps --phi --report --tol --y --ybox --yn",
+    "check blurring": "--eps --graph --report --sync --tol",
+    "check implicit": "--alphas --cap --eps --phi --report --seed --tol --y "
+                      "--ybox --yn",
+    "check maithm": "--cap --eps --phi --report --seed --tol --ybox --yn",
+    "check cyclic": "--n-max --points --report --tol",
+    "cover": "",
+    "cover build": "--eps --out-dir --phi --report --ybox --yn",
+    "example": "",
+    "example elasticity": "--box --dim --eps --grid --k --out-dir --report",
+    "example two-point": "--box --eps --grid --out-dir --report --x1 --x2 "
+                         "--y1 --y2",
+    "example cone": "--alpha --box --eps --grid --out-dir --report --y1",
+    "explore": "",
+    "explore darboux": "--eps --grid --report --samples --seed",
+}
+
+
+def _option_table(parser, path=()):
+    table = {" ".join(path): " ".join(sorted(
+        o for a in parser._actions for o in a.option_strings
+        if o not in ("-h", "--help")))}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                table.update(_option_table(sub, path + (name,)))
+    return table
+
+
+def test_option_surface(tmp_path, quad_csv, capsys):
+    assert _option_table(cli.build_parser()) == OPTIONS
+    # A has one shape, so there is no --kind or --p; and no option is
+    # read as the prefix of another (--p as --phi)
+    for args in (["blur", "--phi", str(quad_csv), "--eps", "0.5"],
+                 ["check", "blurring", "--sync", "c.csv", "--eps", "0.5"]):
+        for extra in (["--kind", "yball"], ["--p", "2.0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args + extra + ["--report", str(tmp_path / "r.txt")])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {extra[0]}" in \
+                capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["conjugate", "--input"], ["blur", "--eps", "0.5", "--phi"],
+    ["check", "newc", "--eps", "0.5", "--y", "0", "--phi"],
+    ["check", "implicit", "--eps", "0.5", "--y", "0", "--phi"],
+    ["check", "maithm", "--eps", "0.5", "--phi"],
+    ["cover", "build", "--eps", "0.5", "--out-dir", ".", "--phi"]],
+    ids=["conjugate", "blur", "newc", "implicit", "maithm", "cover"])
+def test_yn_without_ybox_is_refused(tmp_path, quad_csv, capsys, monkeypatch,
+                                    args):
+    # --yn alone was accepted and ignored: the y-grid kept phi's nodes
+    monkeypatch.chdir(tmp_path)
+    code = main(args + [str(quad_csv), "--yn", "51"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "give --ybox" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quad.csv"]
 
 
 def test_conjugate_roundtrip(run_cli, tmp_path, quad_csv):
@@ -208,54 +283,12 @@ def test_check_sync_gives_verdict_on_rounding_below_zero(run_cli, tmp_path):
     assert "axiom = " in r.stdout, r.stdout + r.stderr
 
 
-def test_blur_product_writes_ca_only(run_cli, tmp_path, quad_csv):
-    args = ["blur", "--phi", str(quad_csv), "--eps", "0.5", "--kind",
-            "product"]
-    r = run_cli(args, tmp_path)
-    assert r.returncode == 0, r.stdout + r.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.csv",
-                                                          "quad.csv"]
-    r = run_cli(args + ["--out-ba", "x.csv"], tmp_path)
-    assert r.returncode == 2, r.stdout + r.stderr
-    assert "y-ball outputs" in r.stderr
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize("eps", ["1e308", "inf", "nan"])
 def test_blur_rejects_unusable_eps(run_cli, tmp_path, quad_csv, eps):
     r = run_cli(["blur", "--phi", str(quad_csv), "--eps", eps,
                  "--out-ca", "ca.csv"], tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "bipot: error: radius" in r.stderr
-    assert "Traceback" not in r.stderr
-
-
-@pytest.mark.parametrize("p", ["nan", "inf"])
-def test_product_blur_rejects_unusable_p(run_cli, tmp_path, p):
-    g = Grid.line(-1.0, 1.0, 21)
-    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
-        tmp_path / "phi.csv")
-    SampledBivariate.from_callable(
-        g, g, lambda x, y: 0.5 * (x - y) ** 2).to_csv(tmp_path / "sync.csv")
-    for args in (["blur", "--phi", "phi.csv", "--out-ca", "ca.csv"],
-                 ["check", "blurring", "--sync", "sync.csv"]):
-        r = run_cli(args + ["--eps", "0.2", "--kind", "product", "--p", p],
-                    tmp_path)
-        assert r.returncode == 2, r.stdout + r.stderr
-        assert "bipot: error: p must be finite" in r.stderr
-        assert "Traceback" not in r.stderr
-    assert not (tmp_path / "ca.csv").exists()
-
-
-def test_product_blur_with_a_huge_p_is_no_internal_error(run_cli, tmp_path):
-    # a p-norm power of p = 1e308 overflows a float unless it is scaled
-    g = Grid.line(-2.0, 2.0, 101)
-    SampledFunction.from_callable(g, lambda x: 0.5 * x * x).to_csv(
-        tmp_path / "phi.csv")
-    r = run_cli(["blur", "--phi", "phi.csv", "--out-ca", "ca.csv",
-                 "--eps", "1.2", "--kind", "product", "--p", "1e308"],
-                tmp_path)
-    assert r.returncode in (0, 2), r.stdout + r.stderr
     assert "Traceback" not in r.stderr
 
 

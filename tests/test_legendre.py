@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipot.cli import main
 from bipot.errors import InvalidInputError
 from bipot.grids import Grid, SampledFunction
 from bipot.legendre import conjugate, default_dual_grid
@@ -199,3 +200,26 @@ def test_default_dual_grid_covers_slopes(fine_grid):
     g = default_dual_grid(phi)
     assert g.lo[0] < -2.0 < 2.0 < g.hi[0]
     assert g.n == fine_grid.n
+
+
+def test_default_dual_grid_on_three_nodes(tmp_path, capsys):
+    # a pad of one step per side left no step: ZeroDivisionError, exit 3
+    phi = SampledFunction.from_callable(Grid.line(-1.0, 1.0, 3),
+                                        lambda x: 0.5 * x * x)
+    assert default_dual_grid(phi) == Grid.line(-0.5, 0.5, 3)
+    phi.to_csv(tmp_path / "q.csv")
+    code = main(["conjugate", "--input", str(tmp_path / "q.csv"),
+                 "--out", str(tmp_path / "star.csv"),
+                 "--report", str(tmp_path / "rep.txt")])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_default_dual_grid_pads_only_axes_of_four_nodes_or_more():
+    phi = SampledFunction.from_callable(
+        Grid.box(-1.0, 1.0, (3, 21)), lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2))
+    g = default_dual_grid(phi)
+    assert g.n == (3, 21)
+    assert (g.lo[0], g.hi[0]) == (-0.5, 0.5)
+    # 21 nodes: one step of pad beyond the slopes -0.95 and 0.95
+    assert g.lo[1] == pytest.approx(-0.95 - g.h[1])
+    assert g.hi[1] == pytest.approx(0.95 + g.h[1])

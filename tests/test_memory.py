@@ -87,6 +87,18 @@ def test_passing_check_sync_allocates_a_quarter_product_array():
     assert rep.ok
     assert peak <= 0.25 * c.vals.nbytes
 
+
+def test_sync_from_bipotential_holds_its_output_and_a_tile():
+    # 2-D separable x^2/2 at n = 41: b - <x, y> is written an x-tile at a
+    # time into the output, with the bits of the whole subtraction
+    g = Grid.box(-2.0, 2.0, 41)
+    b = separable(SampledFunction.from_callable(
+        g, lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2)), g)
+    c, peak = traced_peak(lambda: sync_from_bipotential(b))
+    assert peak <= 1.1 * c.vals.nbytes
+    assert np.array_equal(c.vals, b.vals - grids.pairing(g, g))
+
+
 def test_grid_csv_read_holds_its_rows_values_and_a_block(tmp_path,
                                                         monkeypatch):
     # 401 x 401 nodes: the parsed rows are 3.9 MB and the values 1.3 MB;
