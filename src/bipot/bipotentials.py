@@ -26,7 +26,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction, _open_csv
 from .legendre import conjugate
 from .report import CheckReport, failing, passing
-from .windows import _pair_tiles, _tiles, chebyshev_dilate
+from .windows import _pair_tiles, chebyshev_dilate
 
 CLOSEDNESS_NOTE = "bi-closed: vacuously true on a finite grid"
 
@@ -75,23 +75,6 @@ class GraphSet:
     @property
     def is_empty(self) -> bool:
         return not self.mask.any()
-
-    def pairs(self):
-        """(x-index, y-index) pairs in row-major order."""
-        xd = self.xgrid.dim
-        for idx in np.argwhere(self.mask):
-            xi = int(idx[0]) if xd == 1 else (int(idx[0]), int(idx[1]))
-            yi = int(idx[xd]) if xd == 1 else (int(idx[2]), int(idx[3]))
-            yield (xi, yi)
-
-    def y_section(self, iy) -> np.ndarray:
-        """Mask over the x-grid of M*(y) = {x : (x, y) in M}."""
-        if self.ygrid.dim == 1:
-            return self.mask[..., iy]
-        return self.mask[..., iy[0], iy[1]]
-
-    def same_pairs(self, other: "GraphSet") -> bool:
-        return np.array_equal(self.mask, other.mask)
 
     def to_csv(self, path) -> None:
         """Flat `x_index,y_index` rows plus grid metadata comment lines."""
@@ -180,8 +163,8 @@ def sync_from_bipotential(b: SampledBivariate) -> SampledBivariate:
     """c(x, y) = b(x, y) - <x, y>, the sync of a bipotential, filled an
     x-tile at a time from ``_sync_tiles`` into a read-only output."""
     out = np.empty((b.xgrid.size, b.ygrid.size))
-    for t, rows in _sync_tiles(b):
-        out[t] = rows
+    for t, c, _ in _sync_tiles(b):
+        out[t] = c
     out.flags.writeable = False
     return SampledBivariate(b.xgrid, b.ygrid, out.reshape(b.vals.shape))
 
@@ -199,11 +182,13 @@ def separable(phi: SampledFunction, ygrid: Grid | None = None) -> SampledBivaria
 
 
 def _sync_tiles(b: SampledBivariate):
-    """(t, rows) of b - <x, y> over the x-tiles t of
-    ``windows._pair_tiles``; rows has shape (tile, ygrid.size)."""
+    """(t, c, <x, y>) over the x-tiles t of ``windows._pair_tiles``, each
+    of shape (tile, ygrid.size): c = b - <x, y>, and +inf wherever b is
+    +inf, also where <x, y> overflows."""
     vals = b.vals.reshape(b.xgrid.size, b.ygrid.size)
     for t, P in _pair_tiles(b.xgrid, b.ygrid):
-        yield t, np.subtract(vals[t], P, out=P)
+        v = vals[t]
+        yield t, np.subtract(v, P, out=np.full_like(P, INF), where=v < INF), P
 
 
 def graph_of(b: SampledBivariate, tol: float) -> GraphSet:
@@ -211,9 +196,8 @@ def graph_of(b: SampledBivariate, tol: float) -> GraphSet:
     at a time."""
     require_tol(tol)
     mask = np.empty((b.xgrid.size, b.ygrid.size), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for t, c in _sync_tiles(b):
-            np.less_equal(c, tol, out=mask[t])
+    for t, c, _ in _sync_tiles(b):
+        np.less_equal(c, tol, out=mask[t])
     mask.flags.writeable = False
     return GraphSet(b.xgrid, b.ygrid, mask.reshape(b.vals.shape))
 
@@ -283,37 +267,33 @@ def check_bipotential(b: SampledBivariate, tol: float | None = None) -> CheckRep
 
 
 def _sync_axioms(b: SampledBivariate, tol: float | None,
-                 shifted: bool = False) -> CheckReport:
-    """Axioms (b) and (c) of ``check_bipotential``.
+                 sync: bool = False) -> CheckReport:
+    """Axioms (b) and (c) of ``check_bipotential``; with sync, b holds a
+    sync c and ``check_sync``'s attained-minimum axiom is decided too.
 
-    They read c = b - <x, y> an x-tile of ``windows._pair_tiles`` at a
-    time, in two passes. The conjugate of the slice b(., y) at y is -m_y,
-    m_y = min_x c, so the Fenchel-Young residuals are c - m_y and c - m_x.
-    A slice minimum attained only on the box boundary escapes the box; the
-    membership it feeds is borderline, and counted in a note. A pairing or
-    tolerance that overflows is +-inf, as are the residuals built on it.
-    With shifted, b holds a sync c and the axioms are those of c + <x, y>:
-    each tile reads (c + <x, y>) - <x, y>, the bits an array of
-    c + <x, y> would give, and c itself where <x, y> overflows.
+    They read the sync array an x-tile of ``windows._pair_tiles`` at a
+    time, in two passes: c = b - <x, y> from ``_sync_tiles``, or with sync
+    b's own values. The first pass tests c >= -tol and gathers each
+    slice's minimum, its first argmin and <x, y> there. The conjugate of
+    the slice b(., y) at y is -m_y, m_y = min_x c, so the Fenchel-Young
+    residuals are c - m_y and c - m_x. A slice minimum escapes the box
+    when no node off the box boundary comes within 1e-12 (1 + |max b|) of
+    it (max b: the largest finite value): the memberships it feeds are
+    borderline, counted in a note, and with sync it is not attained. An
+    attained minimum fails above h (1 + |<x, y>|) at its argmin, or tol.
+    A pairing or tolerance that overflows is +-inf, as are the residuals
+    built on it.
     """
     h = max(max(b.xgrid.h), max(b.ygrid.h))
     vals = b.vals.reshape(b.xgrid.size, -1)
-    tops = []   # the finite maxima of the tiles of c + <x, y>
 
     def tiles():
-        """(t, c, the tolerance of each pair) over the x-tiles t."""
-        for t, P in _pair_tiles(b.xgrid, b.ygrid):
-            tolc = 3.0 * h * (1.0 + np.abs(P)) if tol is None else float(tol)
-            if not shifted:
-                c = np.subtract(vals[t], P, out=P)
-                c[np.isposinf(vals[t])] = INF
-            else:
-                bt, off = vals[t] + P, ~np.isfinite(P)
-                tops.append(np.max(bt, where=np.isfinite(bt), initial=-INF))
-                c = np.subtract(bt, P, out=P)
-                c[np.isposinf(bt)] = INF
-                np.copyto(c, vals[t], where=off)
-            yield t, c, tolc
+        """(t, c, <x, y>, the tolerance of each pair) over the x-tiles t."""
+        src = (((t, vals[t], P) for t, P in _pair_tiles(b.xgrid, b.ygrid))
+               if sync else _sync_tiles(b))
+        for t, c, P in src:
+            yield t, c, P, (3.0 * h * (1.0 + np.abs(P)) if tol is None
+                            else float(tol))
 
     def node(t, k):
         """The (x, y) index of flat pair k of tile t."""
@@ -323,27 +303,44 @@ def _sync_axioms(b: SampledBivariate, tol: float | None,
     # flat masks of the nodes off the box boundary
     xin, yin = (np.pad(np.ones([n - 2 for n in g.n], bool), 1).reshape(-1)
                 for g in (b.xgrid, b.ygrid))
-    m_x, inner_x = [], []
-    m_y = inner_y = np.full(vals.shape[1], INF)
+    cols = np.arange(vals.shape[1])
+    m_x, p_x, inner_x = [], [], []
+    m_y = inner_y = np.full(len(cols), INF)
+    p_y = np.zeros(len(cols))
     with np.errstate(invalid="ignore", over="ignore"):
-        for t, c, tolc in tiles():
+        for t, c, P, tolc in tiles():
             bad = c < -tolc
             if bad.any():
                 k = int(np.argmax(bad))
                 return failing("duality-lower-bound", node(t, k),
                                float(c.flat[k]), "b(x, y) < <x, y> - tol")
-            m_x.append(c.min(axis=1))
+            rows = np.arange(len(c))
+            a = c.argmin(axis=1)
+            m_x.append(c[rows, a])
+            p_x.append(P[rows, a])
             inner_x.append(c.min(axis=1, where=yin, initial=INF))
+            if sync:   # a strided scan, so only where the test reads it
+                a = c.argmin(axis=0)
+                p_y = np.where(c[a, cols] < m_y, P[a, cols], p_y)
             m_y = np.minimum(m_y, c.min(axis=0))
             inner_y = np.minimum(inner_y, c.min(axis=0, where=xin[t, None],
                                                 initial=INF))
-    m_x, inner_x = np.concatenate(m_x), np.concatenate(inner_x)
-    top = max(tops, default=-INF) if shifted else b.finite_max
-    ftol = 1e-12 * (1.0 + abs(top if top > -INF else 0.0))
-    esc_y = np.isfinite(m_y) & (inner_y > m_y + ftol)
-    esc_x = np.isfinite(m_x) & (inner_x > m_x + ftol)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for t, c, tolc in tiles():
+        m_x, p_x = np.concatenate(m_x), np.concatenate(p_x)
+        inner_x = np.concatenate(inner_x)
+        ftol = 1e-12 * (1.0 + abs(b.finite_max))
+        esc_y = np.isfinite(m_y) & (inner_y > m_y + ftol)
+        esc_x = np.isfinite(m_x) & (inner_x > m_x + ftol)
+        minima = ((("y", b.ygrid, m_y, p_y, esc_y),
+                   ("x", b.xgrid, m_x, p_x, esc_x)) if sync else ())
+        for tag, grid, m, p, esc in minima:
+            mtol = h * (1.0 + np.abs(p)) if tol is None else np.full_like(m, tol)
+            bad = np.flatnonzero(np.isfinite(m) & ~esc & (m > mtol))
+            if bad.size:
+                s = int(bad[0])
+                mn, tl = float(m[s]), float(mtol[s])
+                return failing("attained-min-zero", (tag, _unflatten(grid, s)),
+                               mn, f"slice minimum {mn!r} exceeds {tl!r}")
+        for t, c, _, tolc in tiles():
             r1 = np.where(np.isposinf(c), INF, c - m_y)
             r2 = np.where(np.isposinf(c), INF, c - m_x[t, None])
             ex, band = esc_x[t, None], _BAND * tolc
@@ -367,16 +364,14 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     minima equal to 0 (within a resolution tolerance), then cross-check
     c + <x, y> against the bipotential axioms (b) and (c).
 
-    Slice minima that sit on the box edge with a strictly larger (or +inf)
-    inward neighbor are counted as not attained (the true minimum escapes
-    the box). Axiom (a) of c + <x, y> is not run again: each of its slices
-    is c's slice plus a function linear along every grid line, so the
-    second differences are c's.
-
-    No product array is held whole. The slice minima are taken a tile of
-    slices at a time (``windows._tiles``), with <x, y> formed only at each
-    slice's first argmin, in the bits of ``grids.pairing``; the
-    cross-check reads c + <x, y> an x-tile at a time (``_sync_axioms``).
+    The last two read c itself, an x-tile at a time, through
+    ``_sync_axioms``: its first pass tests c >= -tol (the cross-check's
+    lower bound) and gathers the slice minima that the attained-minimum
+    test reads, with <x, y> at each slice's first argmin in the bits of
+    ``grids.pairing``; a minimum that escapes the box by its rule is not
+    attained. Axiom (a) of c + <x, y> is not run again: each of its
+    slices is c's slice plus a function linear along every grid line, so
+    the second differences are c's. No product array is held whole.
     """
     require_tol(tol)
     scale = 1.0 + abs(c.finite_max)
@@ -390,48 +385,15 @@ def check_sync(c: SampledBivariate, tol: float | None = None) -> CheckReport:
     rep = _slice_convexity(c, 1e-9 * scale)
     if not rep.ok:
         return rep
-
-    h = max(max(c.xgrid.h), max(c.ygrid.h))
-    flat_tol = 1e-12 * scale
-    # (x-node, y-node) views: y-slices are the columns, x-slices the rows;
-    # each slice lives on dom and is indexed by a node of grid
-    V = c.vals.reshape(c.xgrid.size, -1)
-    for tag, grid, vals, dom in (("y", c.ygrid, V.T, c.xgrid),
-                                 ("x", c.xgrid, V, c.ygrid)):
-        for t in _tiles(len(vals), vals.shape[1] * 8):
-            tile = vals[t]
-            rows = np.arange(len(tile))
-            arg = tile.argmin(axis=1)   # +inf never wins over a finite value
-            mn = tile[rows, arg]
-            at = np.unravel_index(arg, dom.shape)
-            attained = np.isfinite(mn)
-            for ax, n in enumerate(dom.shape):
-                # the inward neighbor of a minimum on the box edge; off the
-                # edge the step is 0 and the minimum is compared with itself
-                step = (at[ax] == 0).astype(np.intp) - (at[ax] == n - 1)
-                inward = at[:ax] + (at[ax] + step,) + at[ax + 1:]
-                near = tile[rows, np.ravel_multi_index(inward, dom.shape)]
-                attained &= near <= mn + flat_tol
-            with np.errstate(over="ignore"):
-                # <x, y> at the minima, with the bits of grids.pairing
-                pq = (dom.points[arg] * grid.points[t]).sum(axis=1)
-                mtol = (h * (1.0 + np.abs(pq)) if tol is None
-                        else np.full(len(rows), float(tol)))
-            bad = np.flatnonzero(attained & (mn > mtol))
-            if bad.size:
-                s = int(bad[0])
-                m, tl = float(mn[s]), float(mtol[s])
-                return failing("attained-min-zero",
-                               (tag, _unflatten(grid, t.start + s)), m,
-                               f"slice minimum {m!r} exceeds {tl!r}")
-
-    rep_b = _sync_axioms(c, tol, shifted=True)
-    if not rep_b.ok:
-        return failing(f"psync-crosscheck[{rep_b.axiom}]", rep_b.witness,
-                       rep_b.residual,
-                       "c passed the sync axioms but c + <x,y> fails "
-                       "the bipotential axioms")
-    return passing("sync", CLOSEDNESS_NOTE)
+    rep = _sync_axioms(c, tol, sync=True)
+    if rep.ok:
+        return passing("sync", CLOSEDNESS_NOTE)
+    if rep.axiom == "attained-min-zero":
+        return rep
+    return failing(f"psync-crosscheck[{rep.axiom}]", rep.witness,
+                   rep.residual,
+                   "c passed the sync axioms but c + <x,y> fails "
+                   "the bipotential axioms")
 
 
 def check_bbgraph(M: GraphSet) -> CheckReport:

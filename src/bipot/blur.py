@@ -169,7 +169,7 @@ def _shift_gap(bA: SampledBivariate, cA: SampledBivariate) -> float:
     a tile of x-nodes at a time."""
     c_rows = cA.vals.reshape(cA.xgrid.size, cA.ygrid.size)
     gap = 0.0
-    for t, a in _sync_tiles(bA):
+    for t, a, _ in _sync_tiles(bA):
         c = c_rows[t]
         if (np.isposinf(a) != np.isposinf(c)).any():
             return INF
@@ -310,7 +310,8 @@ def check_admits_blurring(M_or_c: GraphSet | SampledBivariate,
 
     Graph form: M + A (Minkowski sum on the grid) must be a BB-graph.
     Sync form: c_A = c (inf-conv) chi_A must be a sync AND its zero set
-    must equal c^{-1}(0) + A within one node per axis.
+    must equal c^{-1}(0) + A within one node per axis. min c_A = min c,
+    so ``check_sync``'s tolerance decides a c below 0.
     """
     if isinstance(M_or_c, GraphSet):
         MA, clipped = minkowski_blur(M_or_c, spec)
@@ -321,8 +322,6 @@ def check_admits_blurring(M_or_c: GraphSet | SampledBivariate,
         return rep
 
     c = M_or_c
-    if (c.vals < 0).any():
-        raise InvalidInputError("sync form requires c >= 0")
     cA = inf_convolve_blur(c, spec)
     rep = check_sync(cA, tol)
     if not rep.ok:

@@ -47,12 +47,8 @@ from .report import CheckReport
 from .sampling import random_convex_1d
 from .windows import radius_nodes
 
+# constant per release; embedded as the first line of every report
 SCHEMA_VERSION = "1.0.0"
-
-
-def report_schema_version() -> str:
-    """Constant per release; embedded as the first line of every report."""
-    return SCHEMA_VERSION
 
 
 @dataclass
@@ -196,10 +192,13 @@ def _cmd_check(cfg: RunConfig) -> int:
         return _finish_check(cfg, check_newc(phi, a.eps, y_idx, a.tol, ygrid))
 
     if which == "blurring":
+        if (a.graph is None) == (a.sync is None):
+            raise InvalidInputError(
+                "check blurring takes exactly one of --graph and --sync")
         spec = BlurSpec(a.eps)
         cfg.add("eps", a.eps)
         cfg.add("kind", "yball")
-        if a.graph:
+        if a.graph is not None:
             target = GraphSet.read_csv(a.graph)
             cfg.add("graph", a.graph)
         else:

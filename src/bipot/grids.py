@@ -141,12 +141,6 @@ class Grid:
             idx.append(i)
         return idx[0] if self.dim == 1 else tuple(idx)
 
-    def node_indices(self):
-        """All node indices in row-major order."""
-        if self.dim == 1:
-            return range(self.n[0])
-        return itertools.product(range(self.n[0]), range(self.n[1]))
-
     def __repr__(self):
         parts = ", ".join(
             f"[{a}, {b}]x{k}" for a, b, k in zip(self.lo, self.hi, self.n))

@@ -297,10 +297,10 @@ def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
 
     vals and pair hold c and <x, y> over (x-node, y-node). Scans the
     y-slices c(., y), then the x-slices c(x, .), in row-major order. A
-    slice whose minimum sits on the box edge with an inward neighbor above
-    it by more than flat_tol (or +inf) escapes the box and is skipped.
-    Returns (tag, node index, minimum) of the first other slice whose
-    minimum exceeds h (1 + |<x, y>|) at its first argmin, or None.
+    slice minimum that no node off the box boundary comes within flat_tol
+    of escapes the box, and its slice is skipped. Returns (tag, node
+    index, minimum) of the first other slice whose minimum exceeds
+    h (1 + |<x, y>|) at its first argmin, or None.
     """
     xshape, yshape = vals.shape[:xdim], vals.shape[xdim:]
     jobs = [("y", iy, vals[(Ellipsis,) + iy], pair[(Ellipsis,) + iy])
@@ -311,12 +311,8 @@ def first_high_slice_minimum(vals, pair, xdim, h, flat_tol):
             continue
         at = np.unravel_index(int(np.argmin(sl)), sl.shape)
         mn = float(sl[at])
-        escapes = False
-        for ax, n in enumerate(sl.shape):
-            if at[ax] in (0, n - 1):
-                inward = list(at)
-                inward[ax] += 1 if at[ax] == 0 else -1
-                escapes |= not sl[tuple(inward)] <= mn + flat_tol
+        inner = sl[_interior_cut(sl.shape, range(sl.ndim))]
+        escapes = not (inner <= mn + flat_tol).any()
         if not escapes and mn > h * (1.0 + abs(float(pv[at]))):
             return tag, idx[0] if xdim == 1 else idx, mn
     return None

@@ -88,7 +88,7 @@ def test_criterion_2_two_point_threshold():
     (tag, iy), _ = rep6.witness
     assert tag == "y"
     MA6, _ = minkowski_blur(M6, spec6)
-    section = set(np.flatnonzero(MA6.y_section(iy)))
+    section = set(np.flatnonzero(MA6.mask[:, iy]))
     want = {GRID_201.snap([0.0]), GRID_201.snap([1.0])}
     assert section == want, f"witness section {section} != x-nodes of 0 and 1"
     M4, spec4 = two_point_fixture(0.0, 0.0, 1.0, 1.0, 0.4, GRID_201, GRID_201)

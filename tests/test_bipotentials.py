@@ -105,7 +105,7 @@ class TestBInfinity:
         M = GraphSet(line_grid, line_grid, np.eye(n, dtype=bool))
         binf = b_infinity(M)
         assert check_bipotential(binf).ok
-        assert graph_of(binf, 0.0).same_pairs(M)
+        assert np.array_equal(graph_of(binf, 0.0).mask, M.mask)
 
     def test_empty_rejected(self, line_grid):
         M = GraphSet(line_grid, line_grid,
@@ -122,7 +122,7 @@ class TestBInfinity:
         M = graph_of(b, tol)
         binf = b_infinity(M)
         assert check_bipotential(b).ok and check_bipotential(binf).ok
-        assert graph_of(binf, tol).same_pairs(M)
+        assert np.array_equal(graph_of(binf, tol).mask, M.mask)
         off_graph = ~M.mask & np.isfinite(b.vals)
         assert np.all(np.isinf(binf.vals[off_graph]))
         assert off_graph.any()
@@ -345,6 +345,18 @@ class TestCheckSync:
         assert 0 < failures < 40
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sync_of_an_overflowing_pairing(self):
+        # b = <x, y> where that is finite, +inf where it overflows: the
+        # sync is 0 and +inf, not inf - inf
+        g = Grid.line(-1e160, 1e160, 9)
+        P = pairing(g, g)
+        b = SampledBivariate(g, g, np.where(np.isfinite(P), P, math.inf))
+        assert np.isinf(P).any()
+        assert np.array_equal(sync_from_bipotential(b).vals,
+                              np.where(np.isfinite(P), 0.0, math.inf))
+        assert np.array_equal(graph_of(b, 0.0).mask, np.isfinite(P))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grid", [Grid.line(-1e160, 1e160, 9),
                                       Grid.box(-1e154, 1e154, 5)])
     def test_overflowing_pairing_keeps_a_verdict(self, grid):
@@ -371,15 +383,40 @@ class TestCheckSync:
         assert check_sync(c).ok
         assert len(scanned) == 1 and scanned[0] is c
 
-    def test_crosscheck_failure_below_the_tolerance(self):
-        # c = -1e-16 passes c >= -tol and its slice minima, but rounding
-        # (c + <x, y>) - <x, y> takes some pairs below -tol
+    def test_sync_below_zero_within_the_tolerance_passes(self):
+        # c = -1e-16 passes c >= -tol, and the cross-check reads c itself:
+        # no rounding of (c + <x, y>) - <x, y> takes a pair below -tol
         g = Grid.line(-1.0, 1.0, 5)
         c = SampledBivariate(g, g, np.full((5, 5), -1e-16))
-        rep = check_sync(c, 1e-16)
+        assert check_sync(c, 1e-16).to_lines()[:2] == ["verdict = pass",
+                                                       "axiom = sync"]
+
+    def test_crosscheck_fails_past_the_attained_minima(self):
+        # the x-slice at x = 4 is finite on y <= 0 with minimum 7, attained
+        # at y = -4 and y = -3; it passes the attained test under
+        # h (1 + |<4, -4>|) = 17, but at y = 0 c = 9.5 reaches 9h while
+        # c - 7 = 2.5 stays below 3h: the memberships disagree. Each
+        # y-slice is one node on the box edge, so its minimum escapes.
+        g = Grid.line(-4.0, 4.0, 9)
+        vals = np.full((9, 9), math.inf)
+        vals[8, :5] = [7.0, 7.0, 7.5, 8.0, 9.5]
+        rep = check_sync(SampledBivariate(g, g, vals))
         assert (rep.axiom, rep.witness, rep.residual) == \
-            ("psync-crosscheck[duality-lower-bound]", (0, 0),
-             -1.1102230246251565e-16)
+            ("psync-crosscheck[three-way-equivalence]", (8, 4), 0.0)
+        assert rep.notes == ("c passed the sync axioms but c + <x,y> fails "
+                             "the bipotential axioms",)
+
+    def test_valley_minima_are_attained_off_the_edge(self):
+        # each y-slice of (x1 - x2)^2 + (y1 - y2)^2 + 1 is least on the
+        # diagonal x1 = x2, first at the corner x = (0, 0) but also at
+        # interior nodes, so its minimum 1 + (y1 - y2)^2 is attained;
+        # at y = (-2, 0) it is 5, above h (1 + |<(-2, -2), y>|) = 10/3
+        g = Grid.box(-2.0, 2.0, 7)
+        c = SampledBivariate.from_callable(
+            g, g, lambda x1, x2, y1, y2: (x1 - x2) ** 2 + (y1 - y2) ** 2 + 1.0)
+        rep = check_sync(c)
+        assert (rep.axiom, rep.witness, rep.residual) == \
+            ("attained-min-zero", ("y", (0, 3)), 5.0)
 
     def test_psync_equivalence_on_corpus(self, convex_corpus, line_grid):
         for name, phi in convex_corpus.items():
@@ -475,7 +512,7 @@ class TestCyclicMonotone:
         b = separable(phi, line_grid)
         M = graph_of(b, default_graph_tol(line_grid, line_grid))
         pts = [(line_grid.coords(xi), line_grid.coords(yi))
-               for xi, yi in list(M.pairs())[::60]][:6]
+               for xi, yi in np.argwhere(M.mask)[::60]][:6]
         assert check_cyclically_monotone(pts, 5).ok
 
 
@@ -485,7 +522,7 @@ class TestGraphSetCsv:
         p = tmp_path / "m.csv"
         M.to_csv(p)
         back = GraphSet.read_csv(p)
-        assert back.same_pairs(M)
+        assert np.array_equal(back.mask, M.mask)
         assert back.xgrid.n == M.xgrid.n
 
     def test_round_trip_2d(self, tmp_path):
@@ -499,7 +536,7 @@ class TestGraphSetCsv:
             "# xgrid lo=-2.0 -2.0 hi=2.0 2.0 n=5 5"
         back = GraphSet.read_csv(p)
         assert back.xgrid == gx and back.ygrid == gy
-        assert back.same_pairs(M)
+        assert np.array_equal(back.mask, M.mask)
 
     @pytest.mark.parametrize("row", ["-1,0", "0,-1", "-25,0", "25,0", "0,5"])
     def test_out_of_range_indices_rejected(self, tmp_path, row):

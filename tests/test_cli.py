@@ -8,7 +8,7 @@ import pytest
 import bipot
 from bipot import cli
 from bipot.blur import BlurSpec, blurred_bipotential, check_newc
-from bipot.cli import main, report_schema_version
+from bipot.cli import SCHEMA_VERSION, main
 from bipot.covers import build_cover
 from bipot.fixtures import (cone_fixture, cone_fixture_params,
                             elasticity_fixture, elasticity_sync)
@@ -78,7 +78,7 @@ def test_cli_pins_openblas_unless_set(cli_env, tmp_path, user, expected):
 
 
 def test_schema_version_constant():
-    assert report_schema_version().count(".") == 2
+    assert SCHEMA_VERSION.count(".") == 2
 
 
 def test_version_flag(run_cli, tmp_path):
@@ -166,7 +166,7 @@ def test_conjugate_roundtrip(run_cli, tmp_path, quad_csv):
                  "--out", "star.csv", "--report", "rep.txt"], tmp_path)
     assert r.returncode == 0, r.stderr
     rep = (tmp_path / "rep.txt").read_text().splitlines()
-    assert rep[0] == f"schema_version = {report_schema_version()}"
+    assert rep[0] == f"schema_version = {SCHEMA_VERSION}"
     assert "output_convex = pass" in rep
     star = SampledFunction.read_csv(tmp_path / "star.csv")
     ys = star.grid.axis(0)
@@ -270,7 +270,8 @@ def test_blur_and_check_pipeline_2d(run_cli, tmp_path):
 
 def test_check_sync_gives_verdict_on_rounding_below_zero(run_cli, tmp_path):
     """The blurred 2-D elasticity sync has entries a few ulps below 0,
-    inside check_sync's tolerance; the cross-check must not refuse them."""
+    inside check_sync's tolerance; neither the cross-check nor the sync
+    form of check blurring may refuse them."""
     r = run_cli(["example", "elasticity", "--dim", "2", "--grid", "21",
                  "--out-dir", "."], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
@@ -279,8 +280,40 @@ def test_check_sync_gives_verdict_on_rounding_below_zero(run_cli, tmp_path):
     ca = SampledBivariate.read_csv(tmp_path / "ca.csv")
     assert (ca.vals < 0).any() and (ca.vals > -1e-12).all()
     r = run_cli(["check", "sync", "--input", "ca.csv"], tmp_path)
-    assert r.returncode in (0, 1), r.stdout + r.stderr
-    assert "axiom = " in r.stdout, r.stdout + r.stderr
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "axiom = sync" in r.stdout, r.stdout + r.stderr
+    r = run_cli(["check", "blurring", "--sync", "ca.csv", "--eps", "0.5"],
+                tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "axiom = sync" in r.stdout, r.stdout + r.stderr
+
+
+def test_check_blurring_sync_below_zero_fails_its_check(tmp_path, capsys):
+    # min c_A = min c, so a c below 0 past the tolerance fails as a check
+    # (exit 1), as it does in check sync, not as an input error
+    g = Grid.line(-2.0, 2.0, 41)
+    SampledBivariate.from_callable(
+        g, g, lambda x, y: 0.5 * (x - y) ** 2 - 0.25).to_csv(tmp_path / "c.csv")
+    c = str(tmp_path / "c.csv")
+    assert main(["check", "sync", "--input", c]) == 1
+    assert "axiom = nonnegative" in capsys.readouterr().out
+    assert main(["check", "blurring", "--sync", c, "--eps", "0.5"]) == 1
+    assert "axiom = blurred-sync[nonnegative]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--graph", "g.csv", "--sync", "c.csv"]],
+                         ids=["neither", "both"])
+def test_check_blurring_takes_one_input(tmp_path, capsys, monkeypatch, flags):
+    # with neither flag the sync reader got None (exit 3, a TypeError);
+    # with both, --sync was silently ignored
+    monkeypatch.chdir(tmp_path)
+    code = main(["check", "blurring", "--eps", "0.5", *flags,
+                 "--report", "r.txt"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "exactly one of --graph and --sync" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("eps", ["1e308", "inf", "nan"])
@@ -664,7 +697,7 @@ def test_stale_golden_reports_detected(run_cli, tmp_path, quad_csv):
                  "--report", "fresh.txt"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     fresh = (tmp_path / "fresh.txt").read_text().splitlines()
-    assert fresh[0] == f"schema_version = {report_schema_version()}"
+    assert fresh[0] == f"schema_version = {SCHEMA_VERSION}"
     stale = ["schema_version = 0.0.1"] + fresh[1:]
     assert stale[0] != fresh[0]  # version mismatch marks the golden stale
 

@@ -93,7 +93,7 @@ class TestTwoPoint:
                                     line_grid, line_grid)
         MA, _ = minkowski_blur(M, spec)
         iy = line_grid.snap([0.5])
-        sec = MA.y_section(iy)
+        sec = MA.mask[:, iy]
         want = {line_grid.snap([0.0]), line_grid.snap([1.0])}
         assert set(np.flatnonzero(sec)) == want
 

@@ -33,3 +33,9 @@ def test_diff_prints_the_fields_that_differ(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "a", "  REV: y=2", "  here: y=3", "c", "  only at REV",
         "d", "  only here", "3 of 4 outcomes differ from REV"]
+
+
+def test_corpus_names_are_distinct():
+    names = [name for name, *_ in parity._corpus()]
+    assert len(set(names)) == len(names) == 121
+    assert sum(n.endswith("-n101 eps=0.33") for n in names) == 19

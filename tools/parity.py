@@ -28,11 +28,13 @@ separated by " | ":
 
 An outcome that raises ends with "error = <class>: <message>" instead.
 
-The corpus: ``random_convex_1d`` seeds 1-6, plain and truncated, on 101
-nodes of [-1, 1] with eps in {0.04, 0.1, 0.3, 0.5, 1.0}; the cone of the
-worked example at n in {9, 17, 25, 41}; 2-D elasticity (k = 1,
-eps = 0.5) at n in {11, 21, 25}. The two largest pin 2-D battery
-witnesses on larger grids.
+The corpus: on 101 nodes of [-1, 1], ``random_convex_1d`` seeds 1-6,
+plain and truncated, |x|, relu^2, the indicator of [-0.5, 0.5] and
+k x^2 / 2 for k in {0.6, 0.8, 1, 1.2}, each with eps in {0.04, 0.1, 0.3,
+0.33, 0.5, 1.0}; the cone of the worked example at n in {9, 17, 25, 41};
+2-D elasticity (k = 1, eps = 0.5) at n in {11, 21, 25}. The two largest
+pin 2-D battery witnesses on larger grids. That is 121 outcomes, 3-5 s
+on a 2-core x86 VM.
 
 ``--against REV`` unpacks ``git archive REV`` into a temporary directory,
 runs the same corpus on that tree's ``src/``, and prints, for each outcome
@@ -67,15 +69,22 @@ def _corpus():
     import numpy as np
     from bipot.fixtures import (cone_fixture, cone_fixture_params,
                                 elasticity_fixture, elasticity_phi)
-    from bipot.grids import Grid
+    from bipot.grids import Grid, SampledFunction
     from bipot.sampling import random_convex_1d
 
     line = Grid.line(-1.0, 1.0, 101)
-    for seed, truncate in itertools.product(range(1, 7), (False, True)):
-        phi = random_convex_1d(line, np.random.default_rng(seed), truncate)
-        law = f"convex1d-{seed}{'-trunc' if truncate else ''}-n101"
-        for eps in (0.04, 0.1, 0.3, 0.5, 1.0):
-            yield f"{law} eps={eps}", phi, eps, line
+    laws = [(f"convex1d-{seed}{'-trunc' if truncate else ''}",
+             random_convex_1d(line, np.random.default_rng(seed), truncate))
+            for seed, truncate in itertools.product(range(1, 7), (False, True))]
+    laws += [(name, SampledFunction.from_callable(line, f)) for name, f in [
+        ("abs", np.abs),
+        ("relu2", lambda x: np.maximum(x, 0.0) ** 2),
+        ("indicator-0.5", lambda x: np.where(np.abs(x) <= 0.5 + 1e-9, 0.0, np.inf)),
+        *((f"quad-k{k}", lambda x, k=k: 0.5 * k * x * x)
+          for k in (0.6, 0.8, 1.0, 1.2))]]
+    for law, phi in laws:
+        for eps in (0.04, 0.1, 0.3, 0.33, 0.5, 1.0):
+            yield f"{law}-n101 eps={eps}", phi, eps, line
     for n in (9, 17, 25, 41):
         fix = cone_fixture_params(n=n)
         yield f"cone-n{n} eps={fix.eps}", cone_fixture(fix).phi, fix.eps, fix.ygrid
