@@ -187,8 +187,10 @@ def _sync_tiles(b: SampledBivariate):
     +inf, also where <x, y> overflows."""
     vals = b.vals.reshape(b.xgrid.size, b.ygrid.size)
     for t, P in _pair_tiles(b.xgrid, b.ygrid):
-        v = vals[t]
-        yield t, np.subtract(v, P, out=np.full_like(P, INF), where=v < INF), P
+        with np.errstate(invalid="ignore"):   # inf - inf, reset below
+            c = vals[t] - P
+        c[vals[t] == INF] = INF
+        yield t, c, P
 
 
 def graph_of(b: SampledBivariate, tol: float) -> GraphSet:

@@ -64,12 +64,23 @@ def inf_convolve_blur(c: SampledBivariate, spec: BlurSpec) -> SampledBivariate:
     return SampledBivariate(c.xgrid, c.ygrid, out)
 
 
+def _pairing_bound(xg: Grid, yg: Grid) -> float:
+    """A bound on |<x, y>| over the boxes from their corners, or +inf."""
+    corner = lambda g: np.maximum(np.abs(g.lo), np.abs(g.hi))
+    with np.errstate(over="ignore"):
+        return float(corner(xg) @ corner(yg))
+
+
 def _yball_conjugate(phi: SampledFunction, spec: BlurSpec, ygrid: Grid | None,
                      who: str) -> SampledFunction:
-    """phi* on the dual grid, once the blur is known to resolve on it."""
+    """phi* on the dual grid, once <x, y> is known to stay finite on the
+    two boxes and the blur to resolve on the dual grid."""
     phi.require_domain(who)
     if ygrid is None:
         ygrid = phi.grid   # node-aligned dual box by default
+    if _pairing_bound(phi.grid, ygrid) == INF:
+        raise InvalidInputError(f"{who}: <x, y> overflows float64 for x "
+                                f"in {phi.grid} and y in {ygrid}")
     star = conjugate(phi, ygrid)
     require_resolvable(spec.eps, star.grid)
     return star
@@ -152,9 +163,8 @@ class BlurredLaw:
                 "c_A, b_A and M + A must lie on phi's grid and one y-grid")
         # b_A - <x, y> and c_A are two roundings of sums of <x, y>, phi and
         # the filtered phi* - <x, a>, so the bound grows with their size
-        corner = lambda g: np.maximum(np.abs(g.lo), np.abs(g.hi))
         vals = self.phi.vals
-        scale = float(corner(xg) @ corner(yg)) + float(
+        scale = _pairing_bound(xg, yg) + float(
             np.max(np.abs(vals), where=np.isfinite(vals), initial=0.0))
         bound = 1e-9 * max(1.0, scale)
         gap = _shift_gap(self.bA, self.cA)

@@ -39,7 +39,7 @@ from .covers import (_require_seed, build_cover, check_implicitly_convex,
 from .errors import BipotError, FormatError, InvalidInputError
 from .fixtures import (cone_fixture, cone_fixture_params, elasticity_closed_form_ca,
                        elasticity_fixture, elasticity_phi, elasticity_sync,
-                       load_default_params, two_point_fixture)
+                       two_point_fixture)
 from .grids import (Grid, SampledBivariate, SampledFunction, _open_csv,
                     _read_rows)
 from .legendre import conjugate, default_dual_grid
@@ -275,22 +275,27 @@ def _cmd_cover(cfg: RunConfig) -> int:
     return 0
 
 
+def _fixture_kwargs(a, *flags) -> dict:
+    """The flags among FLAGS that were given, as fixture keywords: --grid
+    is n, a nonempty --box is lo and hi."""
+    kw = {"n" if f == "grid" else f: getattr(a, f) for f in flags
+          if hasattr(a, f)}
+    if getattr(a, "box", ""):
+        kw["lo"], kw["hi"] = _lo_hi(a.box, "--box")
+    return kw
+
+
 def _cmd_example(cfg: RunConfig) -> int:
     a = cfg.args
-    defaults = load_default_params()
-    which = a.example
 
-    if which == "elasticity":
-        k = a.k if a.k is not None else defaults["elasticity.k"]
-        eps = a.eps if a.eps is not None else defaults["elasticity.eps"]
-        n = a.grid or int(defaults["elasticity.n"])
-        lo, hi = _box_or(a, defaults, "elasticity")
-        fix = elasticity_fixture(k, eps, lo, hi, n, a.dim)
+    if a.example == "elasticity":
+        fix = elasticity_fixture(**_fixture_kwargs(a, "k", "eps", "grid",
+                                                   "dim"))
         phi = elasticity_phi(fix)
         c = elasticity_sync(fix)
         ca = inf_convolve_blur(c, fix.spec)
         oracle = elasticity_closed_form_ca(fix)
-        band = radius_nodes(eps, max(fix.ygrid.h))
+        band = radius_nodes(fix.eps, max(fix.ygrid.h))
         sl = (slice(None),) * fix.xgrid.dim + \
             tuple(slice(band, m - band) for m in fix.ygrid.shape)
         gap = float(np.abs(ca.vals[sl] - oracle.vals[sl]).max())
@@ -298,63 +303,47 @@ def _cmd_example(cfg: RunConfig) -> int:
         c.to_csv(_out_path(a, "sync.csv"))
         ca.to_csv(_out_path(a, "ca.csv"))
         oracle.to_csv(_out_path(a, "ca_closed_form.csv"))
-        cfg.add("k", k)
-        cfg.add("eps", eps)
-        cfg.add("grid", n)
+        cfg.add("k", fix.k)
+        cfg.add("eps", fix.eps)
+        cfg.add("grid", fix.xgrid.n[0])
         cfg.add("max_oracle_gap_interior", repr(gap))
         cfg.add("gap_allowance_2h", repr(2.0 * max(fix.ygrid.h)))
         cfg.write()
         return 0 if gap <= 2.0 * max(fix.ygrid.h) else 1
 
-    if which == "two-point":
-        eps = a.eps if a.eps is not None else defaults["two_point.eps"]
-        n = a.grid or int(defaults["two_point.n"])
-        lo, hi = _box_or(a, defaults, "two_point")
-        g = Grid.line(lo, hi, n)
-        x1 = a.x1 if a.x1 is not None else defaults["two_point.x1"]
-        y1 = a.y1 if a.y1 is not None else defaults["two_point.y1"]
-        x2 = a.x2 if a.x2 is not None else defaults["two_point.x2"]
-        y2 = a.y2 if a.y2 is not None else defaults["two_point.y2"]
-        M, spec = two_point_fixture(x1, y1, x2, y2, eps, g, g)
+    if a.example == "two-point":
+        box = getattr(a, "box", "")
+        g = Grid.line(*(_lo_hi(box, "--box") if box else (-2.0, 2.0)), a.grid)
+        M, spec = two_point_fixture(a.x1, a.y1, a.x2, a.y2, a.eps, g, g)
         MA, clipped = minkowski_blur(M, spec)
         M.to_csv(_out_path(a, "twopoint.csv"))
         MA.to_csv(_out_path(a, "twopoint_blurred.csv"))
         rep = check_admits_blurring(M, spec)
-        cfg.add("points", f"({x1},{y1}) ({x2},{y2})")
-        cfg.add("eps", eps)
-        cfg.add("threshold_2eps", 2 * eps)
-        cfg.add("y_gap", abs(y2 - y1))
+        cfg.add("points", f"({a.x1},{a.y1}) ({a.x2},{a.y2})")
+        cfg.add("eps", a.eps)
+        cfg.add("threshold_2eps", 2 * a.eps)
+        cfg.add("y_gap", abs(a.y2 - a.y1))
         cfg.add("clipped", clipped)
         cfg.add_report(rep)
         cfg.write()
         return 0 if rep.ok else 1
 
-    if which == "cone":
-        alpha = a.alpha if a.alpha is not None else defaults["cone.alpha"]
-        y1 = a.y1 if a.y1 is not None else defaults["cone.y1"]
-        eps = a.eps if a.eps is not None else defaults["cone.eps"]
-        n = a.grid or int(defaults["cone.n"])
-        lo, hi = _box_or(a, defaults, "cone")
-        fix = cone_fixture_params(alpha, y1, eps, lo, hi, n)
+    if a.example == "cone":
+        fix = cone_fixture_params(**_fixture_kwargs(a, "alpha", "y1", "eps",
+                                                    "grid"))
         law = cone_fixture(fix)
         law.phistar.to_csv(_out_path(a, "phistar.csv"))
         law.phi.to_csv(_out_path(a, "phi.csv"))
-        rep = check_newc(law.phi, eps, law.y_star_index, ygrid=fix.ygrid)
-        cfg.add("alpha", alpha)
+        rep = check_newc(law.phi, fix.eps, law.y_star_index, ygrid=fix.ygrid)
+        cfg.add("alpha", fix.alpha)
         cfg.add("y_star", fix.y_star)
-        cfg.add("eps", eps)
+        cfg.add("eps", fix.eps)
         cfg.add("window", fix.window)
         cfg.add_report(rep)
         cfg.write()
         return 0 if rep.ok else 1
 
-    raise InvalidInputError(f"unknown example {which!r}")
-
-
-def _box_or(a, defaults, key):
-    if a.box:
-        return _lo_hi(a.box, "--box")
-    return defaults[f"{key}.lo"], defaults[f"{key}.hi"]
+    raise InvalidInputError(f"unknown example {a.example!r}")
 
 
 def _cmd_explore(cfg: RunConfig) -> int:
@@ -466,22 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("example", help="reproduce a worked example")
     ex = sp.add_subparsers(dest="example", required=True)
-    for name in ("elasticity", "two-point", "cone"):
-        e = ex.add_parser(name)
+    for name, flags in (("elasticity", "k dim"), ("two-point", "x1 y1 x2 y2"),
+                        ("cone", "alpha y1")):
+        # a flag not given stays out of the namespace, so the fixture's
+        # keyword default holds; an empty --box is the default box
+        e = ex.add_parser(name, argument_default=argparse.SUPPRESS)
         e.add_argument("--out-dir", dest="out_dir", required=True)
-        e.add_argument("--grid", type=int)
         e.add_argument("--box")
-        e.add_argument("--eps", type=float)
-        if name == "elasticity":
-            e.add_argument("--k", type=float)
-            e.add_argument("--dim", type=int, default=1)
-        if name == "two-point":
-            for f in ("x1", "y1", "x2", "y2"):
-                e.add_argument(f"--{f}", type=float)
-        if name == "cone":
-            e.add_argument("--alpha", type=float)
-            e.add_argument("--y1", type=float)
+        for f in ("grid", "eps", *flags.split()):
+            e.add_argument(f"--{f}", type=int if f in ("grid", "dim") else float)
         add_report(e)
+    # two_point_fixture takes grids, so these flags hold its defaults
+    ex.choices["two-point"].set_defaults(grid=201, eps=0.6, x1=0.0, y1=0.0,
+                                         x2=1.0, y2=1.0)
 
     sp = sub.add_parser("explore", help="exploration harnesses")
     xp = sp.add_subparsers(dest="explorecmd", required=True)

@@ -65,12 +65,6 @@ class CoverFamily:
     def ygrid(self) -> Grid:
         return self.phistar.grid
 
-    def offset_coords(self, off) -> np.ndarray:
-        h = self.ygrid.h
-        if self.ygrid.dim == 1:
-            return np.array([off * h[0]])
-        return np.array([off[0] * h[0], off[1] * h[1]])
-
     def values_at(self, y_idx) -> np.ndarray:
         """f(a, x) = b_a(x, y) = phi(x) + phi*(y - a) + <x, a> at the
         y-node y_idx, stacked over the offsets; phi*(y - a) is +inf where
@@ -100,8 +94,8 @@ def build_cover(phi: SampledFunction, eps: float,
 def _ball_radius(family: CoverFamily) -> float:
     """The radius of the ball whose node offsets the family holds; other
     offset sets are refused."""
-    radius = max(float(np.linalg.norm(family.offset_coords(off)))
-                 for off in family.offsets)
+    offs = np.asarray(family.offsets).reshape(len(family.offsets), -1)
+    radius = float(np.linalg.norm(offs * family.ygrid.h, axis=1).max())
     if sorted(ball_offsets(family.ygrid, radius)) != sorted(family.offsets):
         raise InvalidInputError("the shift identity needs a ball of offsets")
     return radius
@@ -199,15 +193,13 @@ def _aligned_pairs(z1, mg, zshape, alpha):
 
 
 def _pair_sample(zshape, alpha, cap, rng):
-    """Aligned (z1, z2, mid) triples for one alpha: exhaustive when the
-    pair count fits the cap, otherwise seeded stratified subsampling.
-
-    rng is a zero-argument callable giving the seeded numpy Generator. It
-    is called only when the sample draws (a strided phase, or sampled
-    mode), so the exhaustive mode makes none. The exhaustive pairs are
-    listed z1-major, the candidates of a tile of z1 nodes (about
-    ``windows._TILE_BYTES`` of them) at a time, so only the aligned pairs
-    are ever held whole.
+    """Aligned (z1, z2, mid) triples for one alpha. Every aligned pair
+    when n^2 <= max(cap, 4n): their n(n - 1) fit a cap of 4n or more, and
+    n <= 4 gives at most 12, also above a smaller cap. These are listed
+    z1-major, a tile of z1 nodes (about ``windows._TILE_BYTES`` of
+    candidates) at a time, so only the aligned pairs are held whole.
+    Otherwise seeded stratified subsampling from rng, a zero-argument
+    callable giving the seeded numpy Generator, which only it calls.
     """
     dims = len(zshape)
     n = int(np.prod(zshape))
@@ -219,28 +211,19 @@ def _pair_sample(zshape, alpha, cap, rng):
         pieces = [_aligned_pairs(flat[t], mg, zshape, alpha)
                   for t in _tiles(n, n * flat.itemsize)]
         i1, i2, mid = map(np.concatenate, zip(*pieces))
-        del pieces
         if len(i1) == 0:
             raise InvalidInputError("grid too coarse for alpha set")
-        if len(i1) <= cap:
-            return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
-        step = -(-len(i1) // cap)
-        phase = int(rng().integers(0, step))
-        sel = np.arange(phase, len(i1), step)
-        return (i1[sel], i2[sel], mid[sel],
-                f"mode=strided pairs={len(sel)} stride={step} phase={phase}")
+        return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
 
     # large z-grid: draw z1 uniformly, z2 from the aligned lattice around it
     gen = rng()
     tries = 0
     got1, got2 = [], []
-    want = cap
-    while sum(len(g) for g in got1) < want and tries < 30:
+    while sum(len(g) for g in got1) < cap and tries < 30:
         tries += 1
-        k = want
-        c1 = [gen.integers(0, s, size=k) for s in zshape]
-        c2 = [gen.integers(0, s, size=k) for s in zshape]
-        ok = np.ones(k, dtype=bool)
+        c1 = [gen.integers(0, s, size=cap) for s in zshape]
+        c2 = [gen.integers(0, s, size=cap) for s in zshape]
+        ok = np.ones(cap, dtype=bool)
         for d in range(dims):
             m = alpha * c1[d] + beta * c2[d]
             ok &= np.abs(m - np.rint(m)) <= 1e-9
@@ -250,8 +233,8 @@ def _pair_sample(zshape, alpha, cap, rng):
             got2.append(np.stack([c[ok] for c in c2], axis=-1))
     if not got1:
         raise InvalidInputError("grid too coarse for alpha set")
-    a1 = np.concatenate(got1)[:want]
-    a2 = np.concatenate(got2)[:want]
+    a1 = np.concatenate(got1)[:cap]
+    a2 = np.concatenate(got2)[:cap]
     mid = np.rint(alpha * a1 + beta * a2).astype(np.int64)
     flat = lambda ix: np.ravel_multi_index(tuple(ix.T), zshape)
     return (flat(a1), flat(a2), flat(mid),

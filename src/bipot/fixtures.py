@@ -10,14 +10,14 @@
    the subdifferential union is two rays, which is not convex, so the blur
    admits no bipotential.
 
-Default parameters live in data/examples.cfg and are overridable by flags.
+Defaults are the keyword defaults of the builders below; the two-point
+law, built from grids, takes its defaults from ``bipot example two-point``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -27,19 +27,6 @@ from .errors import InvalidInputError
 from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate
-
-
-def load_default_params() -> dict[str, float]:
-    """Flat key=value defaults for the example fixtures."""
-    text = resources.files("bipot").joinpath("data/examples.cfg").read_text()
-    out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        out[key.strip()] = float(val.strip())
-    return out
 
 
 # --- Example 1: blurred elasticity ------------------------------------------

@@ -237,7 +237,7 @@ def envelope_verdicts(ystack, sampled, tol):
 def pair_sample_whole(zshape, alpha, cap, rng):
     """``covers._pair_sample`` listing every candidate pair of the z-grid
     in one n^2 array; rng is the numpy Generator itself, drawn from only
-    in the strided and sampled modes."""
+    in the sampled mode."""
     dims = len(zshape)
     n = int(np.prod(zshape))
     beta = 1.0 - alpha
@@ -260,13 +260,7 @@ def pair_sample_whole(zshape, alpha, cap, rng):
         mid = np.ravel_multi_index(tuple(m[ok] for m in mids), zshape)
         if len(i1) == 0:
             raise InvalidInputError("grid too coarse for alpha set")
-        if len(i1) <= cap:
-            return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
-        step = -(-len(i1) // cap)
-        phase = int(rng.integers(0, step))
-        sel = np.arange(phase, len(i1), step)
-        return (i1[sel], i2[sel], mid[sel],
-                f"mode=strided pairs={len(sel)} stride={step} phase={phase}")
+        return i1, i2, mid, f"mode=exhaustive pairs={len(i1)}"
 
     tries = 0
     got1, got2 = [], []

@@ -633,3 +633,30 @@ def test_unusable_radius_is_invalid_input(eps):
     # 1e308 / h overflows to inf; none of these may reach math.floor
     with pytest.raises(InvalidInputError, match="radius"):
         radius_nodes(eps, 0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid, refused", [
+    (Grid.line(-1e154, 1e154, 9), False), (Grid.line(-1e155, 1e155, 9), True),
+    (Grid.box(-1e154, 1e154, 5), True)])
+def test_yball_routes_refuse_an_overflowing_pairing(grid, refused):
+    # |x|_1: where the corner pairing overflows, blur_law and maithm
+    # warned and raised "NaN is not an extended real", while check_newc
+    # and check_newc_all decided on overflowed pairings and tolerances
+    from bipot.covers import build_cover, check_maithm_equivalence
+    phi = SampledFunction.from_callable(
+        grid, lambda *x: sum(np.abs(t) for t in x))
+    eps = grid.hi[0] / 2
+    centre = grid.n[0] // 2 if grid.dim == 1 else (2, 2)
+    for route in (lambda: blur_law(phi, BlurSpec(eps)),
+                  lambda: blurred_bipotential(phi, BlurSpec(eps)),
+                  lambda: blurred_graph(phi, BlurSpec(eps)),
+                  lambda: check_newc(phi, eps, centre),
+                  lambda: check_newc_all(phi, eps),
+                  lambda: build_cover(phi, eps),
+                  lambda: check_maithm_equivalence(phi, eps)):
+        if refused:
+            with pytest.raises(InvalidInputError, match="overflows float64"):
+                route()
+        else:
+            route()

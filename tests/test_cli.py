@@ -568,6 +568,59 @@ def test_example_refuses_a_box_of_other_than_two_reals(tmp_path, capsys,
     assert "--box expects 'lo,hi'" in err and "Traceback" not in err
 
 
+# the default parameters of each example as data/examples.cfg held them
+_CFG_FLAGS = {
+    "elasticity": "--k 1.0 --eps 0.5 --box=-2.0,2.0 --grid 401",
+    "two-point": "--x1 0.0 --y1 0.0 --x2 1.0 --y2 1.0 --eps 0.6 "
+                 "--box=-2.0,2.0 --grid 201",
+    "cone": "--alpha 0.5 --y1 1.0 --eps 1.0 --box=-2.0,2.0 --grid 81",
+}
+
+
+@pytest.mark.parametrize("example", list(_CFG_FLAGS))
+def test_example_defaults_are_the_old_config_values(tmp_path, capsys,
+                                                    example):
+    # the defaults are the fixtures' keyword defaults and the two-point
+    # flags' defaults now; no report or output byte moves with them
+    runs = []
+    for tag, flags in (("bare", []), ("cfg", _CFG_FLAGS[example].split())):
+        out, rep = tmp_path / tag, tmp_path / f"{tag}.txt"
+        code = main(["example", example, "--out-dir", str(out),
+                     "--report", str(rep), *flags])
+        runs.append((code, rep.read_bytes(),
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1] and len(runs[0][2]) >= 2
+
+
+@pytest.mark.parametrize("example", list(_CFG_FLAGS))
+def test_example_refuses_a_grid_of_zero(tmp_path, capsys, example):
+    # `a.grid or default` read 0 as unset and ran the default grid
+    code = main(["example", example, "--out-dir", str(tmp_path / "o"),
+                 "--grid", "0"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "need at least 3 nodes per axis" in err
+
+
+def test_yball_commands_refuse_an_overflowing_pairing(tmp_path, capsys):
+    # <x, y> reaches 1e310 at the corners: blur and maithm died on
+    # "NaN is not an extended real", newc gave a verdict on inf - inf
+    p = tmp_path / "abs.csv"
+    SampledFunction.from_callable(Grid.line(-1e155, 1e155, 9),
+                                  np.abs).to_csv(p)
+    common = ["--phi", str(p), "--eps", "5e154"]
+    for args in (["blur", *common, "--out-ca", str(tmp_path / "ca.csv")],
+                 ["check", "newc", *common, "--y", "0"],
+                 ["check", "implicit", *common, "--y", "0"],
+                 ["check", "maithm", *common],
+                 ["cover", "build", *common, "--out-dir", str(tmp_path)]):
+        code = main(args + ["--report", str(tmp_path / "rep.txt")])
+        err = capsys.readouterr().err
+        assert code == 2, (args, err)
+        assert "overflows float64" in err and "Traceback" not in err
+    assert not (tmp_path / "rep.txt").exists()
+
+
 def test_check_reports_print_plain_numbers(run_cli, tmp_path):
     """Node coordinates and witness indices print as Python numbers, so
     the report bytes do not depend on the numpy version's scalar repr."""

@@ -293,7 +293,7 @@ class TestFlatMandatoryScan:
     @pytest.mark.parametrize("zshape", [(13,), (7, 10), (10, 7)])
     def test_verdicts_equal_the_slice_loop(self, monkeypatch, zshape):
         # 60 slices in chunks of 1, of 7 (ragged) and whole; exhaustive
-        # aligned pairs, and a strided sample of them; the line battery of
+        # aligned pairs, and a sample of them; the line battery of
         # the same chunks is batch_is_convex's
         rng = np.random.default_rng(sum(zshape))
         stack = _envelope_stack(zshape, rng)
@@ -321,11 +321,11 @@ class TestFlatMandatoryScan:
 
 
 class TestPairSampleTiles:
-    # (zshape, cap, a mode some alpha reaches): the strided mode needs
-    # n^2 <= 4n, so n <= 4
+    # (zshape, cap, a mode some alpha reaches): z-grids of at most 4
+    # nodes list every aligned pair, also above a cap below their count
     CASES = [((13,), 10 ** 6, "exhaustive"), ((6, 5), 10 ** 6, "exhaustive"),
-             ((4,), 3, "strided"), ((1, 4), 3, "strided"),
-             ((3,), 1, "strided"), ((13,), 60, "sampled"),
+             ((4,), 3, "exhaustive"), ((1, 4), 3, "exhaustive"),
+             ((3,), 1, "exhaustive"), ((13,), 60, "sampled"),
              ((6, 5), 300, "sampled")]
 
     @pytest.mark.parametrize("tile_bytes", [8, 100, windows._TILE_BYTES])

@@ -6,8 +6,7 @@ from bipot.blur import check_admits_blurring, check_newc, blurred_graph, inf_con
 from bipot.errors import InvalidInputError
 from bipot.fixtures import (ConeFixture, cone_fixture, cone_fixture_params,
                             elasticity_closed_form_ca, elasticity_fixture,
-                            elasticity_sync, load_default_params,
-                            two_point_fixture)
+                            elasticity_sync, two_point_fixture)
 from bipot.grids import Grid
 
 from oracles import ConjugatePair, subdiff_points
@@ -169,10 +168,3 @@ class TestCone:
                 d = np.array(x) / r
                 n1 = np.array([-a, 1.0]) / np.sqrt(1 + a * a)
                 assert d @ n1 > 0.95, x
-
-
-def test_default_params_file():
-    params = load_default_params()
-    assert params["cone.alpha"] == 0.5
-    assert params["elasticity.n"] == 401
-    assert params["two_point.eps"] == 0.6

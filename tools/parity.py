@@ -5,8 +5,8 @@
 
 Run from anywhere in a source checkout; the package is imported from the
 checkout's ``src/`` (or ``--src DIR``), nothing is installed. An outcome
-is one law with one blur radius eps on its y-grid. Its line holds fields
-separated by " | ":
+is one law with one blur radius eps on its y-grid, or one worked example.
+A law's line holds fields separated by " | ":
 
   name            the law, its grid and eps;
   cA, bA, MA      sha256 prefixes of the bytes of ``blur_law``'s c_A, b_A
@@ -27,13 +27,17 @@ separated by " | ":
                   verdicts, which pins the set scan where most U(y) fail.
 
 An outcome that raises ends with "error = <class>: <message>" instead.
+A worked example's line holds ``bipot example NAME``'s exit code, its
+report lines and the sha256 prefix of each output file, from one run at
+default flags, in-process, into a temporary directory.
 
 The corpus: on 101 nodes of [-1, 1], ``random_convex_1d`` seeds 1-6,
 plain and truncated, |x|, relu^2, the indicator of [-0.5, 0.5] and
 k x^2 / 2 for k in {0.6, 0.8, 1, 1.2}, each with eps in {0.04, 0.1, 0.3,
 0.33, 0.5, 1.0}; the cone of the worked example at n in {9, 17, 25, 41};
 2-D elasticity (k = 1, eps = 0.5) at n in {11, 21, 25}. The two largest
-pin 2-D battery witnesses on larger grids. That is 121 outcomes, 3-5 s
+pin 2-D battery witnesses on larger grids. Then the three worked
+examples, elasticity, two-point and cone. That is 124 outcomes, 3-5 s
 on a 2-core x86 VM.
 
 ``--against REV`` unpacks ``git archive REV`` into a temporary directory,
@@ -45,6 +49,8 @@ differs, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -65,7 +71,8 @@ def _digest(a) -> str:
 
 
 def _corpus():
-    """(name, phi, eps, ygrid) for every outcome, in a fixed order."""
+    """(name, fields) for every outcome, in a fixed order; fields() yields
+    the outcome's fields."""
     import numpy as np
     from bipot.fixtures import (cone_fixture, cone_fixture_params,
                                 elasticity_fixture, elasticity_phi)
@@ -84,14 +91,18 @@ def _corpus():
           for k in (0.6, 0.8, 1.0, 1.2))]]
     for law, phi in laws:
         for eps in (0.04, 0.1, 0.3, 0.33, 0.5, 1.0):
-            yield f"{law}-n101 eps={eps}", phi, eps, line
+            yield f"{law}-n101 eps={eps}", functools.partial(
+                _fields, phi, eps, line)
     for n in (9, 17, 25, 41):
         fix = cone_fixture_params(n=n)
-        yield f"cone-n{n} eps={fix.eps}", cone_fixture(fix).phi, fix.eps, fix.ygrid
+        yield f"cone-n{n} eps={fix.eps}", functools.partial(
+            _fields, cone_fixture(fix).phi, fix.eps, fix.ygrid)
     for n in (11, 21, 25):
         fix = elasticity_fixture(n=n, dim=2)
-        yield (f"elasticity2d-n{n} eps={fix.eps}", elasticity_phi(fix),
-               fix.eps, fix.ygrid)
+        yield f"elasticity2d-n{n} eps={fix.eps}", functools.partial(
+            _fields, elasticity_phi(fix), fix.eps, fix.ygrid)
+    for example in ("elasticity", "two-point", "cone"):
+        yield f"example {example}", functools.partial(_example, example)
 
 
 def _lines(tag, rep) -> str:
@@ -126,12 +137,26 @@ def _fields(phi, eps, ygrid):
     yield f"newc-all={_digest(check_newc_all(phi, eps, ygrid=ygrid))}"
 
 
+def _example(name):
+    from bipot.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()):
+        out, rep = Path(tmp, "out"), Path(tmp, "report.txt")
+        code = main(["example", name, "--out-dir", str(out),
+                     "--report", str(rep)])
+        yield f"exit={code}"
+        yield "report: " + "; ".join(rep.read_text().splitlines())
+        for p in sorted(out.iterdir()):
+            yield f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()[:16]}"
+
+
 def corpus_lines():
     """One line per outcome of the corpus, on the imported ``bipot``."""
-    for name, phi, eps, ygrid in _corpus():
+    for name, outcome in _corpus():
         fields = [name]
         try:
-            for f in _fields(phi, eps, ygrid):
+            for f in outcome():
                 fields.append(f)
         except Exception as exc:   # one outcome's failure is its record
             fields.append(f"error = {type(exc).__name__}: {exc}")
