@@ -38,7 +38,7 @@ from .extreal import INF
 from .grids import Grid, SampledBivariate, SampledFunction
 from .legendre import conjugate, default_subdiff_tol, x_tol
 from .report import CheckReport, failing, passing
-from .windows import (_ball_window, _pair_tiles, _sweep, ball_dilate,
+from .windows import (_ball_chords, _pair_tiles, _sweep, ball_dilate,
                       ball_min_filter, ball_offsets, require_resolvable)
 
 
@@ -104,7 +104,7 @@ def _yball_blur(phi: SampledFunction, star: SampledFunction, eps: float,
     pv = phi.vals.reshape((-1,) + (1,) * yg.dim)
     tiles = ((t, P.reshape((-1,) + yg.shape)) for t, P in _pair_tiles(xg, yg))
     blocks = (((t, P), star.vals - P) for t, P in tiles)
-    for (t, P), v in _sweep(blocks, yg, *_ball_window(yg, eps),
+    for (t, P), v in _sweep(blocks, yg, _ball_chords(yg, eps),
                             _kernels.sliding_min, np.minimum, np.inf):
         if cA is not None:
             np.add(v, pv[t], out=cA[t])
@@ -234,7 +234,7 @@ def _blurred_mask(phi: SampledFunction, star: SampledFunction, eps: float,
     u8 = out.view(np.uint8)
     blocks = ((t, E.view(np.uint8).reshape((-1,) + yg.shape))
               for t, E in _fy_tiles(phi, star, tol))
-    for t, D in _sweep(blocks, yg, *_ball_window(yg, eps),
+    for t, D in _sweep(blocks, yg, _ball_chords(yg, eps),
                        _kernels.sliding_max_u8, np.maximum, 0):
         u8[t] = D
     out.flags.writeable = False

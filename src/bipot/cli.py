@@ -138,9 +138,8 @@ def _cmd_blur(cfg: RunConfig) -> int:
     cfg.add("phi", a.phi)
     cfg.add("eps", a.eps)
     cfg.add("kind", "yball")
-    pieces = [(a.out_ca, law.cA),
-              ("ba.csv" if a.out_ba is None else a.out_ba, law.bA),
-              ("mg.csv" if a.out_graph is None else a.out_graph, law.MplusA)]
+    pieces = [(a.out_ca, law.cA), (a.out_ba, law.bA),
+              (a.out_graph, law.MplusA)]
     for path, piece in pieces:
         if path:
             piece.to_csv(path)
@@ -406,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float)
     sp.add_argument("--ybox")
     sp.add_argument("--yn", type=int)
+    # '' writes none
     sp.add_argument("--out-ca", dest="out_ca", default="ca.csv")
-    # ba.csv and mg.csv unless given; '' writes none
-    sp.add_argument("--out-ba", dest="out_ba")
-    sp.add_argument("--out-graph", dest="out_graph")
+    sp.add_argument("--out-ba", dest="out_ba", default="ba.csv")
+    sp.add_argument("--out-graph", dest="out_graph", default="mg.csv")
     add_report(sp)
 
     sp = sub.add_parser("check", help="run one predicate checker")
@@ -505,6 +504,9 @@ def main(argv=None) -> int:
         code = run(cfg)
     except (BipotError, OSError) as exc:
         print(f"bipot: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"bipot: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

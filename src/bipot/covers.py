@@ -42,7 +42,7 @@ DEFAULT_PAIR_CAP = 200_000
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """The family a -> b_a over the eps-ball of y-node offsets.
+    """The family a -> b_a over the eps-ball's offsets that join two y-nodes.
 
     ``offsets`` is the ordered index set (the lambda nodes); offset
     coordinates are offset * h per axis. ``values_at`` evaluates the

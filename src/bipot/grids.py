@@ -192,8 +192,6 @@ class SampledFunction:
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "SampledFunction":
         """Sample ``fn`` at all nodes; 1-D fn(x), 2-D fn(x1, x2), vectorized."""
-        if grid.dim == 1:
-            return cls(grid, fn(grid.axis(0)))
         return cls(grid, fn(*grid.meshgrid()))
 
     @property
@@ -238,14 +236,11 @@ class SampledBivariate:
 
     @classmethod
     def from_callable(cls, xgrid: Grid, ygrid: Grid, fn) -> "SampledBivariate":
-        """Sample fn on the product grid; 1-D fn(x, y), 2-D fn(x1, x2, y1, y2)."""
-        if xgrid.dim == 1:
-            x = xgrid.axis(0)[:, None]
-            y = ygrid.axis(0)[None, :]
-            return cls(xgrid, ygrid, fn(x, y))
-        x1, x2 = (m[:, :, None, None] for m in xgrid.meshgrid())
-        y1, y2 = (m[None, None, :, :] for m in ygrid.meshgrid())
-        return cls(xgrid, ygrid, fn(x1, x2, y1, y2))
+        """Sample fn on the product grid; 1-D fn(x, y), 2-D fn(x1, x2, y1, y2),
+        each x-axis leading and each y-axis trailing."""
+        xs = [m.reshape(xgrid.shape + (1,) * ygrid.dim) for m in xgrid.meshgrid()]
+        ys = [m.reshape((1,) * xgrid.dim + ygrid.shape) for m in ygrid.meshgrid()]
+        return cls(xgrid, ygrid, fn(*xs, *ys))
 
     @property
     def finite_max(self) -> float:

@@ -2,14 +2,18 @@
 
 A radius-eps ball around a node is realized as the set of node offsets d
 with ||d * h|| <= eps (Euclidean norm; a relative slack of 1e-9 keeps
-exact-rim offsets in despite float rounding). In 2-D the disc decomposes
-into chords, one sliding 1-D window per row offset (Urbach & Wilkinson,
-IEEE TIP 17(1), 2008), so every sweep reduces to the batched line kernels
-in ``bipot._kernels``; a 1-D grid is one row. Windows are clipped at the
-box: each row of the line buffer carries identity cells on its right, as
-many as the widest chord's half-width, so that a tile of rows is one flat
-line for the kernel and a window that runs off a row meets only
-identities. A sweep runs over its caller's tiles with one chord plan.
+exact-rim offsets in despite float rounding). One chord table,
+``_ball_chords``, describes it: the disc as rows (d1, w) of offsets
+(d1, d2) with |d2| <= w, a 1-D grid being one row, clamped once to the
+offsets that join two nodes of the grid, so that no consumer grows with
+the radius. The sweeps reduce it one sliding 1-D window per row offset
+(Urbach & Wilkinson, IEEE TIP 17(1), 2008) with the batched line kernels
+in ``bipot._kernels``, and ``ball_offsets`` expands it for the consumers
+that index offsets one by one. Windows are clipped at the box: each row of
+the line buffer carries identity cells on its right, as many as the
+widest chord's half-width, so that a tile of rows is one flat line for the
+kernel and a window that runs off a row meets only identities. A sweep
+runs over its caller's tiles with one chord plan.
 """
 
 from __future__ import annotations
@@ -59,32 +63,35 @@ def radius_nodes(eps: float, h: float) -> int:
     return int(math.floor(k))
 
 
-def _chord(eps: float, d1: int, h1: float, h2: float) -> float:
-    """Half-width in second-axis nodes, before flooring, of the disc's row
-    at first-axis offset d1; negative if the row misses the disc. May be
-    +inf when eps*eps overflows."""
-    rem = eps * eps * (1.0 + _SLACK) - (d1 * h1) ** 2
-    if rem < 0.0:
-        return -1.0
-    return math.sqrt(rem) / h2 * (1.0 + _SLACK) + _SLACK
+def _ball_chords(grid: Grid, eps: float) -> list[tuple[int, int]]:
+    """The eps-ball as rows (d1, w), ascending in d1: its offsets are the
+    (d1, d2) with |d2| <= w, and a 1-D grid is the one row d1 = 0. Rows
+    and half-widths are clamped to |d1| <= n1 - 1 and w <= n2 - 1, since
+    no other offset joins two nodes; so the table grows with the grid, not
+    with the radius."""
+    r1 = radius_nodes(eps, grid.h[0])
+    if grid.dim == 1:
+        return [(0, min(r1, grid.n[0] - 1))]
+    (n1, n2), (h1, h2) = grid.n, grid.h
+    chords = []
+    for d1 in range(-min(r1, n1 - 1), min(r1, n1 - 1) + 1):
+        rem = eps * eps * (1.0 + _SLACK) - (d1 * h1) ** 2
+        if rem >= 0.0:   # the row meets the disc; eps * eps may be +inf
+            c = math.sqrt(rem) / h2 * (1.0 + _SLACK) + _SLACK
+            chords.append((d1, math.floor(min(c, n2 - 1))))
+    return chords
 
 
 def ball_offsets(grid: Grid, eps: float):
-    """All node offsets of the grid with ||offset * h|| <= eps.
+    """The node offsets of ``_ball_chords``' table, those with
+    ||offset * h|| <= eps that join two nodes of the grid.
 
     Returns ints in 1-D and (d1, d2) tuples in 2-D, in ascending order.
     Always contains the zero offset.
     """
-    r1 = radius_nodes(eps, grid.h[0])
-    if grid.dim == 1:
-        return list(range(-r1, r1 + 1))
-    out = []
-    for d1 in range(-r1, r1 + 1):
-        c = _chord(eps, d1, *grid.h)
-        if c >= 0:
-            w = math.floor(c)
-            out.extend((d1, d2) for d2 in range(-w, w + 1))
-    return out
+    offs = [(d1, d2) for d1, w in _ball_chords(grid, eps)
+            for d2 in range(-w, w + 1)]
+    return offs if grid.dim == 2 else [d2 for _, d2 in offs]
 
 
 def require_resolvable(eps: float, grid: Grid) -> None:
@@ -96,21 +103,19 @@ def require_resolvable(eps: float, grid: Grid) -> None:
             f"blur radius below grid resolution (eps={eps}, h={max(grid.h)})")
 
 
-def _chord_plan(n1: int, n2: int, r1: int, halfwidth):
-    """(pad, steps) of a 2-D sweep on rows of n2 + pad cells.
+def _chord_plan(n1: int, n2: int, chords):
+    """(pad, steps) of a sweep over the chord table ``chords`` on rows of
+    n2 + pad cells.
 
     Each step is (widening, [(dst, src)]): the line buffer's windows grow
     by ``widening`` to the next distinct chord half-width, then each row
     offset d1 of that chord reduces flat slice src of an item's buffer
     into flat slice dst of its result, pairing row i with row i + d1 over
-    the rows where both lie in the box. Half-widths are clamped to n2 - 1
-    and pad is the widest of them.
+    the rows where both lie in the box. pad is the widest half-width.
     """
     by_w: dict[int, list[int]] = {}
-    for d1 in range(-r1, r1 + 1):
-        c = halfwidth(d1)
-        if c >= 0:
-            by_w.setdefault(math.floor(min(c, n2 - 1)), []).append(d1)
+    for d1, w in chords:
+        by_w.setdefault(w, []).append(d1)
     pad = max(by_w, default=0)
     row = n2 + pad
     steps, w_prev = [], 0
@@ -125,16 +130,14 @@ def _chord_plan(n1: int, n2: int, r1: int, halfwidth):
     return pad, steps
 
 
-def _sweep(blocks, grid: Grid, r1: int, halfwidth, kernel, ufunc, fill):
+def _sweep(blocks, grid: Grid, chords, kernel, ufunc, fill):
     """(key, result) for each (key, block) of ``blocks``: the block, of
     shape (k, *grid.shape), reduced over its grid axes with ``ufunc`` over
-    the window of offsets (d1, d2) with |d1| <= r1 and
-    |d2| <= floor(halfwidth(d1)), no row where halfwidth(d1) < 0. A 1-D
-    grid is one row, whose window is r1. ``kernel`` is the batched 1-D line
-    filter that reduces with ``ufunc``, and ``fill`` is the identity of
-    ``ufunc``. Half-widths are clamped to n - 1 on each axis: the window is
-    clipped at the box anyway, so neither memory nor the row loop grows
-    with the radius.
+    the window of offsets (d1, d2) with |d2| <= w for each row (d1, w) of
+    the chord table ``chords``, clamped to the box as ``_ball_chords``
+    makes it; a 1-D grid is one row of n nodes. ``kernel`` is the batched
+    1-D line filter that reduces with ``ufunc``, and ``fill`` is the
+    identity of ``ufunc``.
 
     Each row of the line buffer carries ``pad`` identity cells on its
     right, pad being the widest chord half-width, so a whole block is one
@@ -147,12 +150,8 @@ def _sweep(blocks, grid: Grid, r1: int, halfwidth, kernel, ufunc, fill):
     later block may exceed; callers pass cache-sized tiles. The key passes
     through, and the result is a view that the next block overwrites.
     """
-    if grid.dim == 1:
-        n1, (n2,), w = 1, grid.n, r1
-        r1, halfwidth = 0, lambda d1: w
-    else:
-        n1, n2 = grid.n
-    pad, steps = _chord_plan(n1, n2, min(r1, n1 - 1), halfwidth)
+    n1, n2 = (1, *grid.n)[-2:]
+    pad, steps = _chord_plan(n1, n2, chords)
     buf = res = None
     for key, block in blocks:
         k = len(block)
@@ -172,13 +171,6 @@ def _sweep(blocks, grid: Grid, r1: int, halfwidth, kernel, ufunc, fill):
         yield key, acc[:, :, :n2].reshape(block.shape)
 
 
-def _ball_window(grid: Grid, eps: float):
-    """(r1, halfwidth) of the eps-ball for ``_sweep``."""
-    h = grid.h
-    return (radius_nodes(eps, h[0]),
-            lambda d1: _chord(eps, d1, h[0], h[-1]))
-
-
 def _ball_sweep(a: np.ndarray, grid: Grid, eps: float, kernel, ufunc, fill):
     """``_sweep`` of a whole array over the eps-ball, a tile of its
     leading items at a time."""
@@ -188,8 +180,8 @@ def _ball_sweep(a: np.ndarray, grid: Grid, eps: float, kernel, ufunc, fill):
     out = np.empty_like(items)
     blocks = ((t, items[t])
               for t in _tiles(len(items), grid.size * items.itemsize))
-    r1, halfwidth = _ball_window(grid, eps)
-    for t, res in _sweep(blocks, grid, r1, halfwidth, kernel, ufunc, fill):
+    for t, res in _sweep(blocks, grid, _ball_chords(grid, eps), kernel,
+                         ufunc, fill):
         out[t] = res
     return out.reshape(a.shape)
 

@@ -8,6 +8,9 @@ the library replaces by one conjugate kernel, one min-filter and one
 dilation, the whole y-major Fenchel-Young set ``fenchel_young_mask``
 behind the x-tiled one that M + A and newc read, the offset-by-offset
 window ``shifted_window_reduce`` behind the padded chord sweeps, the
+eps-ball enumerated row by row from its radius,
+``ball_offsets_by_definition``, behind the clamped chord table of
+``windows._ball_chords``, the
 slice-by-slice ``envelope_verdicts`` behind maithm's flat midpoint scan,
 ``pair_sample_whole``, every candidate pair in one array behind the
 z1-tiled exhaustive pairs of ``covers._pair_sample``,
@@ -23,6 +26,7 @@ on the library, namely the constructions ``bipotential_from_sync`` and
 ``ball_min_filter`` and ``reparameterize`` on ``CoverFamily``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +196,25 @@ def shifted_window_reduce(vals, offsets, ufunc, fill):
                slice(max(0, d2), n2 + min(0, d2)))
         ufunc(out[dst], vals[src], out=out[dst])
     return out
+
+
+def ball_offsets_by_definition(grid: Grid, eps: float):
+    """The node offsets d with ||d * h|| <= eps (relative slack 1e-9)
+    that join two nodes of the grid, |d_k| <= n_k - 1: ints in 1-D,
+    (d1, d2) tuples in 2-D, ascending. Every row of the unclamped ball is
+    enumerated before the filter, so the work grows with eps."""
+    slack = 1e-9
+    r1 = math.floor(eps / grid.h[0] * (1.0 + slack) + slack)
+    if grid.dim == 1:
+        return [d for d in range(-r1, r1 + 1) if abs(d) <= grid.n[0] - 1]
+    out = []
+    for d1 in range(-r1, r1 + 1):
+        rem = eps * eps * (1.0 + slack) - (d1 * grid.h[0]) ** 2
+        if rem >= 0.0:
+            w = math.floor(math.sqrt(rem) / grid.h[1] * (1.0 + slack) + slack)
+            out.extend((d1, d2) for d2 in range(-w, w + 1))
+    return [(d1, d2) for d1, d2 in out
+            if abs(d1) <= grid.n[0] - 1 and abs(d2) <= grid.n[1] - 1]
 
 
 def adjacent_triples(zshape):

@@ -255,6 +255,19 @@ def test_blur_and_check_pipeline(run_cli, tmp_path, quad_csv):
     assert r3.returncode == 0, r3.stdout + r3.stderr
 
 
+def test_blur_writes_ba_and_mg_by_default(tmp_path, quad_csv, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert main(["blur", "--phi", str(quad_csv), "--eps", "0.5",
+                 "--out-ca", "", "--report", "r.txt"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ba.csv", "mg.csv", "r.txt"]
+    lines = (out / "r.txt").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("wrote")] == [
+        "wrote = ba.csv", "wrote = mg.csv"]
+
+
 def test_blur_and_check_pipeline_2d(run_cli, tmp_path):
     g = Grid.box(-2.0, 2.0, 11)
     SampledFunction.from_callable(
@@ -676,6 +689,40 @@ def test_cover_build_cone(run_cli, tmp_path):
     _check_cover_build(run_cli, tmp_path, tmp_path / "cone.csv", fix.eps)
 
 
+def test_cover_build_past_the_box_is_the_box(tmp_path, quad_csv):
+    # 101 nodes of [-2, 2]: radius 50 holds 2,501 offsets, of which only
+    # the 201 that join two nodes make members
+    files = {}
+    for eps in ("4", "50"):
+        rep = tmp_path / f"r{eps}.txt"
+        assert main(["cover", "build", "--phi", str(quad_csv), "--eps", eps,
+                     "--out-dir", str(tmp_path / eps),
+                     "--report", str(rep)]) == 0
+        files[eps] = {p.name: p.read_bytes()
+                      for p in (tmp_path / eps).iterdir()}
+        assert "members = 201" in rep.read_text().splitlines()
+    assert files["50"] == files["4"]
+    assert len(files["50"]["offsets.csv"].splitlines()) == 1 + 201
+
+
+def test_check_newc_past_the_diagonal(tmp_path, capsys):
+    # the 4 x 4 box's diagonal is 5.66, so any larger radius gives the
+    # same report but for its eps lines; at 1e200 a row's chord overflowed
+    p = tmp_path / "bowl.csv"
+    SampledFunction.from_callable(
+        Grid.box(-2.0, 2.0, 9), lambda a, b: 0.5 * (a * a + b * b)).to_csv(p)
+    reports = []
+    for eps in ("6", "1e200"):
+        rep = tmp_path / f"r{eps}.txt"
+        code = main(["check", "newc", "--phi", str(p), "--eps", eps,
+                     "--y", "0.5,-1", "--report", str(rep)])
+        assert code == 0, capsys.readouterr().err
+        reports.append([ln for ln in rep.read_text().splitlines()
+                        if "eps" not in ln])
+    assert reports[0] == reports[1]
+    assert "verdict = pass" in reports[0]
+
+
 def test_explore_darboux_runs(run_cli, tmp_path):
     r = run_cli(["explore", "darboux", "--samples", "3", "--grid", "41",
                  "--seed", "5", "--report", "d.txt"], tmp_path)
@@ -771,3 +818,16 @@ def test_crash_exits_3_with_traceback(tmp_path, quad_csv, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_out_of_memory_exits_2(tmp_path, quad_csv, capsys, monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError; raised here, never
+    # provoked by allocating, which an overcommitting host may grant
+    def oom(cfg):
+        raise MemoryError("Unable to allocate 193. GiB for an array")
+    monkeypatch.setattr(cli, "run", oom)
+    code = main(["check", "convex", "--input", str(quad_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bipot: error: out of memory: Unable to allocate 193. GiB" in err
+    assert "Traceback" not in err

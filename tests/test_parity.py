@@ -37,5 +37,5 @@ def test_diff_prints_the_fields_that_differ(capsys):
 
 def test_corpus_names_are_distinct():
     names = [name for name, *_ in parity._corpus()]
-    assert len(set(names)) == len(names) == 124
+    assert len(set(names)) == len(names) == 128
     assert sum(n.endswith("-n101 eps=0.33") for n in names) == 19

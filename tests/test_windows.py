@@ -1,5 +1,7 @@
-"""The padded 2-D chord sweeps against the offset-by-offset window."""
+"""The clamped ball and the padded 2-D chord sweeps against the ball by
+definition and the offset-by-offset window."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +12,33 @@ from bipot.grids import Grid
 from bipot.windows import (ball_dilate, ball_min_filter, ball_offsets,
                            chebyshev_dilate)
 
-from oracles import shifted_window_reduce
+from oracles import ball_offsets_by_definition, shifted_window_reduce
 
 # n1 != n2 and h1 != h2; a 3-node second axis; and radii whose chords
 # clamp at n2 - 1 (0.7 on the 3-node axis of step 0.1, 3.0 elsewhere)
 GRIDS = [(Grid((0.0, -1.0), (3.0, 1.0), (7, 9)), (0.3, 0.6, 1.1, 3.0)),
          (Grid((-1.0, -2.0), (1.0, 3.0), (11, 6)), (0.2, 1.0, 2.5)),
          (Grid((0.0, 0.0), (2.0, 0.2), (5, 3)), (0.1, 0.5, 0.7))]
+
+
+# 1-D, and 2-D with h1 != h2; radii of 0, below h, node-aligned,
+# off-node, at and past each box extent (the oracle's work grows with the
+# radius, so they stay small); the diagonal and just past it are added
+BALLS = [(Grid.line(-1.0, 1.0, 11), (0.0, 0.1, 0.4, 0.5, 2.0, 2.5)),
+         (Grid((0.0, -1.0), (3.0, 1.0), (7, 9)),
+          (0.0, 0.2, 0.5, 0.6, 0.75, 1.1, 2.0, 3.0, 3.5))]
+
+
+@pytest.mark.parametrize("grid, radii", BALLS, ids=["line11", "7x9"])
+def test_ball_offsets_are_the_clamped_ball_by_definition(grid, radii):
+    diagonal = math.hypot(*((n - 1) * h for n, h in zip(grid.n, grid.h)))
+    for eps in radii + (diagonal, diagonal * 1.001):
+        assert ball_offsets(grid, eps) == \
+            ball_offsets_by_definition(grid, eps), eps
+    whole = ball_offsets(grid, diagonal)
+    assert len(whole) == math.prod(2 * n - 1 for n in grid.n)
+    # a radius far past the box costs no more than the box
+    assert ball_offsets(grid, 1e200) == whole
 
 
 def _values(rng, lead, shape):
@@ -77,10 +99,12 @@ def test_sweeps_equal_the_offset_window(monkeypatch, grid, radii, lead):
 
 
 def test_two_node_rows():
-    # no Grid has 2 nodes on an axis; the sweep itself takes any shape,
-    # and its chords (half-width 5 here) clamp at n2 - 1 = 1. Two blocks
-    # of 3 and 2 items, the second ragged in buffers sized by the first;
-    # each result is compared before the next block overwrites it
+    # no Grid has 2 nodes on an axis; the sweep itself takes any shape.
+    # Its chord table is the window of |d1| <= r1, |d2| <= 5 clamped to
+    # the box as _ball_chords clamps, against the oracle's unclamped
+    # window. Two blocks of 3 and 2 items, the second ragged in buffers
+    # sized by the first; each result is compared before the next block
+    # overwrites it
     grid = SimpleNamespace(dim=2, n=(6, 2), shape=(6, 2))
     rng = np.random.default_rng(2)
     vals = _values(rng, (5,), grid.shape)
@@ -88,14 +112,14 @@ def test_two_node_rows():
     tiles = [slice(0, 3), slice(3, 5)]
     for r1 in (0, 1, 2, 7):
         offs = [(d1, d2) for d1 in range(-r1, r1 + 1) for d2 in range(-5, 6)]
+        chords = [(d1, 1) for d1 in range(-min(r1, 5), min(r1, 5) + 1)]
         for a, kernel, ufunc, fill in (
                 (vals, _kernels.sliding_min, np.minimum, np.inf),
                 (mask, _kernels.sliding_max_u8, np.maximum, 0)):
             want = shifted_window_reduce(a, offs, ufunc, fill)
             seen = []
             for t, got in windows._sweep(((t, a[t]) for t in tiles), grid,
-                                         r1, lambda d1: 5.0, kernel, ufunc,
-                                         fill):
+                                         chords, kernel, ufunc, fill):
                 assert np.array_equal(got, want[t]), (r1, t)
                 seen.append(t)
             assert seen == tiles

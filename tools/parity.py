@@ -34,11 +34,12 @@ default flags, in-process, into a temporary directory.
 The corpus: on 101 nodes of [-1, 1], ``random_convex_1d`` seeds 1-6,
 plain and truncated, |x|, relu^2, the indicator of [-0.5, 0.5] and
 k x^2 / 2 for k in {0.6, 0.8, 1, 1.2}, each with eps in {0.04, 0.1, 0.3,
-0.33, 0.5, 1.0}; the cone of the worked example at n in {9, 17, 25, 41};
-2-D elasticity (k = 1, eps = 0.5) at n in {11, 21, 25}. The two largest
-pin 2-D battery witnesses on larger grids. Then the three worked
-examples, elasticity, two-point and cone. That is 124 outcomes, 3-5 s
-on a 2-core x86 VM.
+0.33, 0.5, 1.0}, and |x|, relu^2 and k = 0.8 with eps = 2.5, past the
+box; the cone of the worked example at n in {9, 17, 25, 41}, and at
+n = 17 with eps = 6.0, past the box's 5.66 diagonal; 2-D elasticity
+(k = 1, eps = 0.5) at n in {11, 21, 25}. The two largest pin 2-D battery
+witnesses on larger grids. Then the three worked examples, elasticity,
+two-point and cone. That is 128 outcomes, 3-5 s on a 2-core x86 VM.
 
 ``--against REV`` unpacks ``git archive REV`` into a temporary directory,
 runs the same corpus on that tree's ``src/``, and prints, for each outcome
@@ -93,10 +94,17 @@ def _corpus():
         for eps in (0.04, 0.1, 0.3, 0.33, 0.5, 1.0):
             yield f"{law}-n101 eps={eps}", functools.partial(
                 _fields, phi, eps, line)
+    for law, phi in laws:   # a radius past the box
+        if law in ("abs", "relu2", "quad-k0.8"):
+            yield f"{law}-n101 eps=2.5", functools.partial(
+                _fields, phi, 2.5, line)
     for n in (9, 17, 25, 41):
         fix = cone_fixture_params(n=n)
         yield f"cone-n{n} eps={fix.eps}", functools.partial(
             _fields, cone_fixture(fix).phi, fix.eps, fix.ygrid)
+    fix = cone_fixture_params(n=17)   # a radius past the box's diagonal
+    yield "cone-n17 eps=6.0", functools.partial(
+        _fields, cone_fixture(fix).phi, 6.0, fix.ygrid)
     for n in (11, 21, 25):
         fix = elasticity_fixture(n=n, dim=2)
         yield f"elasticity2d-n{n} eps={fix.eps}", functools.partial(
